@@ -27,7 +27,6 @@ from .elastic import (
 from .picard import (
     PicardResult,
     PicardState,
-    SolverConfig,
     free_wave_state,
     picard_map,
     picard_solve,
@@ -40,7 +39,6 @@ __all__ = [
     "TimeGrid",
     "InitialData",
     "RunConfig",
-    "SolverConfig",
     "PicardState",
     "PicardResult",
     "DirectRun",

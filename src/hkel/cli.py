@@ -3,6 +3,8 @@
 import argparse
 import sys
 import time
+from collections import namedtuple
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +27,10 @@ from .direct import run_direct
 from .elastic import (
     InitialData,
     compatibility_residuals,
-    det_pointwise,
+    det_residual,
     make_shear_data,
     recover_pressure,
     vector_from_gradient,
-    velocity_residual_transposed,
 )
 from .picard import COMPATIBILITY_TOL, free_wave_state, picard_solve
 from .selftest import run_selftest
@@ -42,16 +43,8 @@ EXIT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
 
 
-class SimArtifacts:
-    """In-memory products of one simulation, reused by sweep analytics."""
-
-    def __init__(self, grid, data, tg, G, dG, report):
-        self.grid = grid
-        self.data = data
-        self.tg = tg
-        self.G = G
-        self.dG = dG
-        self.report = report
+# In-memory products of one simulation, reused by sweep analytics.
+SimArtifacts = namedtuple("SimArtifacts", "grid data tg G dG report")
 
 
 def main(argv=None):
@@ -92,7 +85,7 @@ def main(argv=None):
 
     try:
         if args.command == "simulate":
-            return cmd_simulate(cfg)
+            return run_one(cfg)[0]
         if args.command == "check-data":
             return cmd_check_data(cfg)
         if args.command == "sweep":
@@ -109,10 +102,9 @@ def main(argv=None):
 # -- data loading -----------------------------------------------------------
 
 
-def load_initial_data(grid, cfg, epsilon=None):
-    eps = cfg.epsilon if epsilon is None else epsilon
+def load_initial_data(grid, cfg):
     if cfg.init == "shear_composition":
-        return make_shear_data(grid, eps, seed=cfg.seed)
+        return make_shear_data(grid, cfg.epsilon, seed=cfg.seed)
     path = cfg.init[len("file:") :]
     n, size, _, comps = read_snapshot(path)
     if n != grid.n or size != grid.size:
@@ -130,19 +122,19 @@ def load_initial_data(grid, cfg, epsilon=None):
 # -- simulate ----------------------------------------------------------------
 
 
-def cmd_simulate(cfg, epsilon=None, subdir=None):
-    code, _ = run_one(cfg, epsilon, subdir)
-    return code
-
-
 def run_one(cfg, epsilon=None, subdir=None):
-    """Run one simulation; returns (exit code, artifacts or None)."""
+    """Run one simulation; returns (exit code, artifacts or None).
+
+    ``epsilon`` replaces the configured amplitude, in config.txt as well.
+    """
+    if epsilon is not None:
+        cfg = replace(cfg, epsilon=epsilon)
     outdir = Path(cfg.output_dir) if subdir is None else Path(cfg.output_dir) / subdir
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.txt").write_text(format_config(cfg))
 
     grid = Grid(cfg.dimension, cfg.grid_n)
-    data = load_initial_data(grid, cfg, epsilon)
+    data = load_initial_data(grid, cfg)
     r1, r2 = compatibility_residuals(grid, data)
     if max(r1, r2) > COMPATIBILITY_TOL:
         print(f"error: incompatible initial data: residuals ({r1:.2e}, {r2:.2e})",
@@ -151,10 +143,12 @@ def run_one(cfg, epsilon=None, subdir=None):
 
     started = time.perf_counter()
     report = DiagnosticsReport()
-    solver_cfg = cfg.solver_config(epsilon)
-    tg = solver_cfg.time_grid()
+    tg = cfg.time_grid()
     if cfg.solver == "picard":
-        result = picard_solve(grid, data, solver_cfg, check_compatibility=False)
+        result = picard_solve(grid, data, cfg, check_compatibility=False)
+        if result.reason:
+            print(f"not converged: {result.reason}", file=sys.stderr)
+            return EXIT_NOT_CONVERGED, None
         G_ts, dG_ts = result.state.G, result.state.dG
         boxY_ts = [vector_from_gradient(grid, Hm) for Hm in result.state.H]
         report.ratios = list(result.ratios)
@@ -162,7 +156,7 @@ def run_one(cfg, epsilon=None, subdir=None):
         report.iterations = result.iterations
     else:
         try:
-            run = run_direct(grid, data, solver_cfg)
+            run = run_direct(grid, data, cfg)
         except RuntimeError as exc:
             print(f"not converged: {exc}", file=sys.stderr)
             return EXIT_NOT_CONVERGED, None
@@ -173,7 +167,6 @@ def run_one(cfg, epsilon=None, subdir=None):
         report.iterations = int(np.max(run.pressure_iterations))
 
     s = grid.n / 2.0
-    eye = np.eye(grid.n).reshape((grid.n, grid.n) + (1,) * grid.n)
     for m in range(0, tg.nsamples, cfg.diagnostics_every):
         Gm = G_ts[m]
         if cfg.solver == "picard":
@@ -181,21 +174,21 @@ def run_one(cfg, epsilon=None, subdir=None):
         else:
             vel = velocities[m]
         _, curl_res = recover_pressure(grid, Gm, boxY_ts[m])
-        report.add_row(
-            tg.times[m],
+        report.rows.append((
+            float(tg.times[m]),
             besov_norm(grid, Gm, s),
             besov_norm(grid, dG_ts[m], s - 1.0),
             energy(grid, vel, Gm),
-            float(np.abs(det_pointwise(eye + Gm) - 1.0).max()),
+            det_residual(Gm),
             curl_res,
-        )
+        ))
     total, variation = s_surrogate(grid, tg, G_ts, dG_ts)
     report.s_surrogate = total
     report.s_variation_part = variation
     report.variation_stride = max(1, -(-tg.nsamples // VARIATION_MAX_SAMPLES))
     report.wall_clock = time.perf_counter() - started
 
-    write_csv(outdir / "diagnostics.csv", DiagnosticsReport.CSV_COLUMNS, report.row_arrays())
+    write_csv(outdir / "diagnostics.csv", DiagnosticsReport.CSV_COLUMNS, report.rows)
     if cfg.snapshot_every > 0:
         for m in range(0, tg.nsamples, cfg.snapshot_every):
             write_snapshot(
@@ -214,10 +207,10 @@ def run_one(cfg, epsilon=None, subdir=None):
     return EXIT_OK, artifacts
 
 
-def write_csv(path, columns, arrays):
+def write_csv(path, columns, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in zip(*arrays):
+        for row in rows:
             fh.write(",".join(f"{x:.16e}" for x in row) + "\n")
 
 
@@ -257,6 +250,8 @@ SWEEP_COLUMNS = (
 def cmd_sweep(cfg, epsilons):
     if len(epsilons) < 3:
         raise ConfigError("sweep needs at least 3 amplitudes (key sweep_epsilons or --epsilons)")
+    if cfg.init != "shear_composition":
+        raise ConfigError("sweep needs init = shear_composition: file data has no amplitude")
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     grid = Grid(cfg.dimension, cfg.grid_n)
@@ -264,8 +259,8 @@ def cmd_sweep(cfg, epsilons):
     all_ok = True
     for eps in epsilons:
         code, art = run_one(cfg, epsilon=eps, subdir=f"eps_{eps:g}")
-        if code == EXIT_ERROR:
-            return EXIT_ERROR
+        if art is None:  # run_one has printed why
+            return code
         all_ok = all_ok and code == EXIT_OK
         rows.append(_sweep_row(grid, eps, art))
     rows = sweep_report(rows)
@@ -304,10 +299,8 @@ def cmd_check_data(cfg):
     grid = Grid(cfg.dimension, cfg.grid_n)
     data = load_initial_data(grid, cfg)
     r1, r2 = compatibility_residuals(grid, data)
-    r2t = velocity_residual_transposed(grid, data)
     print(f"det(I + grad f) - 1            : {r1:.6e}")
     print(f"velocity residual              : {r2:.6e}")
-    print(f"velocity residual (transposed) : {r2t:.6e}")
     ok = max(r1, r2) <= COMPATIBILITY_TOL
     print(f"compatible within {COMPATIBILITY_TOL:g}: {'yes' if ok else 'no'}")
     return EXIT_OK if ok else EXIT_ERROR

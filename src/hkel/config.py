@@ -7,7 +7,7 @@ enough that silent typo-driven misconfiguration is the bigger hazard.
 
 from dataclasses import dataclass, fields
 
-from .picard import SolverConfig
+from .waves import TimeGrid
 
 
 class ConfigError(ValueError):
@@ -16,6 +16,8 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """Run parameters of the CLI and of both solvers, checked on construction."""
+
     dimension: int = 2
     grid_n: int = 64
     epsilon: float = 1e-2
@@ -33,41 +35,26 @@ class RunConfig:
     diagnostics_every: int = 1
     sweep_epsilons: tuple = ()
 
-    def solver_config(self, epsilon=None):
-        return SolverConfig(
-            dimension=self.dimension,
-            grid_size=self.grid_n,
-            epsilon=self.epsilon if epsilon is None else epsilon,
-            t_end=self.t_end,
-            dt=self.dt,
-            picard_tol=self.picard_tol,
-            picard_max_iter=self.picard_max_iter,
-            pressure_tol=self.pressure_tol,
-            pressure_max_iter=self.pressure_max_iter,
-            seed=self.seed,
-        )
+    def __post_init__(self):
+        _validate(self)
+
+    @property
+    def steps(self):
+        return round(self.t_end / self.dt)
+
+    def time_grid(self):
+        return TimeGrid(self.dt, self.steps)
+
+    def require_grid(self, grid):
+        """Refuse a Grid other than the one this configuration describes."""
+        if (self.dimension, self.grid_n) != (grid.n, grid.size):
+            raise ConfigError(f"config wants {self.dimension}d N={self.grid_n}, got {grid!r}")
 
 
 _REQUIRED = ("dimension", "grid_n", "epsilon", "t_end", "dt")
 
-_PARSERS = {
-    "dimension": int,
-    "grid_n": int,
-    "epsilon": float,
-    "t_end": float,
-    "dt": float,
-    "solver": str,
-    "picard_tol": float,
-    "picard_max_iter": int,
-    "pressure_tol": float,
-    "pressure_max_iter": int,
-    "seed": int,
-    "init": str,
-    "output_dir": str,
-    "snapshot_every": int,
-    "diagnostics_every": int,
-    "sweep_epsilons": lambda v: tuple(float(x) for x in v.split(",") if x.strip()),
-}
+_PARSERS = {f.name: f.type for f in fields(RunConfig)}
+_PARSERS["sweep_epsilons"] = lambda v: tuple(float(x) for x in v.split(",") if x.strip())
 
 
 def parse_config(text):
@@ -93,9 +80,7 @@ def parse_config(text):
     for key in _REQUIRED:
         if key not in values:
             raise ConfigError(f"missing required key '{key}'")
-    cfg = RunConfig(**values)
-    _validate(cfg)
-    return cfg
+    return RunConfig(**values)
 
 
 def _validate(cfg):
@@ -105,23 +90,19 @@ def _validate(cfg):
         raise ConfigError("grid_n must be a power of two >= 8")
     if cfg.epsilon < 0:
         raise ConfigError("epsilon must be nonnegative")
-    if cfg.dt <= 0:
-        raise ConfigError("dt must be positive")
-    if cfg.t_end <= 0:
-        raise ConfigError("t_end must be positive")
-    steps = round(cfg.t_end / cfg.dt)
-    if steps < 4 or abs(steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
+    for name in ("dt", "t_end"):
+        if getattr(cfg, name) <= 0:
+            raise ConfigError(f"{name} must be positive")
+    if cfg.steps < 4 or abs(cfg.steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
         raise ConfigError("t_end must be a multiple (>= 4 steps) of dt")
     if cfg.solver not in ("picard", "direct"):
         raise ConfigError("solver must be 'picard' or 'direct'")
-    if cfg.picard_tol <= 0:
-        raise ConfigError("picard_tol must be positive")
-    if cfg.pressure_tol <= 0:
-        raise ConfigError("pressure_tol must be positive")
-    if cfg.picard_max_iter < 1:
-        raise ConfigError("picard_max_iter must be at least 1")
-    if cfg.pressure_max_iter < 1:
-        raise ConfigError("pressure_max_iter must be at least 1")
+    for name in ("picard_tol", "pressure_tol"):
+        if getattr(cfg, name) <= 0:
+            raise ConfigError(f"{name} must be positive")
+    for name in ("picard_max_iter", "pressure_max_iter"):
+        if getattr(cfg, name) < 1:
+            raise ConfigError(f"{name} must be at least 1")
     if cfg.seed < 0:
         raise ConfigError("seed must be nonnegative")
     if not (cfg.init == "shear_composition" or cfg.init.startswith("file:")):

@@ -142,28 +142,6 @@ def s_surrogate(grid, tg, G_ts, dG_ts, s=None, max_samples=VARIATION_MAX_SAMPLES
 class DiagnosticsReport:
     """Per-time diagnostic rows plus run-level summary fields."""
 
-    times: list = field(default_factory=list)
-    besov_G: list = field(default_factory=list)
-    besov_dG: list = field(default_factory=list)
-    energy: list = field(default_factory=list)
-    det_residual: list = field(default_factory=list)
-    pressure_curl_residual: list = field(default_factory=list)
-    ratios: list = field(default_factory=list)
-    s_surrogate: float = 0.0
-    s_variation_part: float = 0.0
-    variation_stride: int = 1
-    converged: bool = True
-    iterations: int = 0
-    wall_clock: float = 0.0
-
-    def add_row(self, t, bG, bdG, en, det_res, curl_res):
-        self.times.append(float(t))
-        self.besov_G.append(float(bG))
-        self.besov_dG.append(float(bdG))
-        self.energy.append(float(en))
-        self.det_residual.append(float(det_res))
-        self.pressure_curl_residual.append(float(curl_res))
-
     CSV_COLUMNS = (
         "t",
         "besov_G",
@@ -173,15 +151,14 @@ class DiagnosticsReport:
         "pressure_curl_residual",
     )
 
-    def row_arrays(self):
-        return (
-            self.times,
-            self.besov_G,
-            self.besov_dG,
-            self.energy,
-            self.det_residual,
-            self.pressure_curl_residual,
-        )
+    rows: list = field(default_factory=list)  # float tuples in CSV_COLUMNS order
+    ratios: list = field(default_factory=list)
+    s_surrogate: float = 0.0
+    s_variation_part: float = 0.0
+    variation_stride: int = 1
+    converged: bool = True
+    iterations: int = 0
+    wall_clock: float = 0.0
 
 
 # -- sweep analytics -----------------------------------------------------------

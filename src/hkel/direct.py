@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elastic import det_pointwise, inverse_pointwise
+from .elastic import det_residual, inverse_pointwise
 from .picard import picard_solve
 
 
@@ -144,6 +144,7 @@ def direct_step(grid, state, dt, tol=1e-10, max_iter=400):
 
 def run_direct(grid, data, cfg):
     """Integrate to t_end, recording the Jacobian trajectory per sample."""
+    cfg.require_grid(grid)
     tg = cfg.time_grid()
     n = grid.n
     nsamples = tg.nsamples
@@ -162,8 +163,7 @@ def run_direct(grid, data, cfg):
     velocity[1:-1] = (Y_ts[2:] - Y_ts[:-2]) / (2.0 * tg.dt)
     velocity[0] = data.g
     velocity[-1] = (3.0 * Y_ts[-1] - 4.0 * Y_ts[-2] + Y_ts[-3]) / (2.0 * tg.dt)
-    eye = np.eye(n).reshape((n, n) + (1,) * n)
-    drift = max(float(np.abs(det_pointwise(eye + Gm) - 1.0).max()) for Gm in G_ts)
+    drift = max(det_residual(Gm) for Gm in G_ts)
     return DirectRun(G_ts, Y_ts, velocity, iters, drift)
 
 

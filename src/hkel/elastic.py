@@ -33,40 +33,41 @@ class InitialData:
             raise ValueError("f and g must have the same shape")
 
 
-def _det_terms(indices):
-    """Leibniz terms (sign, [(row, col), ...]) of det(A[ix, ix])."""
-    indices = tuple(indices)
+def _det_terms(rows, cols=None):
+    """Leibniz terms (sign, [(row, col), ...]) of det(A[rows, cols]), cols = rows by default."""
+    cols = rows if cols is None else cols
+    return [
+        (_parity(perm), [(rows[i], cols[perm[i]]) for i in range(len(rows))])
+        for perm in permutations(range(len(rows)))
+    ]
+
+
+def _minor_terms(n, orders):
+    """Leibniz terms of every principal minor of each order in ``orders``."""
     terms = []
-    for perm in permutations(range(len(indices))):
-        sign = _parity(perm)
-        terms.append((sign, [(indices[i], indices[perm[i]]) for i in range(len(indices))]))
+    for k in orders:
+        for subset in combinations(range(n), k):
+            terms.extend(_det_terms(subset))
     return terms
 
 
 def _parity(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """+1 for an even permutation, -1 for an odd one (inversion count)."""
+    inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1 :])
+    return -1 if inversions % 2 else 1
 
 
-def _accumulate_terms(fine, terms):
-    """Sum signed entry products on the fine lattice, in a fixed order."""
-    acc = np.zeros(fine.shape[2:])
+def _accumulate_terms(stack, terms):
+    """Sum signed entry products in a fixed order.
+
+    Each term is (sign, [index, ...]); every index picks one field out of
+    ``stack``, factors multiply left to right and terms add in list order.
+    """
+    acc = np.zeros(stack.shape[len(terms[0][1][0]) :])
     for sign, entries in terms:
-        prod = fine[entries[0]].copy()
-        for rc in entries[1:]:
-            prod *= fine[rc]
+        prod = stack[entries[0]].copy()
+        for ix in entries[1:]:
+            prod *= stack[ix]
         acc += sign * prod
     return acc
 
@@ -81,30 +82,26 @@ def principal_minor_sum(grid, A, k):
     if not 2 <= k <= n:
         raise ValueError(f"minor order must satisfy 2 <= k <= {n}, got {k}")
     fine = pad_to_fine(grid, np.asarray(A), 2)
-    terms = []
-    for subset in combinations(range(n), k):
-        terms.extend(_det_terms(subset))
-    return truncate_from_fine(grid, _accumulate_terms(fine, terms), 2)
+    return truncate_from_fine(grid, _accumulate_terms(fine, _minor_terms(n, (k,))), 2)
 
 
 def minor_sum_total(grid, G, G_fine=None):
     """E_2(G) + ... + E_n(G) with one shared padded transform."""
     n = grid.n
     fine = pad_to_fine(grid, np.asarray(G), 2) if G_fine is None else G_fine
-    terms = []
-    for k in range(2, n + 1):
-        for subset in combinations(range(n), k):
-            terms.extend(_det_terms(subset))
+    terms = _minor_terms(n, range(2, n + 1))
     return truncate_from_fine(grid, _accumulate_terms(fine, terms), 2)
 
 
-def curl_free_gradient(grid, G):
+def curl_free_gradient(grid, G, G_fine=None):
     """Gradient of the curl-free displacement slaved to the constraint.
 
     C[a, b] = R_a R_b s with s = sum_k E_k(G); symmetric by construction,
     with trace(C) = -s since the squared Riesz multipliers sum to -1.
+    ``G`` may carry extra axes between its component and spatial axes (time
+    batching); ``G_fine`` is its padded field when the caller has it.
     """
-    s = minor_sum_total(grid, G)
+    s = minor_sum_total(grid, G, G_fine=G_fine)
     s = _demean(grid, s)  # rounding-level for Jacobian input (null Lagrangian)
     sh = grid.fft(s)
     C = np.empty((grid.n, grid.n) + s.shape)
@@ -203,66 +200,44 @@ def inverse_pointwise(M, det_tol=0.5):
     return np.swapaxes(cof, 0, 1) / det
 
 
+def det_residual(G):
+    """max |det(I + G) - 1| over the grid, from pointwise determinants."""
+    n = G.shape[0]
+    eye = np.eye(n).reshape((n, n) + (1,) * (G.ndim - 2))
+    return float(np.abs(det_pointwise(eye + G) - 1.0).max())
+
+
 # -- compatibility -----------------------------------------------------------
 
 
-def det_deviation_field(grid, G):
-    """det(I + G) - 1 = trace(G) + sum_k E_k(G), with dealiased minors."""
-    trace = G[0, 0].copy()
-    for a in range(1, grid.n):
-        trace += G[a, a]
-    return trace + minor_sum_total(grid, G)
-
-
 def _cofactor_trace_terms(n):
-    """Leibniz terms of sum_{a,b} cof(M)[a, b] * A[a, b].
+    """Leibniz terms of sum_{a,b} cof(M)[a, b] * A[a, b] over the stack (M, A).
 
-    Each term is (sign, [(r, c) entries of M], (a, b) entry of A); the
-    cofactor of M at (a, b) is the signed minor with row a, column b
-    removed.
+    The cofactor of M at (a, b) is the signed minor with row a, column b
+    removed; the last factor of each term is A[a, b].
     """
     out = []
     for a in range(n):
         for b in range(n):
             rows = [r for r in range(n) if r != a]
             cols = [c for c in range(n) if c != b]
-            for perm in permutations(range(n - 1)):
-                sign = _parity(perm) * (-1) ** (a + b)
-                entries = [(rows[i], cols[perm[i]]) for i in range(n - 1)]
-                out.append((sign, entries, (a, b)))
+            for sign, entries in _det_terms(rows, cols):
+                factors = [(0, r, c) for r, c in entries] + [(1, a, b)]
+                out.append(((-1) ** (a + b) * sign, factors))
     return out
-
-
-def velocity_residual_field(grid, gradX, gradg):
-    """d/dt det(grad X) expressed as sum_{a,b} cof(grad X)[a,b] d_b g_a.
-
-    Equals det(grad X) * trace((grad X)^-1 grad g) without ever inverting;
-    every summand is a single alias-free product of n factors.
-    """
-    n = grid.n
-    gradXf = pad_to_fine(grid, gradX, 2)  # degree <= 3, pad 2 suffices
-    gradgf = pad_to_fine(grid, gradg, 2)
-    acc = np.zeros(gradXf.shape[2:])
-    for sign, entries, (a, b) in _cofactor_trace_terms(n):
-        prod = gradXf[entries[0]].copy()
-        for rc in entries[1:]:
-            prod *= gradXf[rc]
-        prod *= gradgf[a, b]
-        acc += sign * prod
-    return truncate_from_fine(grid, acc, 2)
 
 
 def compatibility_residuals(grid, data):
     """Max-norm residuals of the volume and velocity compatibility conditions.
 
     Returns (r1, r2) with r1 = max|det(I + grad f) - 1| and r2 the max of
-    the exact time derivative of det(grad X) at t = 0.  Both maxima are
-    taken on the product-resolving fine lattice, where the dealiased
-    products are exact point values.
+    the exact time derivative of det(grad X) at t = 0, written as
+    sum_{a,b} cof(grad X)[a, b] d_b g_a = det(grad X) tr((grad X)^-1 grad g)
+    without inverting.  Both maxima are taken on the product-resolving fine
+    lattice, where the dealiased products are exact point values.
     """
     n = grid.n
-    G = grid.jacobian(data.f)
-    gradX = G.copy()
+    gradX = grid.jacobian(data.f)
     for a in range(n):
         gradX[a, a] += 1.0
     gradXf = pad_to_fine(grid, gradX, 2)  # all products here have degree <= 3
@@ -272,33 +247,12 @@ def compatibility_residuals(grid, data):
     trace = Gfine[0, 0].copy()
     for a in range(1, n):
         trace += Gfine[a, a]
-    minor_terms = []
-    for k in range(2, n + 1):
-        for subset in combinations(range(n), k):
-            minor_terms.extend(_det_terms(subset))
-    r1 = float(np.abs(trace + _accumulate_terms(Gfine, minor_terms)).max())
+    minors = _accumulate_terms(Gfine, _minor_terms(n, range(2, n + 1)))
+    r1 = float(np.abs(trace + minors).max())
 
-    gradgf = pad_to_fine(grid, grid.jacobian(data.g), 2)
-    acc = np.zeros(gradXf.shape[2:])
-    for sign, entries, (a, b) in _cofactor_trace_terms(n):
-        prod = gradXf[entries[0]].copy()
-        for rc in entries[1:]:
-            prod *= gradXf[rc]
-        prod *= gradgf[a, b]
-        acc += sign * prod
-    r2 = float(np.abs(acc).max())
+    stack = np.stack([gradXf, pad_to_fine(grid, grid.jacobian(data.g), 2)])
+    r2 = float(np.abs(_accumulate_terms(stack, _cofactor_trace_terms(n))).max())
     return r1, r2
-
-
-def velocity_residual_transposed(grid, data):
-    """Same check with the transposed-inverse convention, for comparison."""
-    Gf = grid.jacobian(data.f)
-    gradX = Gf.copy()
-    for a in range(grid.n):
-        gradX[a, a] += 1.0
-    gradXT = np.swapaxes(gradX, 0, 1)
-    Gg = grid.jacobian(data.g)
-    return float(np.abs(velocity_residual_field(grid, gradXT, Gg)).max())
 
 
 # -- volume-preserving data generators ----------------------------------------

@@ -10,6 +10,7 @@ term contributes its finite-difference box.  The stopping rule measures
 successive differences in the sup-in-time dyadic n/2 norm.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -18,7 +19,8 @@ import numpy as np
 from .diagnostics import besov_sup
 from .elastic import (
     compatibility_residuals,
-    det_pointwise,
+    curl_free_gradient,
+    det_residual,
     minor_sum_total,
     null_form,
 )
@@ -31,39 +33,6 @@ from .waves import (
 )
 
 COMPATIBILITY_TOL = 1e-8
-
-
-@dataclass
-class SolverConfig:
-    """Run parameters shared by both solvers."""
-
-    dimension: int = 2
-    grid_size: int = 64
-    epsilon: float = 1e-2
-    t_end: float = 5.0
-    dt: float = 0.01
-    picard_tol: float = 1e-9
-    picard_max_iter: int = 20
-    pressure_tol: float = 1e-10
-    pressure_max_iter: int = 400
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("picard_tol", "pressure_tol", "dt"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
-        steps = round(self.t_end / self.dt)
-        if steps < 4 or abs(steps * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
-            raise ValueError("t_end must be a multiple (>= 4) of dt")
-
-    @property
-    def steps(self):
-        return round(self.t_end / self.dt)
-
-    def time_grid(self):
-        return TimeGrid(self.dt, self.steps)
 
 
 @dataclass
@@ -87,6 +56,7 @@ class PicardResult:
     ratios: list = field(default_factory=list)
     deltas: list = field(default_factory=list)
     wall_clock: float = 0.0
+    reason: str = ""  # why the iteration stopped early, "" otherwise
 
 
 def free_wave_state(grid, tg, data):
@@ -129,7 +99,7 @@ def picard_map(grid, state, free):
     nsamples = tg.nsamples
 
     forcing = np.empty_like(state.G)
-    svals = np.empty((nsamples,) + grid.shape)
+    C = np.empty_like(state.G)
     chunk = max(1, 2**18 // (4 * grid.npoints))  # ~16 samples at n=2, N=64
     for m0 in range(0, nsamples, chunk):
         m1 = min(m0 + chunk, nsamples)
@@ -137,17 +107,7 @@ def picard_map(grid, state, free):
         Hc = np.ascontiguousarray(np.moveaxis(state.H[m0:m1], 0, 2))
         Gf = pad_to_fine(grid, Gc, 2)
         forcing[m0:m1] = np.moveaxis(null_form(grid, Gc, Hc, G_fine=Gf), 2, 0)
-        sm = minor_sum_total(grid, Gc, G_fine=Gf)
-        svals[m0:m1] = sm - sm.mean(axis=grid.axes, keepdims=True)
-
-    sh = grid.fft(svals)
-    C = np.empty_like(state.G)
-    for a in range(n):
-        for b in range(a, n):
-            C[:, a, b] = grid.ifft(sh * (-grid.freq[a] * grid.freq[b] * grid.inv_k2))
-            if b != a:
-                C[:, b, a] = C[:, a, b]
-    del sh
+        C[m0:m1] = np.moveaxis(curl_free_gradient(grid, Gc, G_fine=Gf), 2, 0)
 
     G = free.G + C
     dG = free.dG + time_derivative(tg, C)
@@ -160,12 +120,16 @@ def picard_map(grid, state, free):
     return PicardState(tg, G, H, dG)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence is reported as ``reason``
 def picard_solve(grid, data, cfg, check_compatibility=True):
     """Iterate the fixed-point map from the free-wave seed until contraction.
 
     Non-convergence within ``picard_max_iter`` is reported on the result,
     not raised: probing the breakdown amplitude is a supported experiment.
+    A delta or scale that is not finite ends the iteration at once, with
+    ``reason`` set: no later iterate can recover from it.
     """
+    cfg.require_grid(grid)
     started = time.perf_counter()
     if check_compatibility:
         r1, r2 = compatibility_residuals(grid, data)
@@ -180,6 +144,7 @@ def picard_solve(grid, data, cfg, check_compatibility=True):
     ratios = []
     deltas = []
     converged = False
+    reason = ""
     iterations = 0
     for iterations in range(1, cfg.picard_max_iter + 1):
         new = picard_map(grid, state, free)
@@ -189,6 +154,9 @@ def picard_solve(grid, data, cfg, check_compatibility=True):
         deltas.append(delta)
         state = new
         scale = besov_sup(grid, state.G, s)
+        if not (math.isfinite(delta) and math.isfinite(scale)):
+            reason = f"non-finite Picard delta {delta} (scale {scale}) at iteration {iterations}"
+            break
         if delta <= cfg.picard_tol * max(scale, 1e-300) or (delta == 0.0 and scale == 0.0):
             converged = True
             break
@@ -199,17 +167,13 @@ def picard_solve(grid, data, cfg, check_compatibility=True):
         ratios=ratios,
         deltas=deltas,
         wall_clock=time.perf_counter() - started,
+        reason=reason,
     )
 
 
 def det_deviation_sup(grid, G_ts):
     """Max over time and space of |det(I + G) - 1| along a trajectory."""
-    worst = 0.0
-    n = grid.n
-    eye = np.eye(n).reshape((n, n) + (1,) * n)
-    for Gm in G_ts:
-        worst = max(worst, float(np.abs(det_pointwise(eye + Gm) - 1.0).max()))
-    return worst
+    return max(det_residual(Gm) for Gm in G_ts)
 
 
 def trace_constraint_residual(grid, G):
@@ -221,7 +185,6 @@ def trace_constraint_residual(grid, G):
 
 
 __all__ = [
-    "SolverConfig",
     "PicardState",
     "PicardResult",
     "free_wave_state",

@@ -2,9 +2,10 @@
 
 import numpy as np
 
+from .config import RunConfig
 from .diagnostics import pairwise_sq_dists, two_variation_from_dists
 from .elastic import compatibility_residuals, make_shear_data, minor_sum_total
-from .picard import SolverConfig, picard_solve, trace_constraint_residual
+from .picard import picard_solve, trace_constraint_residual
 from .spectral import Grid, random_mean_free
 from .waves import TimeGrid, duhamel, free_wave
 
@@ -113,8 +114,8 @@ def _brute_force_variation(d2):
 def suite_fixed_point():
     grid = Grid(2, 16)
     data = make_shear_data(grid, 1e-2, seed=3, band=2)
-    cfg = SolverConfig(
-        dimension=2, grid_size=16, epsilon=1e-2, t_end=0.5, dt=1 / 32, picard_tol=1e-9
+    cfg = RunConfig(
+        dimension=2, grid_n=16, epsilon=1e-2, t_end=0.5, dt=1 / 32, picard_tol=1e-9
     )
     result = picard_solve(grid, data, cfg)
     res = max(

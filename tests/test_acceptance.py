@@ -19,10 +19,10 @@ from hkel.diagnostics import (
     solution_norm,
     two_variation_from_dists,
 )
+from hkel.config import RunConfig
 from hkel.direct import cross_validate, run_direct
 from hkel.elastic import InitialData, compatibility_residuals, make_shear_data, minor_sum_total
 from hkel.picard import (
-    SolverConfig,
     det_deviation_sup,
     free_wave_state,
     picard_solve,
@@ -49,8 +49,8 @@ def grid64():
 def contraction_run(grid64):
     """Criterion 5/7 base run: n=2, N=64, T=5, dt=0.01, eps=1e-2."""
     data = make_shear_data(grid64, EPS, seed=101, band=2)
-    cfg = SolverConfig(
-        dimension=2, grid_size=N2, epsilon=EPS, t_end=5.0, dt=0.01,
+    cfg = RunConfig(
+        dimension=2, grid_n=N2, epsilon=EPS, t_end=5.0, dt=0.01,
         picard_tol=1e-9, picard_max_iter=20, seed=101,
     )
     result = picard_solve(grid64, data, cfg)
@@ -70,8 +70,8 @@ def sweep_runs(grid64):
     rows = []
     for eps in SWEEP_EPS:
         data = make_shear_data(grid64, eps, seed=202, band=2)
-        cfg = SolverConfig(
-            dimension=2, grid_size=N2, epsilon=eps, t_end=10.0, dt=0.01,
+        cfg = RunConfig(
+            dimension=2, grid_n=N2, epsilon=eps, t_end=10.0, dt=0.01,
             picard_tol=1e-9, picard_max_iter=25, seed=202,
         )
         result = picard_solve(grid64, data, cfg)
@@ -232,8 +232,8 @@ def test_criterion_7_incompressibility(grid64, contraction_run):
     data = contraction_run["data"]
     drifts = []
     for dt in (0.01, 0.005):
-        cfg = SolverConfig(
-            dimension=2, grid_size=N2, epsilon=EPS, t_end=5.0, dt=dt,
+        cfg = RunConfig(
+            dimension=2, grid_n=N2, epsilon=EPS, t_end=5.0, dt=dt,
             pressure_tol=1e-11, seed=101,
         )
         drifts.append(run_direct(grid64, data, cfg).det_drift)
@@ -250,8 +250,8 @@ def test_criterion_8_cross_solver(grid64):
     data = make_shear_data(grid64, 1e-3, seed=303, band=2)
     diffs = []
     for dt in (1 / 128, 1 / 256):
-        cfg = SolverConfig(
-            dimension=2, grid_size=N2, epsilon=1e-3, t_end=1.0, dt=dt,
+        cfg = RunConfig(
+            dimension=2, grid_n=N2, epsilon=1e-3, t_end=1.0, dt=dt,
             picard_tol=1e-10, pressure_tol=1e-11, seed=303,
         )
         diffs.append(cross_validate(grid64, data, cfg).rel_difference)
@@ -266,16 +266,16 @@ def test_criterion_8_cross_solver(grid64):
 
 def test_criterion_9_continuous_dependence(grid64):
     base_cfg = dict(
-        dimension=2, grid_size=N2, t_end=5.0, dt=0.01, picard_tol=1e-10, seed=404
+        dimension=2, grid_n=N2, t_end=5.0, dt=0.01, picard_tol=1e-10, seed=404
     )
     base_data = make_shear_data(grid64, EPS, seed=404, band=2)
-    base = picard_solve(grid64, base_data, SolverConfig(epsilon=EPS, **base_cfg))
+    base = picard_solve(grid64, base_data, RunConfig(epsilon=EPS, **base_cfg))
     dn_per_eps = data_norm(grid64, base_data) / EPS
     constants = []
     for delta in (1e-4, 1e-3):
         eps2 = EPS + delta / dn_per_eps
         data2 = make_shear_data(grid64, eps2, seed=404, band=2)
-        run2 = picard_solve(grid64, data2, SolverConfig(epsilon=eps2, **base_cfg))
+        run2 = picard_solve(grid64, data2, RunConfig(epsilon=eps2, **base_cfg))
         ddata = data_norm(
             grid64, InitialData(data2.f - base_data.f, data2.g - base_data.g)
         )

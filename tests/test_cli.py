@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from hkel import cli
 from hkel.cli import main
+from hkel.config import parse_config
 from hkel.snapshots import read_snapshot, write_snapshot
 
 
@@ -128,6 +130,19 @@ def test_simulate_exit_two_on_non_convergence(tmp_path, capsys):
     assert "not converged" in err
 
 
+def test_simulate_diverging_iteration_exits_two(tmp_path, capsys, monkeypatch):
+    # amplitude 1 fails the compatibility check, which is skipped here to
+    # reach a Picard iteration whose deltas overflow
+    monkeypatch.setattr(cli, "compatibility_residuals", lambda grid, data: (0.0, 0.0))
+    out = tmp_path / "out"
+    body = SMALL.format(eps=1.0, solver="picard", out=out)
+    body = body.replace("t_end = 0.25\ndt = 0.03125\nseed = 5", "t_end = 2\ndt = 0.05\nseed = 0")
+    assert main(["simulate", write_cfg(tmp_path, body)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "non-finite Picard delta inf" in err
+
+
 def test_simulate_bad_config_exit_one(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "dimension = 4\n")
     assert main(["simulate", cfg]) == 1
@@ -171,6 +186,30 @@ def test_sweep_small(tmp_path):
     assert len(lines) == 4
     for eps in ("0.001", "0.003", "0.01"):
         assert (out / f"eps_{eps}" / "diagnostics.csv").exists()
+        # each run's config.txt records the amplitude that run used
+        assert parse_config((out / f"eps_{eps}" / "config.txt").read_text()).epsilon == float(eps)
+
+
+def test_sweep_direct_pressure_failure_exits_two(tmp_path, capsys):
+    out = tmp_path / "out"
+    body = SMALL.format(eps=0.01, solver="direct", out=out) + "pressure_max_iter = 2\n"
+    cfg = write_cfg(tmp_path, body)
+    assert main(["sweep", cfg, "--epsilons", "1e-3,3e-3,1e-2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "not converged: pressure iteration" in err
+
+
+def test_sweep_rejects_file_init(tmp_path, capsys):
+    snap = tmp_path / "init.hkel"
+    write_snapshot(snap, 2, 16, 0.0, np.zeros((4, 16, 16)))
+    out = tmp_path / "out"
+    body = SMALL.format(eps=0.01, solver="picard", out=out) + f"init = file:{snap}\n"
+    assert main(["sweep", write_cfg(tmp_path, body), "--epsilons", "1e-3,3e-3,1e-2"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "shear_composition" in err
+    assert not out.exists()
 
 
 # -- check-data / selftest ------------------------------------------------------------

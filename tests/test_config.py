@@ -87,10 +87,8 @@ def test_format_config_round_trips():
     assert again == cfg
 
 
-def test_solver_config_conversion():
+def test_steps_and_time_grid():
     cfg = parse_config(MINIMAL)
-    sc = cfg.solver_config()
-    assert sc.grid_size == 64
-    assert sc.steps == 500
-    sc_eps = cfg.solver_config(epsilon=0.5)
-    assert sc_eps.epsilon == 0.5
+    assert cfg.steps == 500
+    tg = cfg.time_grid()
+    assert (tg.dt, tg.steps) == (0.01, 500)

@@ -17,7 +17,7 @@ from hkel.diagnostics import (
     two_variation_from_dists,
 )
 from hkel.elastic import make_shear_data
-from hkel.picard import SolverConfig, free_wave_state
+from hkel.picard import free_wave_state
 from hkel.spectral import random_mean_free
 from hkel.waves import TimeGrid
 
@@ -191,15 +191,16 @@ def test_data_norm_positive(grid2):
 
 
 def test_s_surrogate_variation_scales_quadratically():
-    from hkel.picard import SolverConfig, picard_solve
+    from hkel.config import RunConfig
+    from hkel.picard import picard_solve
     from hkel.spectral import Grid
 
     grid = Grid(2, 32)
     variations = {}
     for eps in (1e-2, 1e-1):
         data = make_shear_data(grid, eps, seed=21, band=2)
-        cfg = SolverConfig(
-            dimension=2, grid_size=32, epsilon=eps, t_end=1.0, dt=1 / 64,
+        cfg = RunConfig(
+            dimension=2, grid_n=32, epsilon=eps, t_end=1.0, dt=1 / 64,
             picard_tol=1e-10,
         )
         result = picard_solve(grid, data, cfg)

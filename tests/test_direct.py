@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hkel.config import RunConfig
 from hkel.diagnostics import energy
 from hkel.direct import (
     DirectState,
@@ -10,14 +11,13 @@ from hkel.direct import (
     solve_pressure,
 )
 from hkel.elastic import InitialData, make_shear_data
-from hkel.picard import SolverConfig
 from hkel.spectral import Grid, random_mean_free
 
 
 def small_config(**overrides):
     base = dict(
         dimension=2,
-        grid_size=16,
+        grid_n=16,
         epsilon=1e-2,
         t_end=0.5,
         dt=1 / 32,
@@ -26,7 +26,7 @@ def small_config(**overrides):
         seed=0,
     )
     base.update(overrides)
-    return SolverConfig(**base)
+    return RunConfig(**base)
 
 
 def identity_minv(grid):
@@ -65,11 +65,17 @@ def test_pressure_manufactured_solution(grid2, rng):
 
 
 def test_direct_zero_data_stays_zero(grid2):
-    cfg = small_config(grid_size=32, epsilon=0.0)
+    cfg = small_config(grid_n=32, epsilon=0.0)
     data = InitialData(np.zeros((2,) + grid2.shape), np.zeros((2,) + grid2.shape))
     run = run_direct(grid2, data, cfg)
     assert np.abs(run.G).max() == 0.0
     assert run.det_drift == 0.0
+
+
+def test_run_direct_rejects_mismatched_grid(grid3):
+    data = InitialData(np.zeros((3,) + grid3.shape), np.zeros((3,) + grid3.shape))
+    with pytest.raises(ValueError, match=r"got Grid\(n=3, size=16\)"):
+        run_direct(grid3, data, small_config())
 
 
 def test_direct_constraint_drift_second_order():
@@ -109,7 +115,7 @@ def test_direct_rejects_large_deformation(grid2):
 
 
 def test_cross_validate_zero_data(grid2):
-    cfg = small_config(grid_size=32, epsilon=0.0)
+    cfg = small_config(grid_n=32, epsilon=0.0)
     data = InitialData(np.zeros((2,) + grid2.shape), np.zeros((2,) + grid2.shape))
     cv = cross_validate(grid2, data, cfg)
     assert cv.rel_difference == 0.0

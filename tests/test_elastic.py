@@ -15,7 +15,7 @@ from hkel.elastic import (
     recover_pressure,
     vector_from_gradient,
 )
-from hkel.spectral import dealiased_product, random_mean_free
+from hkel.spectral import Grid, dealiased_product, pad_to_fine, random_mean_free
 
 from conftest import random_jacobian, random_vector
 
@@ -190,6 +190,22 @@ def test_compatibility_incompatible_example(grid2):
     r1, r2 = compatibility_residuals(grid2, data)
     assert abs(r1 - 1.0) <= 1e-12
     assert r2 == 0.0
+
+
+@pytest.mark.parametrize("n, size", [(2, 32), (3, 16)])
+def test_velocity_residual_matches_pointwise_formula(n, size, rng):
+    # g is not divergence-free, so r2 is O(1); the oracle evaluates
+    # det(grad X) tr(grad X^-1 grad g) pointwise on the same fine lattice
+    grid = Grid(n, size)
+    f = make_shear_data(grid, 5e-2, seed=3, band=2).f
+    g = random_vector(grid, rng, band=size // 4)
+    _, r2 = compatibility_residuals(grid, InitialData(f, g))
+    gradX = grid.jacobian(f) + np.eye(n).reshape((n, n) + (1,) * n)
+    M = np.moveaxis(pad_to_fine(grid, gradX, 2), (0, 1), (-2, -1))
+    A = np.moveaxis(pad_to_fine(grid, grid.jacobian(g), 2), (0, 1), (-2, -1))
+    pointwise = np.linalg.det(M) * np.trace(np.linalg.solve(M, A), axis1=-2, axis2=-1)
+    assert r2 >= 0.1
+    assert abs(r2 - np.abs(pointwise).max()) <= 1e-12 * r2
 
 
 def test_shear_data_zero_amplitude(grid2):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
+from hkel.config import RunConfig
 from hkel.diagnostics import besov_sup, loglog_slope
 from hkel.elastic import InitialData, make_shear_data
 from hkel.picard import (
     PicardState,
-    SolverConfig,
     det_deviation_sup,
     free_wave_state,
     picard_map,
@@ -19,7 +19,7 @@ from hkel.waves import box_trajectory, time_derivative
 def small_config(**overrides):
     base = dict(
         dimension=2,
-        grid_size=16,
+        grid_n=16,
         epsilon=1e-2,
         t_end=0.5,
         dt=1 / 32,
@@ -28,20 +28,20 @@ def small_config(**overrides):
         seed=0,
     )
     base.update(overrides)
-    return SolverConfig(**base)
+    return RunConfig(**base)
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(dt=-0.1)
+        RunConfig(dt=-0.1)
     with pytest.raises(ValueError):
-        SolverConfig(t_end=0.013, dt=0.01)
+        RunConfig(t_end=0.013, dt=0.01)
     with pytest.raises(ValueError):
-        SolverConfig(picard_tol=0.0)
+        RunConfig(picard_tol=0.0)
 
 
 def test_zero_data_converges_immediately(grid2):
-    cfg = small_config(grid_size=32, epsilon=0.0)
+    cfg = small_config(grid_n=32, epsilon=0.0)
     data = InitialData(np.zeros((2,) + grid2.shape), np.zeros((2,) + grid2.shape))
     result = picard_solve(grid2, data, cfg)
     assert result.converged and result.iterations == 1
@@ -49,7 +49,7 @@ def test_zero_data_converges_immediately(grid2):
 
 
 def test_map_of_zero_state_is_free_wave(grid2):
-    cfg = small_config(grid_size=32)
+    cfg = small_config(grid_n=32)
     data = make_shear_data(grid2, 1e-2, seed=1, band=2)
     tg = cfg.time_grid()
     free = free_wave_state(grid2, tg, data)
@@ -63,7 +63,7 @@ def test_map_of_zero_state_is_free_wave(grid2):
 
 def test_free_seed_square_amplitude_scaling(grid2):
     # with zero data, only the quadratic and cubic terms of the map survive
-    cfg = small_config(grid_size=32)
+    cfg = small_config(grid_n=32)
     tg = cfg.time_grid()
     zero_data = InitialData(np.zeros((2,) + grid2.shape), np.zeros((2,) + grid2.shape))
     free_zero = free_wave_state(grid2, tg, zero_data)
@@ -80,7 +80,7 @@ def test_free_wave_state_solves_wave_equation(grid2):
     data = make_shear_data(grid2, 1e-2, seed=3, band=2)
     errs = []
     for steps in (16, 32):
-        cfg = small_config(grid_size=32, dt=0.5 / steps)
+        cfg = small_config(grid_n=32, dt=0.5 / steps)
         tg = cfg.time_grid()
         free = free_wave_state(grid2, tg, data)
         assert np.abs(free.H).max() == 0.0
@@ -149,7 +149,7 @@ def test_picard_rejects_incompatible_data(grid2):
     f = np.stack([0.3 * np.sin(x[0]), np.zeros(grid2.shape)])
     data = InitialData(f, np.zeros_like(f))
     with pytest.raises(ValueError, match="compatibility"):
-        picard_solve(grid2, data, small_config(grid_size=32))
+        picard_solve(grid2, data, small_config(grid_n=32))
 
 
 def test_picard_non_convergence_reported():
@@ -161,11 +161,29 @@ def test_picard_non_convergence_reported():
     assert result.iterations == 1
 
 
+def test_diverging_iteration_not_reported_converged():
+    # far outside the contraction regime the deltas overflow to inf, and the
+    # stopping rule once read inf <= tol * inf as convergence
+    grid = Grid(2, 16)
+    data = make_shear_data(grid, 1.0, seed=0)
+    cfg = RunConfig(dimension=2, grid_n=16, epsilon=1.0, t_end=2.0, dt=0.05)
+    result = picard_solve(grid, data, cfg, check_compatibility=False)
+    assert not result.converged
+    assert not np.isfinite(result.deltas[-1])
+    assert "non-finite Picard delta" in result.reason
+
+
+def test_picard_rejects_mismatched_grid(grid2):
+    data = make_shear_data(grid2, 1e-2, seed=1, band=2)
+    with pytest.raises(ValueError, match=r"got Grid\(n=2, size=32\)"):
+        picard_solve(grid2, data, small_config(grid_n=16))
+
+
 def test_picard_n3_smoke(grid3):
     data = make_shear_data(grid3, 5e-3, seed=9, band=1)
-    cfg = SolverConfig(
+    cfg = RunConfig(
         dimension=3,
-        grid_size=16,
+        grid_n=16,
         epsilon=5e-3,
         t_end=0.25,
         dt=1 / 32,
