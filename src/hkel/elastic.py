@@ -76,6 +76,16 @@ def _demean(grid, u):
     return u - u.mean(axis=grid.axes, keepdims=True)
 
 
+def _on_fine(grid, A, fine=None):
+    """A on a product lattice and that lattice's pad, read from its shape.
+
+    Without ``fine`` A is padded by 2, which resolves products of degree 3.
+    """
+    if fine is None:
+        fine = pad_to_fine(grid, np.asarray(A), 2)
+    return fine, fine.shape[-1] / grid.size
+
+
 def principal_minor_sum(grid, A, k):
     """Sum of all k x k principal minors of a matrix field, dealiased."""
     n = grid.n
@@ -86,11 +96,15 @@ def principal_minor_sum(grid, A, k):
 
 
 def minor_sum_total(grid, G, G_fine=None):
-    """E_2(G) + ... + E_n(G) with one shared padded transform."""
+    """E_2(G) + ... + E_n(G) with one shared padded transform.
+
+    ``G_fine`` is G on a product lattice fine enough for degree n; the sum
+    is truncated from that lattice.
+    """
     n = grid.n
-    fine = pad_to_fine(grid, np.asarray(G), 2) if G_fine is None else G_fine
+    fine, pad = _on_fine(grid, G, G_fine)
     terms = _minor_terms(n, range(2, n + 1))
-    return truncate_from_fine(grid, _accumulate_terms(fine, terms), 2)
+    return truncate_from_fine(grid, _accumulate_terms(fine, terms), pad)
 
 
 def curl_free_gradient(grid, G, G_fine=None):
@@ -99,7 +113,8 @@ def curl_free_gradient(grid, G, G_fine=None):
     C[a, b] = R_a R_b s with s = sum_k E_k(G); symmetric by construction,
     with trace(C) = -s since the squared Riesz multipliers sum to -1.
     ``G`` may carry extra axes between its component and spatial axes (time
-    batching); ``G_fine`` is its padded field when the caller has it.
+    batching); ``G_fine`` is its padded field when the caller has it, on a
+    lattice fine enough for the degree-n minor.
     """
     s = minor_sum_total(grid, G, G_fine=G_fine)
     s = _demean(grid, s)  # rounding-level for Jacobian input (null Lagrangian)
@@ -122,12 +137,14 @@ def null_form(grid, G, H, G_fine=None, H_fine=None):
     vanishing trace contribution.
 
     Both arguments may carry extra axes between the two component axes and
-    the spatial axes (time batching); the output matches.
+    the spatial axes (time batching); the output matches.  The brackets are
+    formed on the lattice of ``G_fine`` (pad 2 without it), and H is padded
+    to the same one.
     """
     n = grid.n
     G = np.asarray(G)
-    Gf = pad_to_fine(grid, G, 2) if G_fine is None else G_fine
-    Hf = pad_to_fine(grid, np.asarray(H), 2) if H_fine is None else H_fine
+    Gf, pad = _on_fine(grid, G, G_fine)
+    Hf = pad_to_fine(grid, np.asarray(H), pad) if H_fine is None else H_fine
     inner = G.shape[2:]
     Bh = np.zeros((n, n) + inner, dtype=complex)
     for a in range(n):
@@ -135,7 +152,7 @@ def null_form(grid, G, H, G_fine=None, H_fine=None):
             acc = Gf[0, a] * Hf[0, k] - Gf[0, k] * Hf[0, a]
             for l in range(1, n):
                 acc += Gf[l, a] * Hf[l, k] - Gf[l, k] * Hf[l, a]
-            b_ak = _demean(grid, truncate_from_fine(grid, acc, 2))
+            b_ak = _demean(grid, truncate_from_fine(grid, acc, pad))
             Bh[a, k] = grid.fft(b_ak)
             Bh[k, a] = -Bh[a, k]
     out = np.empty((n, n) + inner)
@@ -240,7 +257,8 @@ def compatibility_residuals(grid, data):
     gradX = grid.jacobian(data.f)
     for a in range(n):
         gradX[a, a] += 1.0
-    gradXf = pad_to_fine(grid, gradX, 2)  # all products here have degree <= 3
+    # pad 2 in 2D too: the maxima are read at these fine lattice points
+    gradXf = pad_to_fine(grid, gradX, 2)
     Gfine = gradXf.copy()
     for a in range(n):
         Gfine[a, a] -= 1.0

@@ -105,7 +105,9 @@ def picard_map(grid, state, free):
         m1 = min(m0 + chunk, nsamples)
         Gc = np.ascontiguousarray(np.moveaxis(state.G[m0:m1], 0, 2))
         Hc = np.ascontiguousarray(np.moveaxis(state.H[m0:m1], 0, 2))
-        Gf = pad_to_fine(grid, Gc, 2)
+        # one lattice for the null form and the minors: products of degree n
+        # (the top minor) are alias-free at pad (n + 1) / 2, the 3/2 rule in 2D
+        Gf = pad_to_fine(grid, Gc, (n + 1) / 2)
         forcing[m0:m1] = np.moveaxis(null_form(grid, Gc, Hc, G_fine=Gf), 2, 0)
         C[m0:m1] = np.moveaxis(curl_free_gradient(grid, Gc, G_fine=Gf), 2, 0)
 

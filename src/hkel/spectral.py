@@ -9,10 +9,15 @@ same code path serves scalars, Jacobians and whole trajectories.
 The frequency lattice is the integer dual lattice xi in {-N/2, ..., N/2-1}
 per axis.  Multipliers with an inverse power of |xi| set the zero mode to
 zero and reject inputs whose mean is not negligible.
+
+Pointwise products are formed on a finer lattice of pad * N points per
+axis (an even integer >= N), reached through rfftn half spectra; a product
+of d factors is alias-free once pad >= (d + 1) / 2.
 """
 
 import hashlib
 import math
+from itertools import product
 
 import numpy as np
 
@@ -217,31 +222,88 @@ def random_mean_free(grid, rng, band=None):
 # -- dealiased pointwise products ------------------------------------------
 
 
-def _pad_indices(grid, pad):
+def _fine_size(grid, pad):
+    """Points per axis of the pad-times finer lattice; must be even and >= N."""
     big = pad * grid.size
-    idx = (np.fft.fftfreq(grid.size, d=1.0 / grid.size).astype(np.int64)) % big
-    return np.ix_(*([idx] * grid.n))
+    if big != int(big) or int(big) % 2 or big < grid.size:
+        raise ValueError(
+            f"pad {pad} gives {big} fine points per axis for N = {grid.size}; "
+            "need an even integer >= N"
+        )
+    return int(big)
+
+
+def _placements(grid, big, plus):
+    """Block copies that place the leading axes of a coarse spectrum on the fine one.
+
+    Yields (coarse, fine) index tuples over the n - 1 leading spatial axes.
+    Each axis keeps its nonnegative indices at the front and its negative
+    ones at the back; the unpaired Nyquist index N/2 goes to -N/2 on every
+    axis, or with ``plus`` to +N/2 on every axis.
+    """
+    cut = grid.size // 2 + (1 if plus else 0)
+    blocks = (
+        (slice(0, cut), slice(0, cut)),
+        (slice(cut, grid.size), slice(big - grid.size + cut, big)),
+    )
+    for combo in product(blocks, repeat=grid.n - 1):
+        yield tuple(c for c, _ in combo), tuple(f for _, f in combo)
 
 
 def pad_factor(degree):
-    """Padding multiple for an alias-free product of ``degree`` factors."""
+    """Integer padding multiple for an alias-free product of ``degree`` factors."""
     return (degree + 2) // 2
 
 
 def pad_to_fine(grid, u, pad):
-    """Trigonometric interpolation of u onto the pad-times finer lattice."""
-    uh = grid.fft(u)
-    big = pad * grid.size
-    fine = np.zeros(u.shape[: -grid.n] + (big,) * grid.n, dtype=complex)
-    fine[(Ellipsis,) + _pad_indices(grid, pad)] = uh
-    return np.fft.ifftn(fine, axes=grid.axes).real * pad**grid.n
+    """Trigonometric interpolation of real u onto the pad-times finer lattice.
+
+    ``pad * N`` must be an even integer >= N (``ValueError`` otherwise); a
+    product of ``d`` factors is alias-free once ``pad >= (d + 1) / 2``.
+    Works on rfftn half spectra.  The unpaired Nyquist index means what it
+    means on the grid: the real part of the interpolant with that mode at
+    -N/2.  So on the columns 0..N/2-1 a coefficient goes half to the slot
+    with all its leading-axis Nyquist indices at -N/2 and half to the slot
+    with them at +N/2 (one slot, full weight, when it has none), and the
+    last-axis Nyquist column goes half to +N/2, with its leading Nyquist
+    indices at +N/2; the half spectrum implies the conjugate half.  At
+    ``pad * N == N`` the slots coincide.
+    """
+    big = _fine_size(grid, pad)
+    n, half = grid.n, grid.size // 2
+    scale = (big / grid.size) ** n
+    uh = np.fft.rfftn(u, axes=grid.axes)
+    cols = (slice(0, half),)
+    low = uh[..., :half] * (0.5 * scale)
+    nyq = uh[..., half] * ((0.5 if big > grid.size else 1.0) * scale)
+    fine = np.zeros(uh.shape[:-n] + (big,) * (n - 1) + (big // 2 + 1,), dtype=complex)
+    for plus in (False, True):
+        for src, dst in _placements(grid, big, plus):
+            fine[(Ellipsis,) + dst + cols] += low[(Ellipsis,) + src + cols]
+    for src, dst in _placements(grid, big, True):
+        fine[(Ellipsis,) + dst + (half,)] = nyq[(Ellipsis,) + src]
+    return np.fft.irfftn(fine, s=(big,) * n, axes=grid.axes)
 
 
 def truncate_from_fine(grid, u_fine, pad):
-    """Project a fine-lattice field back onto the grid's frequency window."""
-    fh = np.fft.fftn(u_fine, axes=grid.axes)
-    uh = fh[(Ellipsis,) + _pad_indices(grid, pad)] / pad**grid.n
-    return grid.ifft(uh)
+    """Project a real fine-lattice field back onto the grid's frequency window.
+
+    The mirror of ``pad_to_fine``: the columns 0..N/2-1 average the slots
+    with the leading-axis Nyquist indices at -N/2 and at +N/2, and the
+    last-axis Nyquist column is read at +N/2.
+    """
+    big = _fine_size(grid, pad)
+    n, half = grid.n, grid.size // 2
+    fh = np.fft.rfftn(u_fine, axes=grid.axes)
+    cols = (slice(0, half),)
+    uh = np.zeros(fh.shape[:-n] + (grid.size,) * (n - 1) + (half + 1,), dtype=complex)
+    for plus in (False, True):
+        for src, dst in _placements(grid, big, plus):
+            uh[(Ellipsis,) + src + cols] += fh[(Ellipsis,) + dst + cols]
+    uh[..., :half] *= 0.5
+    for src, dst in _placements(grid, big, True):
+        uh[(Ellipsis,) + src + (half,)] = fh[(Ellipsis,) + dst + (half,)]
+    return np.fft.irfftn(uh / (big / grid.size) ** n, s=grid.shape, axes=grid.axes)
 
 
 def _canonical_order(arrays):

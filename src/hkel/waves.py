@@ -95,20 +95,17 @@ def duhamel_trajectory(grid, tg, F, derivative=False):
     sink = np.sin(times * grid.absk)
     C = _cumtrapz(cosk * Fh, tg.dt)
     S = _cumtrapz(sink * Fh, tg.dt)
-    zero = grid.absk == 0
-    invk = np.where(zero, 0.0, grid.inv_absk)
-    out = (sink * C - cosk * S) * invk
-    if np.any(zero):
-        # kernel (t - s): t * cumtrapz(F) - cumtrapz(s F)
-        T0 = _cumtrapz(Fh, tg.dt)
-        T1 = _cumtrapz(times * Fh, tg.dt)
-        out = np.where(zero, times * T0 - T1, out)
+    out = (sink * C - cosk * S) * grid.inv_absk  # inv_absk is 0 at the zero mode
+    # zero mode, kernel (t - s): t * cumtrapz(F) - cumtrapz(s F)
+    zero = (Ellipsis,) + (0,) * grid.n
+    times0 = tg.times.reshape((-1,) + (1,) * (F.ndim - 1 - grid.n))
+    T0 = _cumtrapz(Fh[zero], tg.dt)
+    out[zero] = times0 * T0 - _cumtrapz(times0 * Fh[zero], tg.dt)
     result = grid.ifft(out)
     if not derivative:
         return result
     dout = cosk * C + sink * S
-    if np.any(zero):
-        dout = np.where(zero, T0, dout)
+    dout[zero] = T0
     return result, grid.ifft(dout)
 
 

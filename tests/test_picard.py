@@ -12,7 +12,7 @@ from hkel.picard import (
     picard_solve,
     trace_constraint_residual,
 )
-from hkel.spectral import Grid
+from hkel.spectral import Grid, pad_to_fine
 from hkel.waves import box_trajectory, time_derivative
 
 
@@ -207,3 +207,22 @@ def test_pressure_residual_small_at_fixed_point():
         _, res = recover_pressure(grid, state.G[m], boxY)
         worst = max(worst, res)
     assert worst <= 1e-6
+
+
+@pytest.mark.parametrize("n, size, fine_shape", [(2, 64, (96, 96)), (3, 16, (32, 32, 32))])
+def test_picard_map_product_lattice(monkeypatch, n, size, fine_shape):
+    # 3/2 rule for the quadratic products in 2D; the cubic minor needs pad 2 in 3D
+    shapes = []
+
+    def recording(grid, u, pad):
+        fine = pad_to_fine(grid, u, pad)
+        shapes.append(fine.shape[-n:])
+        return fine
+
+    monkeypatch.setattr("hkel.picard.pad_to_fine", recording)
+    grid = Grid(n, size)
+    cfg = small_config(dimension=n, grid_n=size, t_end=0.125)
+    data = make_shear_data(grid, 1e-2, seed=7, band=1)
+    free = free_wave_state(grid, cfg.time_grid(), data)
+    picard_map(grid, free, free)
+    assert shapes and set(shapes) == {fine_shape}

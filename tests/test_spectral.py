@@ -247,3 +247,70 @@ def test_trigpoly_derivative_matches_grid(grid2, rng):
     poly = random_scalar(rng, 2, band=4)
     u = poly.sample(grid2)
     assert np.allclose(poly.deriv(1).sample(grid2), grid2.deriv(u, 1), atol=1e-12)
+
+
+# -- half-spectrum padding on fractional lattices --------------------------------
+
+
+def complex_pad_to_fine(grid, u, big):
+    # the complex-FFT padding the half-spectrum one must reproduce: the
+    # unpaired Nyquist index sits at -N/2 and the real part is kept
+    idx = np.fft.fftfreq(grid.size, d=1.0 / grid.size).astype(np.int64) % big
+    fine = np.zeros(u.shape[: -grid.n] + (big,) * grid.n, dtype=complex)
+    fine[(Ellipsis,) + np.ix_(*([idx] * grid.n))] = np.fft.fftn(u, axes=grid.axes)
+    return np.fft.ifftn(fine, axes=grid.axes).real * (big / grid.size) ** grid.n
+
+
+def complex_truncate_from_fine(grid, u_fine, big):
+    idx = np.fft.fftfreq(grid.size, d=1.0 / grid.size).astype(np.int64) % big
+    fh = np.fft.fftn(u_fine, axes=grid.axes)
+    uh = fh[(Ellipsis,) + np.ix_(*([idx] * grid.n))] / (big / grid.size) ** grid.n
+    return np.fft.ifftn(uh, axes=grid.axes).real
+
+
+def test_pad_three_halves_interpolates_point_values():
+    grid = Grid(2, 64)
+    x = grid.coords
+    u = np.cos(3 * x[0] - 5 * x[1] + 1.0)
+    fine = pad_to_fine(grid, u, 1.5)
+    assert fine.shape == (96, 96)
+    xf = 2 * np.pi * np.arange(96) / 96
+    expected = np.cos(3 * xf[:, None] - 5 * xf[None, :] + 1.0)
+    assert np.abs(fine - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n, size", [(2, 32), (3, 16)])
+def test_quadratic_product_on_three_halves_lattice(rng, n, size):
+    grid = Grid(n, size)
+    refined = Grid(n, 2 * size)  # exact for products of band < N/2
+    polys = [random_scalar(rng, n, band=size // 2 - 1) for _ in range(2)]
+    fine = [pad_to_fine(grid, p.sample(grid), 1.5) for p in polys]
+    got = truncate_from_fine(grid, fine[0] * fine[1], 1.5)
+    # oracle: exact samples multiplied on the refined lattice, spectrum
+    # truncated back to the coarse window
+    fh = np.fft.fftn(polys[0].sample(refined) * polys[1].sample(refined))
+    idx = np.fft.fftfreq(size, 1.0 / size).astype(int) % refined.size
+    expected = np.fft.ifftn(fh[np.ix_(*([idx] * n))]).real / 2**n
+    assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("pad", [1, 1.25, 1.5, 2])
+@pytest.mark.parametrize("n, size", [(2, 32), (3, 8)])
+def test_half_spectrum_padding_matches_complex_padding(rng, n, size, pad):
+    # unit-variance white noise fills every Nyquist line, plane and corner
+    grid = Grid(n, size)
+    big = int(pad * size)
+    u = rng.standard_normal((2,) + grid.shape)
+    assert np.abs(pad_to_fine(grid, u, pad) - complex_pad_to_fine(grid, u, big)).max() <= 1e-14
+    v = rng.standard_normal((2,) + (big,) * n)
+    diff = truncate_from_fine(grid, v, pad) - complex_truncate_from_fine(grid, v, big)
+    assert np.abs(diff).max() <= 1e-14
+
+
+@pytest.mark.parametrize("pad", [1.0625, 1.3, 0.5])  # 17 (odd), 20.8, 8 < N points
+def test_pad_rejects_bad_fine_size(pad):
+    grid = Grid(2, 16)
+    with pytest.raises(ValueError, match="even integer"):
+        pad_to_fine(grid, np.zeros(grid.shape), pad)
+    with pytest.raises(ValueError, match="even integer"):
+        truncate_from_fine(grid, np.zeros((32, 32)), pad)

@@ -232,3 +232,17 @@ def test_duhamel_zero_mode_kernel(grid2):
     assert np.abs(got - expected).max() <= 1e-10
     traj = duhamel_trajectory(grid2, tg, F)
     assert np.abs(traj[64] - expected).max() <= 1e-10
+
+
+def test_duhamel_trajectory_zero_mode_exact(grid2):
+    # constant forcing c per component: the trapezoid rule integrates the
+    # zero-mode kernels (t - s) and 1 exactly, to c t^2 / 2 and c t
+    tg = TimeGrid(1 / 16, 16)
+    c = np.array([3.0, -0.5]).reshape(1, 2, 1, 1)
+    F = np.broadcast_to(c, (tg.nsamples, 2) + grid2.shape)
+    traj, dtraj = duhamel_trajectory(grid2, tg, F, derivative=True)
+    t = tg.times.reshape(-1, 1, 1, 1)
+    assert np.abs(traj - c * t**2 / 2).max() <= 1e-13
+    assert np.abs(dtraj - c * t).max() <= 1e-13
+    for m in (0, 1, 9, 16):
+        assert np.abs(traj[m] - duhamel(grid2, tg, F, m)).max() <= 1e-13
