@@ -32,7 +32,7 @@ from .picard import (
     picard_solve,
 )
 from .spectral import Grid, dealiased_product
-from .waves import TimeGrid, box_fd, duhamel, duhamel_trajectory, free_wave
+from .waves import TimeGrid, duhamel_trajectory, free_wave
 
 __all__ = [
     "Grid",
@@ -51,9 +51,7 @@ __all__ = [
     "null_form",
     "recover_pressure",
     "free_wave",
-    "duhamel",
     "duhamel_trajectory",
-    "box_fd",
     "free_wave_state",
     "picard_map",
     "picard_solve",

@@ -1,6 +1,7 @@
 """Command-line harness: simulate, sweep, check-data, selftest."""
 
 import argparse
+import os
 import sys
 import time
 from collections import namedtuple
@@ -32,7 +33,7 @@ from .elastic import (
     recover_pressure,
     vector_from_gradient,
 )
-from .picard import COMPATIBILITY_TOL, free_wave_state, picard_solve
+from .picard import COMPATIBILITY_TOL, compatible, free_wave_state, picard_solve
 from .selftest import run_selftest
 from .snapshots import read_snapshot, write_snapshot
 from .waves import box_trajectory
@@ -42,6 +43,10 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
 
+
+# Trajectory-sized arrays alive at a run's peak: the slope of peak RSS against
+# the trajectory size, measured at two horizons for 2D N=64 and 3D N=16.
+PEAK_TRAJECTORY_ARRAYS = {"picard": 17, "direct": 12}
 
 # In-memory products of one simulation, reused by sweep analytics.
 SimArtifacts = namedtuple("SimArtifacts", "grid data tg G dG report")
@@ -122,13 +127,13 @@ def load_initial_data(grid, cfg):
 # -- simulate ----------------------------------------------------------------
 
 
-def run_one(cfg, epsilon=None, subdir=None):
-    """Run one simulation; returns (exit code, artifacts or None).
-
-    ``epsilon`` replaces the configured amplitude, in config.txt as well.
-    """
-    if epsilon is not None:
-        cfg = replace(cfg, epsilon=epsilon)
+def run_one(cfg, subdir=None):
+    """Run one simulation; returns (exit code, artifacts or None)."""
+    need, have = memory_estimate(cfg), physical_memory()
+    if need > have:
+        print(f"error: the run needs about {need / 1e9:.3g} GB, "
+              f"more than the {have / 1e9:.3g} GB of physical memory", file=sys.stderr)
+        return EXIT_ERROR, None
     outdir = Path(cfg.output_dir) if subdir is None else Path(cfg.output_dir) / subdir
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "config.txt").write_text(format_config(cfg))
@@ -136,7 +141,7 @@ def run_one(cfg, epsilon=None, subdir=None):
     grid = Grid(cfg.dimension, cfg.grid_n)
     data = load_initial_data(grid, cfg)
     r1, r2 = compatibility_residuals(grid, data)
-    if max(r1, r2) > COMPATIBILITY_TOL:
+    if not compatible(r1, r2):
         print(f"error: incompatible initial data: residuals ({r1:.2e}, {r2:.2e})",
               file=sys.stderr)
         return EXIT_ERROR, None
@@ -207,6 +212,16 @@ def run_one(cfg, epsilon=None, subdir=None):
     return EXIT_OK, artifacts
 
 
+def memory_estimate(cfg):
+    """Peak bytes of one run: its solver's count of (steps+1) n^2 N^n float64 arrays."""
+    trajectory = (cfg.steps + 1) * cfg.dimension**2 * cfg.grid_n**cfg.dimension * 8
+    return PEAK_TRAJECTORY_ARRAYS[cfg.solver] * trajectory
+
+
+def physical_memory():
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def write_csv(path, columns, rows):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
@@ -252,17 +267,18 @@ def cmd_sweep(cfg, epsilons):
         raise ConfigError("sweep needs at least 3 amplitudes (key sweep_epsilons or --epsilons)")
     if cfg.init != "shear_composition":
         raise ConfigError("sweep needs init = shear_composition: file data has no amplitude")
+    runs = [replace(cfg, epsilon=eps) for eps in epsilons]  # validates each before any run
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     grid = Grid(cfg.dimension, cfg.grid_n)
     rows = []
     all_ok = True
-    for eps in epsilons:
-        code, art = run_one(cfg, epsilon=eps, subdir=f"eps_{eps:g}")
+    for run in runs:
+        code, art = run_one(run, subdir=f"eps_{run.epsilon:g}")
         if art is None:  # run_one has printed why
             return code
         all_ok = all_ok and code == EXIT_OK
-        rows.append(_sweep_row(grid, eps, art))
+        rows.append(_sweep_row(grid, run.epsilon, art))
     rows = sweep_report(rows)
     with open(outdir / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(SWEEP_COLUMNS) + "\n")
@@ -301,7 +317,7 @@ def cmd_check_data(cfg):
     r1, r2 = compatibility_residuals(grid, data)
     print(f"det(I + grad f) - 1            : {r1:.6e}")
     print(f"velocity residual              : {r2:.6e}")
-    ok = max(r1, r2) <= COMPATIBILITY_TOL
+    ok = compatible(r1, r2)
     print(f"compatible within {COMPATIBILITY_TOL:g}: {'yes' if ok else 'no'}")
     return EXIT_OK if ok else EXIT_ERROR
 

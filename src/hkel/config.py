@@ -5,6 +5,7 @@ sections.  Unknown keys are rejected by name: the parameter space is small
 enough that silent typo-driven misconfiguration is the bigger hazard.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 from .waves import TimeGrid
@@ -84,6 +85,11 @@ def parse_config(text):
 
 
 def _validate(cfg):
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        items = value if f.type is tuple else (value,)
+        if f.type in (float, tuple) and not all(math.isfinite(v) for v in items):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")
     if cfg.dimension not in (2, 3):
         raise ConfigError("dimension must be 2 or 3")
     if cfg.grid_n < 8 or cfg.grid_n & (cfg.grid_n - 1) != 0:
@@ -93,7 +99,11 @@ def _validate(cfg):
     for name in ("dt", "t_end"):
         if getattr(cfg, name) <= 0:
             raise ConfigError(f"{name} must be positive")
-    if cfg.steps < 4 or abs(cfg.steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
+    if (
+        not math.isfinite(cfg.t_end / cfg.dt)
+        or cfg.steps < 4
+        or abs(cfg.steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end)
+    ):
         raise ConfigError("t_end must be a multiple (>= 4 steps) of dt")
     if cfg.solver not in ("picard", "direct"):
         raise ConfigError("solver must be 'picard' or 'direct'")

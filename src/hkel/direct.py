@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elastic import det_residual, inverse_pointwise
+from .elastic import det_residual_sup, inverse_pointwise
 from .picard import picard_solve
 
 
@@ -163,8 +163,7 @@ def run_direct(grid, data, cfg):
     velocity[1:-1] = (Y_ts[2:] - Y_ts[:-2]) / (2.0 * tg.dt)
     velocity[0] = data.g
     velocity[-1] = (3.0 * Y_ts[-1] - 4.0 * Y_ts[-2] + Y_ts[-3]) / (2.0 * tg.dt)
-    drift = max(det_residual(Gm) for Gm in G_ts)
-    return DirectRun(G_ts, Y_ts, velocity, iters, drift)
+    return DirectRun(G_ts, Y_ts, velocity, iters, det_residual_sup(G_ts))
 
 
 @dataclass

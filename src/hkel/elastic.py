@@ -51,6 +51,13 @@ def _minor_terms(n, orders):
     return terms
 
 
+def _cofactor_terms(n, a, b):
+    """Leibniz terms of the (a, b) cofactor of an n x n matrix, its sign folded in."""
+    rows = [r for r in range(n) if r != a]
+    cols = [c for c in range(n) if c != b]
+    return [((-1) ** (a + b) * sign, entries) for sign, entries in _det_terms(rows, cols)]
+
+
 def _parity(perm):
     """+1 for an even permutation, -1 for an odd one (inversion count)."""
     inversions = sum(p > q for i, p in enumerate(perm) for q in perm[i + 1 :])
@@ -168,35 +175,21 @@ def null_form(grid, G, H, G_fine=None, H_fine=None):
 # -- pointwise matrix algebra ------------------------------------------------
 
 
+def _cofactor(M, a, b):
+    """The (a, b) cofactor of a matrix field: its signed Leibniz minor."""
+    return _accumulate_terms(M, _cofactor_terms(len(M), a, b))
+
+
 def det_pointwise(M):
-    """Pointwise determinant of a matrix field (n in {2, 3})."""
+    """Pointwise determinant of a matrix field, expanded along its first row."""
     M = np.asarray(M)
-    if M.shape[0] == 2:
-        return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    return (
-        M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
-        - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
-        + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0])
-    )
+    return sum(M[0, b] * _cofactor(M, 0, b) for b in range(len(M)))
 
 
 def cofactor_pointwise(M):
+    """Pointwise cofactor matrix of a matrix field."""
     M = np.asarray(M)
-    n = M.shape[0]
-    cof = np.empty_like(M)
-    for a in range(n):
-        for b in range(n):
-            rows = [r for r in range(n) if r != a]
-            cols = [c for c in range(n) if c != b]
-            if n == 2:
-                minor = M[rows[0], cols[0]]
-            else:
-                minor = (
-                    M[rows[0], cols[0]] * M[rows[1], cols[1]]
-                    - M[rows[0], cols[1]] * M[rows[1], cols[0]]
-                )
-            cof[a, b] = (-1) ** (a + b) * minor
-    return cof
+    return np.array([[_cofactor(M, a, b) for b in range(len(M))] for a in range(len(M))])
 
 
 def inverse_pointwise(M, det_tol=0.5):
@@ -224,24 +217,25 @@ def det_residual(G):
     return float(np.abs(det_pointwise(eye + G) - 1.0).max())
 
 
+def det_residual_sup(G_ts):
+    """Max over the samples of a trajectory (leading time axis) of det_residual."""
+    return max(det_residual(Gm) for Gm in G_ts)
+
+
 # -- compatibility -----------------------------------------------------------
 
 
 def _cofactor_trace_terms(n):
     """Leibniz terms of sum_{a,b} cof(M)[a, b] * A[a, b] over the stack (M, A).
 
-    The cofactor of M at (a, b) is the signed minor with row a, column b
-    removed; the last factor of each term is A[a, b].
+    The last factor of each term is A[a, b].
     """
-    out = []
-    for a in range(n):
-        for b in range(n):
-            rows = [r for r in range(n) if r != a]
-            cols = [c for c in range(n) if c != b]
-            for sign, entries in _det_terms(rows, cols):
-                factors = [(0, r, c) for r, c in entries] + [(1, a, b)]
-                out.append(((-1) ** (a + b) * sign, factors))
-    return out
+    return [
+        (sign, [(0, r, c) for r, c in entries] + [(1, a, b)])
+        for a in range(n)
+        for b in range(n)
+        for sign, entries in _cofactor_terms(n, a, b)
+    ]
 
 
 def compatibility_residuals(grid, data):

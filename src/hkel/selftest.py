@@ -1,4 +1,12 @@
-"""Built-in invariant suites at small grid sizes, runnable without pytest."""
+"""Invariant checks shared by ``hkel selftest`` and the acceptance suite.
+
+Each check takes only its counts or sizes and returns (ok, detail).  Seeds
+and random streams are fixed, so the self-test's smaller run repeats the
+start of the acceptance run.
+"""
+
+from functools import partial
+from itertools import combinations
 
 import numpy as np
 
@@ -7,111 +15,117 @@ from .diagnostics import pairwise_sq_dists, two_variation_from_dists
 from .elastic import compatibility_residuals, make_shear_data, minor_sum_total
 from .picard import picard_solve, trace_constraint_residual
 from .spectral import Grid, random_mean_free
-from .waves import TimeGrid, duhamel, free_wave
+from .waves import TimeGrid, box_trajectory, duhamel_trajectory, free_wave
 
 
-def _random_jacobian(grid, rng, scale=1.0):
-    Y = np.stack([scale * random_mean_free(grid, rng, band=grid.size // 4) for _ in range(grid.n)])
-    return grid.jacobian(Y)
-
-
-def suite_spectral(seeds=10):
+def check_spectral(seeds=(75, 25)):
+    """Riesz, Leray, divergence and dyadic identities on 2D N=32 and 3D N=16 fields."""
     worst = 0.0
-    for n, size in ((2, 32), (3, 16)):
-        grid = Grid(n, size)
-        rng = np.random.default_rng(1234)
-        for _ in range(seeds):
+    for grid, nseeds in zip((Grid(2, 32), Grid(3, 16)), seeds):
+        for seed in range(nseeds):
+            rng = np.random.default_rng(1000 + seed)
             u = random_mean_free(grid, rng)
-            v = np.stack([random_mean_free(grid, rng) for _ in range(n)])
-            riesz2 = sum(grid.riesz(grid.riesz(u, i), i) for i in range(n))
-            worst = max(worst, float(np.abs(riesz2 + u).max()))
+            scale = np.abs(u).max()
+            acc = sum(grid.riesz(grid.riesz(u, i), i) for i in range(grid.n))
+            v = np.stack([random_mean_free(grid, rng) for _ in range(grid.n)])
             pv = grid.leray_project(v)
-            worst = max(worst, np.abs(grid.leray_project(pv) - pv).max())
-            worst = max(worst, np.abs(grid.divergence(pv)).max() / grid.l2(v))
             phi = random_mean_free(grid, rng)
-            worst = max(worst, np.abs(grid.leray_project(grid.gradient(phi))).max())
             parts = sum(grid.dyadic_project(u, j) for j in range(grid.nbands))
-            worst = max(worst, np.abs(parts - u).max())
+            worst = max(
+                worst,
+                np.abs(acc + u).max() / scale,
+                np.abs(grid.leray_project(pv) - pv).max() / np.abs(v).max(),
+                np.abs(grid.divergence(pv)).max() / grid.l2(v),
+                np.abs(grid.leray_project(grid.gradient(phi))).max() / np.abs(phi).max(),
+                np.abs(parts - u).max() / scale,
+            )
     return worst <= 1e-12, f"max error {worst:.2e}"
 
 
-def suite_minors(count=50):
+def cofactor_det(A):
+    """Determinant by recursive first-row cofactor expansion (the oracle)."""
+    if len(A) == 1:
+        return A[0, 0]
+    minors = (np.delete(np.delete(A, 0, 0), c, 1) for c in range(len(A)))
+    return sum((-1) ** c * A[0, c] * cofactor_det(B) for c, B in enumerate(minors))
+
+
+def check_minors(count=100):
+    """1 + tr A + sum_k E_k(A) against det(I + A) and brute-force minors, per n in (2, 3)."""
     worst = 0.0
-    rng = np.random.default_rng(99)
+    rng = np.random.default_rng(7)
     for n in (2, 3):
         grid = Grid(n, 8)
         for _ in range(count):
             A = rng.normal(size=(n, n))
             field = A.reshape((n, n) + (1,) * n) * np.ones(grid.shape)
-            det = np.linalg.det(np.eye(n) + A)
-            expansion = 1.0 + np.trace(A) + float(minor_sum_total(grid, field).ravel()[0])
-            worst = max(worst, abs(det - expansion) / max(abs(det), 1.0))
-    return worst <= 1e-12, f"max relative error {worst:.2e}"
+            expansion = 1.0 + np.trace(A) + float(minor_sum_total(grid, field).reshape(-1)[0])
+            blocks = [A[np.ix_(s, s)] for k in range(2, n + 1) for s in combinations(range(n), k)]
+            brute = 1.0 + np.trace(A) + sum(cofactor_det(B) for B in blocks)
+            det = cofactor_det(np.eye(n) + A)
+            scale = max(1.0, abs(det))
+            worst = max(worst, abs(det - expansion) / scale, abs(brute - expansion) / scale)
+    return worst <= 1e-12, f"max rel error {worst:.2e}"
 
 
-def suite_propagators():
+def check_propagators(steps=(64, 128), box_steps=(32, 64)):
+    """Free-wave closed forms, and the orders of Duhamel quadrature and of the box."""
     grid = Grid(2, 32)
     x = grid.coords
-    f = np.cos(2 * x[0])
-    out = free_wave(grid, f, np.zeros(grid.shape), np.pi / 2)
-    err = float(np.abs(out + f).max())
+    zero = np.zeros(grid.shape)
+    e_free = np.abs(free_wave(grid, np.cos(2 * x[0]), zero, np.pi / 2) + np.cos(2 * x[0])).max()
+    e_free = max(e_free, np.abs(free_wave(grid, zero, np.cos(x[1]), np.pi)).max())
+
     g = np.cos(x[0])
-    out = free_wave(grid, np.zeros(grid.shape), g, np.pi)
-    err = max(err, float(np.abs(out).max()))
-    # Duhamel order check against the closed form (1 - cos t) cos(x)
     errs = []
-    for steps in (32, 64):
-        tg = TimeGrid(np.pi / steps, steps)
-        F = np.broadcast_to(g, (steps + 1,) + grid.shape)
-        got = duhamel(grid, tg, F, steps)
-        errs.append(float(np.abs(got - 2.0 * g).max()))
-    order = np.log2(errs[0] / errs[1])
-    ok = err <= 1e-10 and abs(order - 2.0) < 0.2
-    return ok, f"closed-form error {err:.2e}, quadrature order {order:.2f}"
+    for n in steps:
+        tg = TimeGrid(np.pi / n, n)
+        F = np.broadcast_to(g, (tg.nsamples,) + grid.shape)
+        errs.append(float(np.abs(duhamel_trajectory(grid, tg, F)[n] - 2.0 * g).max()))
+    duh_order = float(np.log2(errs[0] / errs[1]))
+
+    rng = np.random.default_rng(3)
+    F_poly = random_mean_free(grid, rng, band=4)
+    errs_box = []
+    for n in box_steps:
+        tg = TimeGrid(1.0 / n, n)
+        F = np.cos(tg.times).reshape(-1, 1, 1) * F_poly
+        box = box_trajectory(grid, tg, duhamel_trajectory(grid, tg, F))
+        errs_box.append(float(np.abs(box[n // 2] - F[n // 2]).max()))
+    box_order = float(np.log2(errs_box[0] / errs_box[1]))
+
+    ok = e_free <= 1e-10 and abs(duh_order - 2.0) <= 0.1 and box_order >= 1.9
+    detail = f"duhamel order {duh_order:.3f}, box order {box_order:.2f}"
+    return ok, f"free-wave error {e_free:.2e}, {detail}"
 
 
-def suite_compatibility(seeds=5):
-    worst = (0.0, 0.0)
-    for n, size, band in ((2, 32, 2), (3, 16, 1)):
+def check_compatibility(seeds=50):
+    """Compatibility residuals of shear-composed data, n = 2 (N=64) and n = 3 (N=16)."""
+    worst1 = worst2 = 0.0
+    for n, size, band in ((2, 64, 2), (3, 16, 1)):
         grid = Grid(n, size)
         for seed in range(seeds):
             data = make_shear_data(grid, 1e-2, seed=seed, band=band)
             r1, r2 = compatibility_residuals(grid, data)
-            worst = (max(worst[0], r1), max(worst[1], r2))
-    ok = worst[0] <= 1e-10 and worst[1] <= 1e-9
-    return ok, f"residuals ({worst[0]:.2e}, {worst[1]:.2e})"
+            worst1, worst2 = max(worst1, r1), max(worst2, r2)
+    ok = worst1 <= 1e-10 and worst2 <= 1e-9
+    return ok, f"worst residuals ({worst1:.2e}, {worst2:.2e})"
 
 
-def suite_variation(paths=40):
-    rng = np.random.default_rng(5)
-    worst = 0.0
+def check_variation(paths=100):
+    """The dynamic-programming 2-variation equals the brute-force maximum, exactly."""
+    rng = np.random.default_rng(55)
+    exact = True
     for _ in range(paths):
-        m = int(rng.integers(2, 11))
-        path = rng.normal(size=(m, 3))
-        d2 = pairwise_sq_dists(path)
-        got = two_variation_from_dists(d2)
-        best = _brute_force_variation(d2)
-        worst = max(worst, abs(got - best))
-    return worst == 0.0, f"max deviation from brute force {worst:.2e}"
+        m = int(rng.integers(2, 13))
+        d2 = pairwise_sq_dists(rng.standard_normal((m, 3)))
+        chains = ([0, *s, m - 1] for r in range(m - 1) for s in combinations(range(1, m - 1), r))
+        best = max(sum(d2[i, j] for i, j in zip(c, c[1:])) for c in chains)
+        exact = exact and (two_variation_from_dists(d2) == float(np.sqrt(best)))
+    return exact, f"DP==brute force: {exact}"
 
 
-def _brute_force_variation(d2):
-    from itertools import combinations
-
-    m = d2.shape[0]
-    interior = range(1, m - 1)
-    best = 0.0
-    for r in range(m - 1):
-        for subset in combinations(interior, r):
-            chain = [0, *subset, m - 1]
-            total = 0.0
-            for i in range(len(chain) - 1):
-                total = total + d2[chain[i], chain[i + 1]]
-            best = max(best, total)
-    return float(np.sqrt(best))
-
-
-def suite_fixed_point():
+def check_fixed_point():
     grid = Grid(2, 16)
     data = make_shear_data(grid, 1e-2, seed=3, band=2)
     cfg = RunConfig(
@@ -127,12 +141,12 @@ def suite_fixed_point():
 
 
 SUITES = (
-    ("spectral-calculus", suite_spectral),
-    ("minor-algebra", suite_minors),
-    ("propagators", suite_propagators),
-    ("compatibility-generators", suite_compatibility),
-    ("variation-norm", suite_variation),
-    ("picard-fixed-point", suite_fixed_point),
+    ("spectral-calculus", partial(check_spectral, seeds=(20, 10))),
+    ("minor-algebra", check_minors),
+    ("propagators", check_propagators),
+    ("compatibility-generators", partial(check_compatibility, seeds=3)),
+    ("variation-norm", check_variation),
+    ("picard-fixed-point", check_fixed_point),
 )
 
 

@@ -1,10 +1,9 @@
 """Spectral wave propagators and the Duhamel operator on a uniform time grid.
 
-The free propagator is exact per Fourier mode.  The Duhamel integral uses
-composite trapezoidal quadrature over the time samples; its full-trajectory
-form splits the kernel sin((t-s)|k|) by the angle-addition formula into
-cumulative integrals, which evaluates every sample in one O(M) sweep while
-remaining the same trapezoidal sum.
+The free propagator is exact per Fourier mode.  The Duhamel integral is
+the composite trapezoidal sum over the time samples, evaluated at every
+sample in one O(M) sweep: the angle-addition formula splits the kernel
+sin((t-s)|k|) into cumulative integrals.
 """
 
 from dataclasses import dataclass
@@ -38,45 +37,26 @@ class TimeGrid:
         return self.dt * np.arange(self.steps + 1)
 
 
-def free_wave(grid, f, g, t):
+def free_wave(grid, f, g, t, derivative=False):
     """Homogeneous wave solution cos(t|k|) f + sin(t|k|)/|k| g per mode.
 
-    The zero mode of f propagates as a constant; g must be mean-free, since
-    its zero mode would grow linearly.
+    ``t`` is one time or a vector of times, which becomes the leading output
+    axis.  With ``derivative`` the exact time derivative
+    -|k| sin(t|k|) f + cos(t|k|) g is returned too.  The zero mode of f
+    propagates as a constant; g must be mean-free, since its zero mode would
+    grow linearly.
     """
     grid.require_mean_free(g, "free_wave velocity")
     fh = grid.fft(f)
     gh = grid.fft(g)
-    sinc = np.where(grid.absk > 0, np.sin(t * grid.absk) * grid.inv_absk, t)
-    return grid.ifft(np.cos(t * grid.absk) * fh + sinc * gh)
-
-
-def free_wave_deriv(grid, f, g, t):
-    """Exact time derivative of the free propagator."""
-    grid.require_mean_free(g, "free_wave velocity")
-    fh = grid.fft(f)
-    gh = grid.fft(g)
-    return grid.ifft(-grid.absk * np.sin(t * grid.absk) * fh + np.cos(t * grid.absk) * gh)
-
-
-def duhamel(grid, tg, F, m):
-    """Inhomogeneous wave solution at sample m from forcing history F.
-
-    F has one field per time sample (leading axis).  Per mode the kernel is
-    sin((t-s)|k|)/|k| (and t-s at the zero mode), integrated by the
-    composite trapezoidal rule over samples 0..m.
-    """
-    m = _sample_index(tg, m)
-    if m == 0:
-        return np.zeros(F.shape[1:])
-    t = tg.dt * m
-    acc = np.zeros(F.shape[1:], dtype=complex)
-    for i in range(m + 1):
-        weight = tg.dt if 0 < i < m else 0.5 * tg.dt
-        s = tg.dt * i
-        kernel = np.where(grid.absk > 0, np.sin((t - s) * grid.absk) * grid.inv_absk, t - s)
-        acc += weight * kernel * grid.fft(F[i])
-    return grid.ifft(acc)
+    t = np.reshape(t, np.shape(t) + (1,) * np.ndim(f))
+    cosk = np.cos(t * grid.absk)
+    sink = np.sin(t * grid.absk)
+    sinc = np.where(grid.absk > 0, sink * grid.inv_absk, t)
+    u = grid.ifft(cosk * fh + sinc * gh)
+    if not derivative:
+        return u
+    return u, grid.ifft(-grid.absk * sink * fh + cosk * gh)
 
 
 def duhamel_trajectory(grid, tg, F, derivative=False):
@@ -114,26 +94,6 @@ def _cumtrapz(y, dt):
     out[0] = 0.0
     np.cumsum((y[1:] + y[:-1]) * (0.5 * dt), axis=0, out=out[1:])
     return out
-
-
-def box_fd(grid, tg, u, m):
-    """Finite-difference d'Alembertian of a trajectory at interior sample m.
-
-    Central second difference in time minus the spectral Laplacian;
-    O(dt^2) accurate.
-    """
-    m = _sample_index(tg, m)
-    if not 1 <= m <= tg.steps - 1:
-        raise ValueError(f"interior sample index required, got {m}")
-    dtt = (u[m + 1] - 2.0 * u[m] + u[m - 1]) / tg.dt**2
-    return dtt - grid.laplacian(u[m])
-
-
-def _sample_index(tg, m):
-    m = int(m)
-    if not 0 <= m <= tg.steps:
-        raise ValueError(f"sample index {m} outside 0..{tg.steps}")
-    return m
 
 
 def time_derivative(tg, u):

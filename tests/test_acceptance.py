@@ -5,8 +5,6 @@ lines and measured values.  The heavy runs (the contraction run and the
 amplitude sweep) are session fixtures shared across criteria.
 """
 
-from itertools import combinations
-
 import numpy as np
 import pytest
 
@@ -14,23 +12,24 @@ from hkel.diagnostics import (
     besov_sup,
     data_norm,
     loglog_slope,
-    pairwise_sq_dists,
     s_surrogate,
     solution_norm,
-    two_variation_from_dists,
 )
 from hkel.config import RunConfig
 from hkel.direct import cross_validate, run_direct
-from hkel.elastic import InitialData, compatibility_residuals, make_shear_data, minor_sum_total
-from hkel.picard import (
-    det_deviation_sup,
-    free_wave_state,
-    picard_solve,
+from hkel.elastic import InitialData, det_residual_sup, make_shear_data
+from hkel.picard import free_wave_state, picard_solve
+from hkel.selftest import (
+    check_compatibility,
+    check_minors,
+    check_propagators,
+    check_spectral,
+    check_variation,
 )
-from hkel.spectral import Grid, random_mean_free
-from hkel.waves import TimeGrid, box_fd, duhamel, duhamel_trajectory, free_wave
+from hkel.spectral import Grid
+from hkel.waves import TimeGrid
 
-N2, N3 = 64, 16
+N2 = 64
 EPS = 1e-2
 SWEEP_EPS = (1e-3, 1e-2, 1e-1)
 
@@ -60,7 +59,7 @@ def contraction_run(grid64):
         ratios=result.ratios,
         iterations=result.iterations,
         converged=result.converged,
-        det_dev=det_deviation_sup(grid64, result.state.G),
+        det_dev=det_residual_sup(result.state.G),
     )
 
 
@@ -93,107 +92,19 @@ def sweep_runs(grid64):
 
 
 def test_criterion_1_spectral_calculus():
-    worst = 0.0
-    cases = ((Grid(2, 32), 75), (Grid(3, N3), 25))
-    for grid, nseeds in cases:
-        for seed in range(nseeds):
-            rng = np.random.default_rng(1000 + seed)
-            u = random_mean_free(grid, rng)
-            scale = np.abs(u).max()
-            acc = sum(grid.riesz(grid.riesz(u, i), i) for i in range(grid.n))
-            worst = max(worst, np.abs(acc + u).max() / scale)
-            v = np.stack([random_mean_free(grid, rng) for _ in range(grid.n)])
-            pv = grid.leray_project(v)
-            worst = max(worst, np.abs(grid.leray_project(pv) - pv).max() / np.abs(v).max())
-            worst = max(worst, np.abs(grid.divergence(pv)).max() / grid.l2(v))
-            phi = random_mean_free(grid, rng)
-            worst = max(
-                worst, np.abs(grid.leray_project(grid.gradient(phi))).max() / np.abs(phi).max()
-            )
-            parts = sum(grid.dyadic_project(u, j) for j in range(grid.nbands))
-            worst = max(worst, np.abs(parts - u).max() / scale)
-    report("criterion 1 (spectral calculus, 100 seeds)", worst <= 1e-12, f"max error {worst:.2e}")
-
-
-def cofactor_det(A):
-    if A.shape[0] == 1:
-        return A[0, 0]
-    return sum(
-        (-1) ** c * A[0, c] * cofactor_det(np.delete(np.delete(A, 0, 0), c, 1))
-        for c in range(A.shape[0])
-    )
+    report("criterion 1 (spectral calculus, 100 seeds)", *check_spectral())
 
 
 def test_criterion_2_minor_algebra():
-    worst = 0.0
-    rng = np.random.default_rng(7)
-    grids = {2: Grid(2, 8), 3: Grid(3, 8)}
-    for n in (2, 3):
-        grid = grids[n]
-        for _ in range(100):
-            A = rng.normal(size=(n, n))
-            field = A.reshape((n, n) + (1,) * n) * np.ones(grid.shape)
-            expansion = 1.0 + np.trace(A) + float(minor_sum_total(grid, field).reshape(-1)[0])
-            brute_minors = sum(
-                cofactor_det(A[np.ix_(s, s)])
-                for k in range(2, n + 1)
-                for s in combinations(range(n), k)
-            )
-            brute = 1.0 + np.trace(A) + brute_minors
-            det = cofactor_det(np.eye(n) + A)
-            scale = max(1.0, abs(det))
-            worst = max(worst, abs(det - expansion) / scale, abs(brute - expansion) / scale)
-    report("criterion 2 (minor algebra, 200 matrices)", worst <= 1e-12, f"max rel error {worst:.2e}")
+    report("criterion 2 (minor algebra, 200 matrices)", *check_minors())
 
 
 def test_criterion_3_propagators():
-    grid = Grid(2, 32)
-    x = grid.coords
-    zero = np.zeros(grid.shape)
-    e_free = np.abs(free_wave(grid, np.cos(2 * x[0]), zero, np.pi / 2) + np.cos(2 * x[0])).max()
-    e_free = max(e_free, np.abs(free_wave(grid, zero, np.cos(x[1]), np.pi)).max())
-
-    g = np.cos(x[0])
-    errs = []
-    for steps in (64, 128):
-        tg = TimeGrid(np.pi / steps, steps)
-        F = np.broadcast_to(g, (tg.nsamples,) + grid.shape)
-        errs.append(float(np.abs(duhamel(grid, tg, F, steps) - 2.0 * g).max()))
-    duh_order = float(np.log2(errs[0] / errs[1]))
-
-    rng = np.random.default_rng(3)
-    F_poly = random_mean_free(grid, rng, band=4)
-    errs_box = []
-    for steps in (32, 64):
-        tg = TimeGrid(1.0 / steps, steps)
-        F = np.cos(tg.times).reshape(-1, 1, 1) * F_poly
-        traj = duhamel_trajectory(grid, tg, F)
-        m = steps // 2
-        errs_box.append(float(np.abs(box_fd(grid, tg, traj, m) - F[m]).max()))
-    box_order = float(np.log2(errs_box[0] / errs_box[1]))
-
-    ok = e_free <= 1e-10 and abs(duh_order - 2.0) <= 0.1 and box_order >= 1.9
-    report(
-        "criterion 3 (propagators)",
-        ok,
-        f"free-wave error {e_free:.2e}, duhamel order {duh_order:.3f}, box order {box_order:.2f}",
-    )
+    report("criterion 3 (propagators)", *check_propagators())
 
 
 def test_criterion_4_compatibility_generators():
-    worst1 = worst2 = 0.0
-    for n, size, band in ((2, N2, 2), (3, N3, 1)):
-        grid = Grid(n, size)
-        for seed in range(50):
-            data = make_shear_data(grid, EPS, seed=seed, band=band)
-            r1, r2 = compatibility_residuals(grid, data)
-            worst1, worst2 = max(worst1, r1), max(worst2, r2)
-    ok = worst1 <= 1e-10 and worst2 <= 1e-9
-    report(
-        "criterion 4 (compatibility, 50 seeds x {n=2,3})",
-        ok,
-        f"worst residuals ({worst1:.2e}, {worst2:.2e})",
-    )
+    report("criterion 4 (compatibility, 50 seeds x {n=2,3})", *check_compatibility())
 
 
 def test_criterion_5_picard_contraction(contraction_run, sweep_runs):
@@ -293,22 +204,7 @@ def test_criterion_9_continuous_dependence(grid64):
 
 
 def test_criterion_10_variation_norm(grid64):
-    rng = np.random.default_rng(55)
-    exact = True
-    for _ in range(100):
-        m = int(rng.integers(2, 13))
-        path = rng.standard_normal((m, 3))
-        d2 = pairwise_sq_dists(path)
-        best = 0.0
-        for r in range(m - 1):
-            for subset in combinations(range(1, m - 1), r):
-                chain = [0, *subset, m - 1]
-                total = 0.0
-                for i in range(len(chain) - 1):
-                    total = total + d2[chain[i], chain[i + 1]]
-                best = max(best, total)
-        exact = exact and (two_variation_from_dists(d2) == float(np.sqrt(best)))
-
+    exact, dp_detail = check_variation()
     data = make_shear_data(grid64, EPS, seed=77, band=2)
     tg = TimeGrid(0.02, 100)
     free = free_wave_state(grid64, tg, data)
@@ -318,8 +214,7 @@ def test_criterion_10_variation_norm(grid64):
     report(
         "criterion 10 (variation norm)",
         ok,
-        f"DP==brute force: {exact}, free-wave variation/besov "
-        f"{variation / besov_part:.2e}",
+        f"{dp_detail}, free-wave variation/besov {variation / besov_part:.2e}",
     )
 
 

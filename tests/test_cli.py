@@ -143,10 +143,54 @@ def test_simulate_diverging_iteration_exits_two(tmp_path, capsys, monkeypatch):
     assert "non-finite Picard delta inf" in err
 
 
+def test_simulate_refuses_run_larger_than_memory(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, SMALL.format(eps=0.01, solver="picard", out=out))
+    need = cli.memory_estimate(parse_config((tmp_path / "run.cfg").read_text()))
+    assert need == cli.PEAK_TRAJECTORY_ARRAYS["picard"] * 9 * 2**2 * 16**2 * 8  # 9 samples
+    monkeypatch.setattr(cli, "physical_memory", lambda: need - 1)
+    assert main(["simulate", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{need / 1e9:.3g} GB" in err and f"{(need - 1) / 1e9:.3g} GB" in err
+    assert not out.exists()
+    monkeypatch.setattr(cli, "physical_memory", lambda: need)
+    assert main(["simulate", cfg]) == 0
+
+
 def test_simulate_bad_config_exit_one(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "dimension = 4\n")
     assert main(["simulate", cfg]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["dt = nan", "t_end = inf", "epsilon = nan"])
+def test_simulate_non_finite_value_exit_one(tmp_path, capsys, line):
+    key = line.split()[0]
+    body = "\n".join(
+        x for x in SMALL.format(eps=0.01, solver="picard", out=tmp_path / "out").splitlines()
+        if not x.startswith(key)
+    )
+    assert main(["simulate", write_cfg(tmp_path, body + f"\n{line}\n")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{key} must be finite" in err
+
+
+def test_simulate_rejects_snapshot_with_nan(tmp_path, capsys, grid2):
+    from hkel.elastic import make_shear_data
+
+    data = make_shear_data(grid2, 1e-2, seed=9, band=2)
+    comps = np.concatenate([data.f, data.g])
+    comps[0, 3, 5] = np.nan
+    snap = tmp_path / "init.hkel"
+    write_snapshot(snap, 2, 32, 0.0, comps)
+    body = SMALL.format(eps=0.01, solver="picard", out=tmp_path / "out")
+    body = body.replace("grid_n = 16", "grid_n = 32") + f"init = file:{snap}\n"
+    assert main(["simulate", write_cfg(tmp_path, body)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "incompatible initial data: residuals (nan, nan)" in err
 
 
 def test_simulate_from_snapshot_file(tmp_path, grid2):
@@ -198,6 +242,16 @@ def test_sweep_direct_pressure_failure_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "not converged: pressure iteration" in err
+
+
+def test_sweep_rejects_non_finite_amplitude_before_any_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, SMALL.format(eps=0.01, solver="picard", out=out))
+    assert main(["sweep", cfg, "--epsilons", "1e-3,2e-3,nan"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "epsilon must be finite" in err
+    assert not out.exists()
 
 
 def test_sweep_rejects_file_init(tmp_path, capsys):

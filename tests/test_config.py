@@ -92,3 +92,19 @@ def test_steps_and_time_grid():
     assert cfg.steps == 500
     tg = cfg.time_grid()
     assert (tg.dt, tg.steps) == (0.01, 500)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("dt", "nan"), ("t_end", "inf"), ("epsilon", "nan"), ("picard_tol", "nan"),
+     ("pressure_tol", "-inf"), ("sweep_epsilons", "1e-3, nan, 1e-1")],
+)
+def test_non_finite_value_rejected_by_name(key, value):
+    kept = [line for line in MINIMAL.splitlines() if not line.startswith(key)]
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        parse_config("\n".join(kept) + f"\n{key} = {value}\n")
+
+
+def test_step_count_overflow_rejected():
+    with pytest.raises(ConfigError, match="t_end"):
+        RunConfig(t_end=1e300, dt=1e-300)

@@ -6,6 +6,7 @@ from hkel.elastic import (
     compatibility_residuals,
     curl_compatibility_residual,
     curl_free_gradient,
+    cofactor_pointwise,
     det_pointwise,
     inverse_pointwise,
     make_shear_data,
@@ -284,6 +285,44 @@ def test_det_pointwise_matches_numpy(grid3, rng):
     A = rng.normal(size=(3, 3))
     field = constant_field(grid3, A)
     assert np.allclose(det_pointwise(field), np.linalg.det(A), rtol=1e-12)
+
+
+def hand_det(M):
+    """Pointwise determinant written out by hand in 2D and 3D (the reference)."""
+    if M.shape[0] == 2:
+        return M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    return (
+        M[0, 0] * (M[1, 1] * M[2, 2] - M[1, 2] * M[2, 1])
+        - M[0, 1] * (M[1, 0] * M[2, 2] - M[1, 2] * M[2, 0])
+        + M[0, 2] * (M[1, 0] * M[2, 1] - M[1, 1] * M[2, 0])
+    )
+
+
+def hand_cofactors(M):
+    """Pointwise cofactors with the 1x1 and 2x2 minors written out (the reference)."""
+    n = M.shape[0]
+    cof = np.empty_like(M)
+    for a in range(n):
+        for b in range(n):
+            rows = [r for r in range(n) if r != a]
+            cols = [c for c in range(n) if c != b]
+            if n == 2:
+                minor = M[rows[0], cols[0]]
+            else:
+                minor = (
+                    M[rows[0], cols[0]] * M[rows[1], cols[1]]
+                    - M[rows[0], cols[1]] * M[rows[1], cols[0]]
+                )
+            cof[a, b] = (-1) ** (a + b) * minor
+    return cof
+
+
+@pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+def test_det_and_cofactors_match_hand_expansions_bitwise(grid_name, request, rng):
+    grid = request.getfixturevalue(grid_name)
+    M = rng.standard_normal((grid.n, grid.n) + grid.shape)
+    assert det_pointwise(M).tobytes() == hand_det(M).tobytes()
+    assert cofactor_pointwise(M).tobytes() == hand_cofactors(M).tobytes()
 
 
 def test_vector_from_gradient_round_trip(grid2, rng):

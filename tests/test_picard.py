@@ -3,10 +3,10 @@ import pytest
 
 from hkel.config import RunConfig
 from hkel.diagnostics import besov_sup, loglog_slope
-from hkel.elastic import InitialData, make_shear_data
+from hkel.elastic import InitialData, det_residual_sup, make_shear_data
 from hkel.picard import (
     PicardState,
-    det_deviation_sup,
+    compatible,
     free_wave_state,
     picard_map,
     picard_solve,
@@ -111,7 +111,7 @@ def test_picard_converges_and_satisfies_constraint():
     result = picard_solve(grid, data, cfg)
     assert result.converged
     assert all(r < 0.5 for r in result.ratios)
-    assert det_deviation_sup(grid, result.state.G) <= 10 * cfg.picard_tol
+    assert det_residual_sup(result.state.G) <= 10 * cfg.picard_tol
     worst = max(
         trace_constraint_residual(grid, result.state.G[m])
         for m in range(result.state.tg.nsamples)
@@ -129,7 +129,7 @@ def test_det_deviation_decreases_along_iterates():
     devs = []
     for _ in range(4):
         state = picard_map(grid, state, free)
-        devs.append(det_deviation_sup(grid, state.G))
+        devs.append(det_residual_sup(state.G))
     assert all(devs[i + 1] <= devs[i] * (1 + 1e-9) for i in range(1, len(devs) - 1))
     assert devs[-1] <= 10 * cfg.picard_tol
 
@@ -191,7 +191,7 @@ def test_picard_n3_smoke(grid3):
     )
     result = picard_solve(grid3, data, cfg)
     assert result.converged
-    assert det_deviation_sup(grid3, result.state.G) <= 10 * cfg.picard_tol
+    assert det_residual_sup(result.state.G) <= 10 * cfg.picard_tol
 
 
 def test_pressure_residual_small_at_fixed_point():
@@ -226,3 +226,10 @@ def test_picard_map_product_lattice(monkeypatch, n, size, fine_shape):
     free = free_wave_state(grid, cfg.time_grid(), data)
     picard_map(grid, free, free)
     assert shapes and set(shapes) == {fine_shape}
+
+
+def test_compatible_treats_nan_as_failure():
+    assert compatible(0.0, 1e-8)
+    assert not compatible(0.0, 2e-8)
+    assert not compatible(float("nan"), 0.0)
+    assert not compatible(0.0, float("nan"))

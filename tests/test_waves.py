@@ -5,21 +5,31 @@ from hkel.diagnostics import energy
 from hkel.spectral import random_mean_free
 from hkel.waves import (
     TimeGrid,
-    box_fd,
     box_trajectory,
-    duhamel,
     duhamel_trajectory,
     free_wave,
-    free_wave_deriv,
     time_derivative,
 )
 
 
-def free_trajectory(grid, tg, f, g):
-    u = np.empty((tg.nsamples,) + grid.shape)
-    for m, t in enumerate(tg.times):
-        u[m] = free_wave(grid, f, g, t)
-    return u
+def duhamel(grid, tg, F, m):
+    """O(m) reference: the trapezoidal Duhamel sum at sample m, mode by mode."""
+    if m == 0:
+        return np.zeros(F.shape[1:])
+    t = tg.dt * m
+    acc = np.zeros(F.shape[1:], dtype=complex)
+    for i in range(m + 1):
+        weight = tg.dt if 0 < i < m else 0.5 * tg.dt
+        s = tg.dt * i
+        kernel = np.where(grid.absk > 0, np.sin((t - s) * grid.absk) * grid.inv_absk, t - s)
+        acc += weight * kernel * grid.fft(F[i])
+    return grid.ifft(acc)
+
+
+def box_fd(grid, tg, u, m):
+    """Central second difference in time minus the spectral Laplacian, at sample m."""
+    dtt = (u[m + 1] - 2.0 * u[m] + u[m - 1]) / tg.dt**2
+    return dtt - grid.laplacian(u[m])
 
 
 def test_time_grid_validation():
@@ -66,7 +76,7 @@ def test_propagator_group_law(grid2, rng):
     t1, t2 = 0.7, 1.9
     direct = free_wave(grid2, f, g, t1 + t2)
     f_mid = free_wave(grid2, f, g, t1)
-    g_mid = free_wave_deriv(grid2, f, g, t1)
+    g_mid = free_wave(grid2, f, g, t1, derivative=True)[1]
     stepped = free_wave(grid2, f_mid, g_mid, t2)
     assert np.abs(direct - stepped).max() <= 1e-11 * np.abs(f).max()
 
@@ -76,8 +86,7 @@ def test_free_wave_energy_constant(grid2, rng):
     g = random_mean_free(grid2, rng, band=6)
     values = []
     for t in (0.0, 0.5, 1.3, 4.0):
-        u = free_wave(grid2, f, g, t)
-        du = free_wave_deriv(grid2, f, g, t)
+        u, du = free_wave(grid2, f, g, t, derivative=True)
         values.append(energy(grid2, du, grid2.gradient(u)))
     values = np.array(values)
     assert np.abs(values - values[0]).max() <= 1e-12 * values[0]
@@ -136,13 +145,6 @@ def test_duhamel_derivative_kernel_order(grid2):
     assert abs(np.log2(errs[0] / errs[1]) - 2.0) <= 0.15
 
 
-def test_duhamel_rejects_off_grid_time(grid2):
-    tg = TimeGrid(0.1, 10)
-    F = np.zeros((tg.nsamples,) + grid2.shape)
-    with pytest.raises(ValueError):
-        duhamel(grid2, tg, F, 11)
-
-
 # -- finite-difference box ---------------------------------------------------------
 
 
@@ -152,16 +154,7 @@ def test_box_fd_quadratic_exact(grid2):
     for m, t in enumerate(tg.times):
         u[m] = 0.5 * t**2
     for m in (1, 5, 9):
-        assert np.abs(box_fd(grid2, tg, u, m) - 1.0).max() <= 1e-12
-
-
-def test_box_fd_boundary_rejected(grid2):
-    tg = TimeGrid(0.1, 8)
-    u = np.zeros((tg.nsamples,) + grid2.shape)
-    with pytest.raises(ValueError):
-        box_fd(grid2, tg, u, 0)
-    with pytest.raises(ValueError):
-        box_fd(grid2, tg, u, 8)
+        assert np.abs(box_trajectory(grid2, tg, u)[m] - 1.0).max() <= 1e-12
 
 
 def test_box_fd_linear(grid2, rng):
@@ -169,8 +162,8 @@ def test_box_fd_linear(grid2, rng):
     shape = (tg.nsamples,) + grid2.shape
     u = rng.standard_normal(shape)
     v = rng.standard_normal(shape)
-    lhs = box_fd(grid2, tg, 2.0 * u + 3.0 * v, 4)
-    rhs = 2.0 * box_fd(grid2, tg, u, 4) + 3.0 * box_fd(grid2, tg, v, 4)
+    lhs = box_trajectory(grid2, tg, 2.0 * u + 3.0 * v)
+    rhs = 2.0 * box_trajectory(grid2, tg, u) + 3.0 * box_trajectory(grid2, tg, v)
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(np.abs(lhs).max(), 1.0)
 
 
@@ -180,8 +173,8 @@ def test_box_fd_annihilates_free_waves_at_second_order(grid2, rng):
     errs = []
     for steps in (32, 64):
         tg = TimeGrid(1.0 / steps, steps)
-        u = free_trajectory(grid2, tg, f, g)
-        errs.append(float(np.abs(box_fd(grid2, tg, u, steps // 2)).max()))
+        u = free_wave(grid2, f, g, tg.times)
+        errs.append(float(np.abs(box_trajectory(grid2, tg, u)[steps // 2]).max()))
     order = np.log2(errs[0] / errs[1])
     assert order >= 1.9
 
@@ -196,10 +189,30 @@ def test_box_fd_recovers_duhamel_forcing(grid2, rng):
         F = envelope * F_poly
         traj = duhamel_trajectory(grid2, tg, F)
         m = steps // 2
-        got = box_fd(grid2, tg, traj, m)
+        got = box_trajectory(grid2, tg, traj)[m]
         errs.append(float(np.abs(got - F[m]).max()))
     order = np.log2(errs[0] / errs[1])
     assert order >= 1.9
+
+
+@pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+def test_box_trajectory_interior_matches_box_fd_bitwise(grid_name, request, rng):
+    grid = request.getfixturevalue(grid_name)
+    tg = TimeGrid(0.1, 6)
+    u = rng.standard_normal((tg.nsamples, 2) + grid.shape)
+    box = box_trajectory(grid, tg, u)
+    for m in range(1, tg.steps):
+        assert box[m].tobytes() == box_fd(grid, tg, u, m).tobytes()
+
+
+def test_free_wave_on_times_matches_single_times(grid2, rng):
+    f = random_mean_free(grid2, rng, band=6)
+    g = random_mean_free(grid2, rng, band=6)
+    times = np.array([0.0, 0.3, 1.7])
+    u, du = free_wave(grid2, f, g, times, derivative=True)
+    for m, t in enumerate(times):
+        um, dum = free_wave(grid2, f, g, t, derivative=True)
+        assert np.array_equal(u[m], um) and np.array_equal(du[m], dum)
 
 
 def test_time_derivative_stencils(grid2):
@@ -216,8 +229,7 @@ def test_box_trajectory_endpoints_second_order(grid2, rng):
     errs = []
     for steps in (32, 64):
         tg = TimeGrid(1.0 / steps, steps)
-        u = free_trajectory(grid2, tg, f, g)
-        b = box_trajectory(grid2, tg, u)
+        b = box_trajectory(grid2, tg, free_wave(grid2, f, g, tg.times))
         errs.append(float(max(np.abs(b[0]).max(), np.abs(b[-1]).max())))
     assert np.log2(errs[0] / errs[1]) >= 1.7
 
