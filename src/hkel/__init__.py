@@ -18,7 +18,7 @@ from .direct import DirectRun, cross_validate, direct_step, run_direct
 from .elastic import (
     InitialData,
     compatibility_residuals,
-    curl_free_gradient,
+    curl_free_displacement,
     make_shear_data,
     null_form,
     principal_minor_sum,
@@ -47,7 +47,7 @@ __all__ = [
     "make_shear_data",
     "compatibility_residuals",
     "principal_minor_sum",
-    "curl_free_gradient",
+    "curl_free_displacement",
     "null_form",
     "recover_pressure",
     "free_wave",

@@ -31,7 +31,6 @@ from .elastic import (
     det_residual,
     make_shear_data,
     recover_pressure,
-    vector_from_gradient,
 )
 from .picard import COMPATIBILITY_TOL, compatible, free_wave_state, picard_solve
 from .selftest import run_selftest
@@ -46,7 +45,7 @@ EXIT_NOT_CONVERGED = 2
 
 # Trajectory-sized arrays alive at a run's peak: the slope of peak RSS against
 # the trajectory size, measured at two horizons for 2D N=64 and 3D N=16.
-PEAK_TRAJECTORY_ARRAYS = {"picard": 17, "direct": 12}
+PEAK_TRAJECTORY_ARRAYS = {"picard": 14, "direct": 12}
 
 # In-memory products of one simulation, reused by sweep analytics.
 SimArtifacts = namedtuple("SimArtifacts", "grid data tg G dG report")
@@ -155,7 +154,7 @@ def run_one(cfg, subdir=None):
             print(f"not converged: {result.reason}", file=sys.stderr)
             return EXIT_NOT_CONVERGED, None
         G_ts, dG_ts = result.state.G, result.state.dG
-        boxY_ts = [vector_from_gradient(grid, Hm) for Hm in result.state.H]
+        boxY_ts, velocities = result.state.boxY, result.state.dY
         report.ratios = list(result.ratios)
         report.converged = result.converged
         report.iterations = result.iterations
@@ -174,16 +173,12 @@ def run_one(cfg, subdir=None):
     s = grid.n / 2.0
     for m in range(0, tg.nsamples, cfg.diagnostics_every):
         Gm = G_ts[m]
-        if cfg.solver == "picard":
-            vel = vector_from_gradient(grid, dG_ts[m])
-        else:
-            vel = velocities[m]
         _, curl_res = recover_pressure(grid, Gm, boxY_ts[m])
         report.rows.append((
             float(tg.times[m]),
             besov_norm(grid, Gm, s),
             besov_norm(grid, dG_ts[m], s - 1.0),
-            energy(grid, vel, Gm),
+            energy(grid, velocities[m], Gm),
             det_residual(Gm),
             curl_res,
         ))

@@ -114,46 +114,40 @@ def minor_sum_total(grid, G, G_fine=None):
     return truncate_from_fine(grid, _accumulate_terms(fine, terms), pad)
 
 
-def curl_free_gradient(grid, G, G_fine=None):
-    """Gradient of the curl-free displacement slaved to the constraint.
+def curl_free_displacement(grid, G, G_fine=None):
+    """Curl-free displacement slaved to the constraint.
 
-    C[a, b] = R_a R_b s with s = sum_k E_k(G); symmetric by construction,
-    with trace(C) = -s since the squared Riesz multipliers sum to -1.
+    Z_hat[a] = i xi_a |xi|^-2 s_hat with s = sum_k E_k(G), so grad Z is the
+    Riesz-Hessian R_a R_b s, whose trace is -s off the Nyquist planes.
     ``G`` may carry extra axes between its component and spatial axes (time
-    batching); ``G_fine`` is its padded field when the caller has it, on a
-    lattice fine enough for the degree-n minor.
+    batching); Z then has shape (n,) + those axes + space.  ``G_fine`` is its
+    padded field when the caller has it, on a lattice fine enough for the
+    degree-n minor.
     """
     s = minor_sum_total(grid, G, G_fine=G_fine)
     s = _demean(grid, s)  # rounding-level for Jacobian input (null Lagrangian)
     sh = grid.fft(s)
-    C = np.empty((grid.n, grid.n) + s.shape)
-    for a in range(grid.n):
-        for b in range(a, grid.n):
-            C[a, b] = grid.ifft(sh * (-grid.freq[a] * grid.freq[b] * grid.inv_k2))
-            if b != a:
-                C[b, a] = C[a, b]
-    return C
+    return np.stack([grid.ifft(sh * (1j * k * grid.inv_k2)) for k in grid.dfreq])
 
 
-def null_form(grid, G, H, G_fine=None, H_fine=None):
-    """Antisymmetric bilinear coupling of G with H = box(G).
+def null_form(grid, G, H, G_fine=None):
+    """Displacement whose gradient is the null-form coupling of G with H = box(G).
 
-    Output O[a, b] = sum_k R_b R_k B[a, k] with the bracket
-    B[a, k] = sum_l (G[l, a] H[l, k] - G[l, k] H[l, a]); B is stored
-    exactly antisymmetrically so the assembled output has an identically
-    vanishing trace contribution.
+    W_hat[a] = sum_k i xi_k |xi|^-2 B_hat[a, k], so grad W[a, b] is
+    sum_k R_b R_k B[a, k], with the bracket
+    B[a, k] = sum_l (G[l, a] H[l, k] - G[l, k] H[l, a]); B is stored exactly
+    antisymmetrically, so div W vanishes up to rounding.
 
     Both arguments may carry extra axes between the two component axes and
-    the spatial axes (time batching); the output matches.  The brackets are
-    formed on the lattice of ``G_fine`` (pad 2 without it), and H is padded
-    to the same one.
+    the spatial axes (time batching); W has shape (n,) + those axes + space.
+    The brackets are formed on the lattice of ``G_fine`` (pad 2 without it),
+    and H is padded to the same one.
     """
     n = grid.n
     G = np.asarray(G)
     Gf, pad = _on_fine(grid, G, G_fine)
-    Hf = pad_to_fine(grid, np.asarray(H), pad) if H_fine is None else H_fine
-    inner = G.shape[2:]
-    Bh = np.zeros((n, n) + inner, dtype=complex)
+    Hf = pad_to_fine(grid, np.asarray(H), pad)
+    Bh = np.zeros((n, n) + G.shape[2:], dtype=complex)
     for a in range(n):
         for k in range(a + 1, n):
             acc = Gf[0, a] * Hf[0, k] - Gf[0, k] * Hf[0, a]
@@ -162,14 +156,8 @@ def null_form(grid, G, H, G_fine=None, H_fine=None):
             b_ak = _demean(grid, truncate_from_fine(grid, acc, pad))
             Bh[a, k] = grid.fft(b_ak)
             Bh[k, a] = -Bh[a, k]
-    out = np.empty((n, n) + inner)
-    for a in range(n):
-        for b in range(n):
-            acc = np.zeros(inner, dtype=complex)
-            for k in range(n):
-                acc += Bh[a, k] * (-grid.freq[b] * grid.freq[k] * grid.inv_k2)
-            out[a, b] = grid.ifft(acc)
-    return out
+    mult = [1j * k * grid.inv_k2 for k in grid.dfreq]
+    return np.stack([grid.ifft(sum(Bh[a, k] * mult[k] for k in range(n))) for a in range(n)])
 
 
 # -- pointwise matrix algebra ------------------------------------------------
@@ -192,21 +180,25 @@ def cofactor_pointwise(M):
     return np.array([[_cofactor(M, a, b) for b in range(len(M))] for a in range(len(M))])
 
 
-def inverse_pointwise(M, det_tol=0.5):
+INVERSE_DET_TOL = 0.5
+
+
+def inverse_pointwise(M):
     """Pointwise inverse by cofactors; valid only near det = 1.
 
-    Raises if the determinant strays from 1 by more than ``det_tol`` at any
-    grid point (large deformation, outside the small-data regime).
+    Raises if the determinant strays from 1 by more than ``INVERSE_DET_TOL``
+    at any grid point (large deformation, outside the small-data regime).
     """
-    det = det_pointwise(M)
-    bad = np.abs(det - 1.0) > det_tol
+    M = np.asarray(M)
+    cof = cofactor_pointwise(M)
+    det = sum(M[0, b] * cof[0, b] for b in range(len(M)))  # det_pointwise's expansion
+    bad = np.abs(det - 1.0) > INVERSE_DET_TOL
     if np.any(bad):
         loc = np.unravel_index(int(np.argmax(np.abs(det - 1.0))), det.shape)
         raise ValueError(
             f"pointwise Jacobian determinant {det[loc]:.4f} at grid point {loc} "
-            f"is farther than {det_tol} from 1"
+            f"is farther than {INVERSE_DET_TOL} from 1"
         )
-    cof = cofactor_pointwise(M)
     return np.swapaxes(cof, 0, 1) / det
 
 
@@ -321,23 +313,6 @@ def recover_pressure(grid, G, boxY):
         return p, 0.0
     residual = grid.l2(grid.leray_project(w, check_mean=False)) / wnorm
     return p, residual
-
-
-def vector_from_gradient(grid, M):
-    """Recover the mean-free vector field v with grad v = M.
-
-    Least-squares per mode: v_hat_a = -i sum_b xi_b M_hat[a, b] / |xi|^2,
-    exact when M is curl-compatible.  The zero mode (a rigid translation)
-    is not recoverable and is set to 0.
-    """
-    Mh = grid.fft(M)
-    comps = []
-    for a in range(grid.n):
-        acc = Mh[a, 0] * (-1j * grid.freq[0] * grid.inv_k2)
-        for b in range(1, grid.n):
-            acc += Mh[a, b] * (-1j * grid.freq[b] * grid.inv_k2)
-        comps.append(grid.ifft(acc))
-    return np.stack(comps)
 
 
 def curl_compatibility_residual(grid, G):

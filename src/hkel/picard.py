@@ -1,29 +1,32 @@
-"""Fixed-point construction of the elastodynamic Jacobian trajectory.
+"""Fixed-point construction of the elastodynamic displacement trajectory.
 
-The unknown is G = grad Y sampled on a uniform time grid, iterated through
+The unknown is the displacement Y sampled on a uniform time grid, iterated
+through
 
-    G  <-  V(t)(grad P f, grad P g)  +  boxinv(nullform(G, H))  +  RR E(G)
+    Y  <-  V(t)(P f, P g)  +  boxinv(W(G, H))  +  Z(E(G)),   G = grad Y,
 
-with H = box(G) carried exactly alongside: the free-wave term contributes
-nothing, the Duhamel term contributes its own forcing, and the curl-free
-term contributes its finite-difference box.  The stopping rule measures
-successive differences in the sup-in-time dyadic n/2 norm.
+with boxY carried exactly alongside and H = grad boxY: the free-wave term
+contributes nothing to it, the Duhamel term contributes its own forcing W,
+and the curl-free displacement Z its finite-difference box.  G and d_t G
+are derived from Y and d_t Y when first read.  The stopping rule measures
+successive differences of G in the sup-in-time dyadic n/2 norm.
 """
 
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .diagnostics import besov_sup
 from .elastic import (
     compatibility_residuals,
-    curl_free_gradient,
+    curl_free_displacement,
     minor_sum_total,
     null_form,
 )
-from .spectral import pad_to_fine
+from .spectral import Grid, pad_to_fine
 from .waves import (
     TimeGrid,
     box_trajectory,
@@ -42,15 +45,23 @@ def compatible(r1, r2):
 
 @dataclass
 class PicardState:
-    """Jacobian trajectory with its exact d'Alembertian and time derivative."""
+    """Displacement trajectory with its time derivative and exact d'Alembertian."""
 
+    grid: Grid
     tg: TimeGrid
-    G: np.ndarray  # (steps+1, n, n) + grid.shape
-    H: np.ndarray  # box G, same shape
-    dG: np.ndarray  # d_t G, same shape
+    Y: np.ndarray  # (steps+1, n) + grid.shape
+    dY: np.ndarray  # d_t Y, same shape
+    boxY: np.ndarray  # box Y, same shape
 
-    def copy(self):
-        return PicardState(self.tg, self.G.copy(), self.H.copy(), self.dG.copy())
+    @cached_property
+    def G(self):
+        """grad Y, (steps+1, n, n) + grid.shape."""
+        return self.grid.jacobian(self.Y)
+
+    @cached_property
+    def dG(self):
+        """grad d_t Y, same shape as G."""
+        return self.grid.jacobian(self.dY)
 
 
 @dataclass
@@ -65,25 +76,16 @@ class PicardResult:
 
 
 def free_wave_state(grid, tg, data):
-    """Free-wave Jacobian trajectory seeded from Leray-projected data.
+    """Free-wave displacement trajectory seeded from Leray-projected data.
 
-    G(t) per mode is cos(t|k|) A_f + sin(t|k|)/|k| A_g with A = grad(P .),
-    and dG is the exact propagator derivative; H vanishes identically.
+    Y(t) per mode is cos(t|k|) P f + sin(t|k|)/|k| P g, and dY is the exact
+    propagator derivative; box Y vanishes identically.
     """
-    n = grid.n
     grid.require_mean_free(data.f, "initial displacement")
     grid.require_mean_free(data.g, "initial velocity")
-    Af = grid.jacobian(grid.leray_project(data.f))
-    Ag = grid.jacobian(grid.leray_project(data.g))
-    shape = (tg.nsamples, n, n) + grid.shape
-    G = np.empty(shape)
-    dG = np.empty(shape)
-    for a in range(n):
-        for b in range(n):
-            G[:, a, b], dG[:, a, b] = free_wave(
-                grid, Af[a, b], Ag[a, b], tg.times, derivative=True
-            )
-    return PicardState(tg, G, np.zeros(shape), dG)
+    Pf, Pg = grid.leray_project(data.f), grid.leray_project(data.g)
+    Y, dY = free_wave(grid, Pf, Pg, tg.times, derivative=True)
+    return PicardState(grid, tg, Y, dY, np.zeros_like(Y))
 
 
 def picard_map(grid, state, free):
@@ -98,28 +100,27 @@ def picard_map(grid, state, free):
     n = grid.n
     nsamples = tg.nsamples
 
-    forcing = np.empty_like(state.G)
-    C = np.empty_like(state.G)
+    W = np.empty_like(state.Y)
+    Z = np.empty_like(state.Y)
     chunk = max(1, 2**18 // (4 * grid.npoints))  # ~16 samples at n=2, N=64
     for m0 in range(0, nsamples, chunk):
         m1 = min(m0 + chunk, nsamples)
         Gc = np.ascontiguousarray(np.moveaxis(state.G[m0:m1], 0, 2))
-        Hc = np.ascontiguousarray(np.moveaxis(state.H[m0:m1], 0, 2))
+        Hc = np.ascontiguousarray(np.moveaxis(grid.jacobian(state.boxY[m0:m1]), 0, 2))
         # one lattice for the null form and the minors: products of degree n
         # (the top minor) are alias-free at pad (n + 1) / 2, the 3/2 rule in 2D
         Gf = pad_to_fine(grid, Gc, (n + 1) / 2)
-        forcing[m0:m1] = np.moveaxis(null_form(grid, Gc, Hc, G_fine=Gf), 2, 0)
-        C[m0:m1] = np.moveaxis(curl_free_gradient(grid, Gc, G_fine=Gf), 2, 0)
+        W[m0:m1] = np.moveaxis(null_form(grid, Gc, Hc, G_fine=Gf), 1, 0)
+        Z[m0:m1] = np.moveaxis(curl_free_displacement(grid, Gc, G_fine=Gf), 1, 0)
 
-    G = free.G + C
-    dG = free.dG + time_derivative(tg, C)
-    H = forcing + box_trajectory(grid, tg, C)
+    Y = free.Y + Z
+    dY = free.dY + time_derivative(tg, Z)
+    boxY = W + box_trajectory(grid, tg, Z)
     for a in range(n):
-        for b in range(n):
-            duh, dduh = duhamel_trajectory(grid, tg, forcing[:, a, b], derivative=True)
-            G[:, a, b] += duh
-            dG[:, a, b] += dduh
-    return PicardState(tg, G, H, dG)
+        duh, dduh = duhamel_trajectory(grid, tg, W[:, a], derivative=True)
+        Y[:, a] += duh
+        dY[:, a] += dduh
+    return PicardState(grid, tg, Y, dY, boxY)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence is reported as ``reason``
@@ -142,7 +143,8 @@ def picard_solve(grid, data, cfg, check_compatibility=True):
     tg = cfg.time_grid()
     s = grid.n / 2.0
     free = free_wave_state(grid, tg, data)
-    state = free.copy()
+    # a second state on the same arrays: G cached on the seed would live through the solve
+    state = PicardState(grid, tg, free.Y, free.dY, free.boxY)
     ratios = []
     deltas = []
     converged = False

@@ -100,11 +100,10 @@ class Grid:
         u = np.asarray(u)
         return math.sqrt(self.cell_volume * float(np.sum(u * u)))
 
-    def project_physical(self, u, mean_free=True):
-        """Drop unpaired Nyquist-plane content (and optionally the mean)."""
+    def project_physical(self, u):
+        """Drop unpaired Nyquist-plane content and the mean."""
         uh = self.fft(u) * self.phys_mask
-        if mean_free:
-            uh[(Ellipsis,) + (0,) * self.n] = 0.0
+        uh[(Ellipsis,) + (0,) * self.n] = 0.0
         return self.ifft(uh)
 
     def require_mean_free(self, u, what="field"):
@@ -131,10 +130,14 @@ class Grid:
         return np.stack([self.ifft(uh * (1j * k)) for k in self.dfreq])
 
     def jacobian(self, v):
-        """Jacobian G[a, b] = d_b v_a of a vector field (first axis = component)."""
+        """Jacobian G[a, b] = d_b v_a of a vector field (component axis just before space).
+
+        Leading axes broadcast: a trajectory of shape (M, n) + shape gives
+        (M, n, n) + shape.
+        """
         vh = self.fft(v)
         return np.stack(
-            [self.ifft(vh * (1j * k)) for k in self.dfreq], axis=1
+            [self.ifft(vh * (1j * k)) for k in self.dfreq], axis=vh.ndim - self.n
         )
 
     def divergence(self, v):
@@ -158,11 +161,6 @@ class Grid:
         """Riesz-type operator with multiplier i*xi_i/|xi|, zero mode 0."""
         self.require_mean_free(u, "riesz input")
         return self.ifft(self.fft(u) * (1j * self.dfreq[i] * self.inv_absk))
-
-    def riesz_pair(self, u, i, j):
-        """R_i R_j u in one multiplier pass: -xi_i xi_j / |xi|^2."""
-        self.require_mean_free(u, "riesz_pair input")
-        return self.ifft(self.fft(u) * (-self.freq[i] * self.freq[j] * self.inv_k2))
 
     def leray_project(self, v, check_mean=True):
         """Divergence-free part of a vector field: v - grad(inv_lap(div v))."""

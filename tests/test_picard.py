@@ -3,7 +3,7 @@ import pytest
 
 from hkel.config import RunConfig
 from hkel.diagnostics import besov_sup, loglog_slope
-from hkel.elastic import InitialData, det_residual_sup, make_shear_data
+from hkel.elastic import InitialData, det_residual_sup, make_shear_data, minor_sum_total
 from hkel.picard import (
     PicardState,
     compatible,
@@ -12,8 +12,8 @@ from hkel.picard import (
     picard_solve,
     trace_constraint_residual,
 )
-from hkel.spectral import Grid, pad_to_fine
-from hkel.waves import box_trajectory, time_derivative
+from hkel.spectral import Grid, pad_to_fine, truncate_from_fine
+from hkel.waves import box_trajectory, duhamel_trajectory, free_wave, time_derivative
 
 
 def small_config(**overrides):
@@ -54,11 +54,11 @@ def test_map_of_zero_state_is_free_wave(grid2):
     tg = cfg.time_grid()
     free = free_wave_state(grid2, tg, data)
     zero = PicardState(
-        tg, np.zeros_like(free.G), np.zeros_like(free.G), np.zeros_like(free.G)
+        grid2, tg, np.zeros_like(free.Y), np.zeros_like(free.Y), np.zeros_like(free.Y)
     )
     out = picard_map(grid2, zero, free)
     assert np.array_equal(out.G, free.G)
-    assert np.abs(out.H).max() == 0.0
+    assert np.abs(out.boxY).max() == 0.0
 
 
 def test_free_seed_square_amplitude_scaling(grid2):
@@ -83,7 +83,7 @@ def test_free_wave_state_solves_wave_equation(grid2):
         cfg = small_config(grid_n=32, dt=0.5 / steps)
         tg = cfg.time_grid()
         free = free_wave_state(grid2, tg, data)
-        assert np.abs(free.H).max() == 0.0
+        assert np.abs(free.boxY).max() == 0.0
         box = box_trajectory(grid2, tg, free.G)[1:-1]
         errs.append(float(np.abs(box).max()))
         dG_fd = time_derivative(tg, free.G)
@@ -100,7 +100,7 @@ def test_tracked_box_matches_finite_differences():
         result = picard_solve(grid, data, cfg)
         state = result.state
         box = box_trajectory(grid, state.tg, state.G)[1:-1]
-        errs.append(float(np.abs(box - state.H[1:-1]).max()))
+        errs.append(float(np.abs(box - grid.jacobian(state.boxY[1:-1])).max()))
     assert np.log2(errs[0] / errs[1]) >= 1.7
 
 
@@ -125,7 +125,7 @@ def test_det_deviation_decreases_along_iterates():
     cfg = small_config()
     tg = cfg.time_grid()
     free = free_wave_state(grid, tg, data)
-    state = free.copy()
+    state = free
     devs = []
     for _ in range(4):
         state = picard_map(grid, state, free)
@@ -195,7 +195,7 @@ def test_picard_n3_smoke(grid3):
 
 
 def test_pressure_residual_small_at_fixed_point():
-    from hkel.elastic import recover_pressure, vector_from_gradient
+    from hkel.elastic import recover_pressure
 
     grid = Grid(2, 16)
     data = make_shear_data(grid, 1e-2, seed=13, band=1)
@@ -203,8 +203,7 @@ def test_pressure_residual_small_at_fixed_point():
     state = result.state
     worst = 0.0
     for m in range(2, state.tg.nsamples - 2, 4):  # away from one-sided stencils
-        boxY = vector_from_gradient(grid, state.H[m])
-        _, res = recover_pressure(grid, state.G[m], boxY)
+        _, res = recover_pressure(grid, state.G[m], state.boxY[m])
         worst = max(worst, res)
     assert worst <= 1e-6
 
@@ -233,3 +232,76 @@ def test_compatible_treats_nan_as_failure():
     assert not compatible(0.0, 2e-8)
     assert not compatible(float("nan"), 0.0)
     assert not compatible(0.0, float("nan"))
+
+
+# -- the Jacobian-level map the displacement state replaced, as an oracle ---------
+
+
+def gradient_free_wave_state(grid, tg, data):
+    Af = grid.jacobian(grid.leray_project(data.f))
+    Ag = grid.jacobian(grid.leray_project(data.g))
+    G = np.empty((tg.nsamples,) + Af.shape)
+    dG = np.empty_like(G)
+    for a in range(grid.n):
+        for b in range(grid.n):
+            G[:, a, b], dG[:, a, b] = free_wave(grid, Af[a, b], Ag[a, b], tg.times, True)
+    return G, np.zeros_like(G), dG
+
+
+def riesz_hessian(grid, a, b):
+    return -grid.freq[a] * grid.freq[b] * grid.inv_k2
+
+
+def gradient_picard_map(grid, tg, state, free):
+    """One map on (G, H = box G, dG) triples, all samples in one chunk."""
+    G, H, _ = state
+    n, pad = grid.n, (grid.n + 1) / 2
+    Gc, Hc = np.moveaxis(G, 0, 2), np.moveaxis(H, 0, 2)
+    Gf, Hf = pad_to_fine(grid, Gc, pad), pad_to_fine(grid, Hc, pad)
+    s = minor_sum_total(grid, Gc, G_fine=Gf)
+    sh = grid.fft(s - s.mean(axis=grid.axes, keepdims=True))
+    Bh = np.zeros((n, n) + Gc.shape[2:], dtype=complex)
+    for a in range(n):
+        for k in range(a + 1, n):
+            acc = sum(Gf[l, a] * Hf[l, k] - Gf[l, k] * Hf[l, a] for l in range(n))
+            b_ak = truncate_from_fine(grid, acc, pad)
+            Bh[a, k] = grid.fft(b_ak - b_ak.mean(axis=grid.axes, keepdims=True))
+            Bh[k, a] = -Bh[a, k]
+    forcing = np.empty_like(G)
+    C = np.empty_like(G)
+    for a in range(n):
+        for b in range(n):
+            acc = sum(Bh[a, k] * riesz_hessian(grid, b, k) for k in range(n))
+            forcing[:, a, b] = grid.ifft(acc)
+            C[:, a, b] = grid.ifft(sh * riesz_hessian(grid, a, b))
+    G_new, dG_new = free[0] + C, free[2] + time_derivative(tg, C)
+    for a in range(n):
+        for b in range(n):
+            duh, dduh = duhamel_trajectory(grid, tg, forcing[:, a, b], derivative=True)
+            G_new[:, a, b] += duh
+            dG_new[:, a, b] += dduh
+    return G_new, forcing + box_trajectory(grid, tg, C), dG_new
+
+
+@pytest.mark.parametrize("n, size", [(2, 32), (3, 16)])
+def test_displacement_map_matches_gradient_map(n, size):
+    grid = Grid(n, size)
+    cfg = small_config(dimension=n, grid_n=size)
+    tg = cfg.time_grid()
+    data = make_shear_data(grid, 1e-2, seed=7, band=1)
+    free = free_wave_state(grid, tg, data)
+    state = picard_map(grid, picard_map(grid, free, free), free)
+    oracle_free = gradient_free_wave_state(grid, tg, data)
+    oracle = gradient_picard_map(grid, tg, oracle_free, oracle_free)
+    oracle = gradient_picard_map(grid, tg, oracle, oracle_free)
+    scale = np.abs(oracle[0]).max()
+    assert np.abs(state.G - oracle[0]).max() <= 1e-12 * scale
+    assert np.abs(state.dG - oracle[2]).max() <= 1e-12 * scale
+
+
+def test_state_gradients_are_per_sample_jacobians(grid2):
+    cfg = small_config(grid_n=32)
+    free = free_wave_state(grid2, cfg.time_grid(), make_shear_data(grid2, 1e-2, seed=7, band=1))
+    state = picard_map(grid2, free, free)
+    for field, grad in ((state.Y, state.G), (state.dY, state.dG)):
+        assert grad.tobytes() == np.stack([grid2.jacobian(u) for u in field]).tobytes()

@@ -107,11 +107,15 @@ def test_riesz_commutes(grid2, rng):
     assert np.abs(ab - ba).max() <= 1e-12 * np.abs(u).max()
 
 
-def test_riesz_pair_matches_composition(grid2, rng):
-    u = random_mean_free(grid2, rng)
-    assert np.allclose(
-        grid2.riesz_pair(u, 0, 1), grid2.riesz(grid2.riesz(u, 0), 1), atol=1e-13
-    )
+@pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+def test_jacobian_of_trajectory_matches_per_sample_bitwise(grid_name, request, rng):
+    # leading axes broadcast: sample m of a trajectory's Jacobian is G[a, b] = d_b Y_a
+    grid = request.getfixturevalue(grid_name)
+    Y_ts = np.stack([random_vector(grid, rng) for _ in range(3)])
+    G_ts = grid.jacobian(Y_ts)
+    assert G_ts.shape == (3, grid.n, grid.n) + grid.shape
+    for m in range(3):
+        assert G_ts[m].tobytes() == grid.jacobian(Y_ts[m]).tobytes()
 
 
 def test_riesz_rejects_mean(grid2):
