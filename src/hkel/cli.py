@@ -43,9 +43,11 @@ EXIT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
 
 
-# Trajectory-sized arrays alive at a run's peak: the slope of peak RSS against
-# the trajectory size, measured at two horizons for 2D N=64 and 3D N=16.
-PEAK_TRAJECTORY_ARRAYS = {"picard": 14, "direct": 12}
+# Trajectory-sized arrays alive at a run's peak: the slope of own-process peak
+# RSS against the trajectory size between two horizons, rounded up from the
+# larger of 7.0 (2D N=64, 100/300 steps) and 5.0 (3D N=16, 30/90 steps) for
+# Picard, and from 6.5 (2D N=64, 64/256 steps) for the leapfrog.
+PEAK_TRAJECTORY_ARRAYS = {"picard": 8, "direct": 7}
 
 # In-memory products of one simulation, reused by sweep analytics.
 SimArtifacts = namedtuple("SimArtifacts", "grid data tg G dG report")
@@ -165,7 +167,7 @@ def run_one(cfg, subdir=None):
             print(f"not converged: {exc}", file=sys.stderr)
             return EXIT_NOT_CONVERGED, None
         G_ts = run.G
-        dG_ts = np.stack([grid.jacobian(v) for v in run.velocity])
+        dG_ts = grid.jacobian(run.velocity)
         boxY_ts = box_trajectory(grid, tg, run.Y)
         velocities = run.velocity
         report.iterations = int(np.max(run.pressure_iterations))

@@ -19,8 +19,20 @@ def besov_norm(grid, u, s):
 
 
 def besov_sup(grid, u_ts, s):
-    """Sup over the leading (time) axis of the Besov norm."""
-    return max(besov_norm(grid, u_m, s) for u_m in u_ts)
+    """Sup over the leading (time) axis of the Besov norm; NaN if any sample is NaN."""
+    return float(np.max([besov_norm(grid, u_m, s) for u_m in u_ts]))
+
+
+def gradient_besov_sup(grid, Y_ts, s):
+    """Sup over the leading (time) axis of the Besov norm of grad Y, read from Y.
+
+    grad Y has the spectrum i dfreq_b Y_hat_a, so per band
+    ||P_j grad Y||^2 sums |d|^2 sum_a |Y_hat_a|^2 with |d|^2 = sum_b dfreq_b^2:
+    no Jacobian is formed.  A sample that is not finite makes the sup NaN.
+    """
+    power = (np.abs(grid.fft(Y_ts)) ** 2).sum(axis=1) * sum(k * k for k in grid.dfreq)
+    weights = 2.0 ** (s * np.arange(grid.nbands))
+    return float(np.max([np.dot(weights, grid.band_l2_of_power(p)) for p in power]))
 
 
 def data_norm(grid, data):
@@ -115,24 +127,34 @@ def s_surrogate(grid, tg, G_ts, dG_ts, s=None, max_samples=VARIATION_MAX_SAMPLES
     coeff_scale = np.sqrt(grid.cell_volume) / np.sqrt(grid.npoints)
     flat_absk = grid.absk.ravel()
     flat_band = grid.band_of.ravel()
+    flat_paired = np.broadcast_to(grid.parseval_weight == 2.0, grid.spectral_shape).ravel()
     ncomp = int(np.prod(G_ts.shape[1 : G_ts.ndim - grid.n], dtype=int))
 
-    Gh = np.empty((len(idx), ncomp, grid.npoints), dtype=complex)
+    Gh = np.empty((len(idx), ncomp, flat_absk.size), dtype=complex)
     Wh = np.empty_like(Gh)
     for row, m in enumerate(idx):
         Gh[row] = grid.fft(G_ts[m]).reshape(ncomp, -1)
         Wh[row] = grid.fft(dG_ts[m]).reshape(ncomp, -1)
-    Wh *= np.where(flat_absk > 0, 1.0, 0.0) / np.where(flat_absk > 0, flat_absk, 1.0)
+    Wh *= grid.inv_absk.ravel()
 
+    # On the full lattice the sign-+ path at -xi is the conjugate of the
+    # sign-- path at xi, so each sign's variation runs over its own path on
+    # the half lattice and the other sign's path on the interior columns,
+    # whose partners -xi the half lattice leaves out.
     variation = 0.0
     for j in range(grid.nbands):
         sel = np.nonzero(flat_band == j)[0]
         if len(sel) == 0:
             continue
+        plus, minus = (
+            (Gh[:, :, sel] + sign * 1j * Wh[:, :, sel])
+            * np.exp(sign * 1j * times[:, None] * flat_absk[sel])[:, None, :]
+            for sign in (+1.0, -1.0)
+        )
+        paired = flat_paired[sel]
         vj = 0.0
-        for sign in (+1.0, -1.0):
-            twist = np.exp(sign * 1j * times[:, None] * flat_absk[sel])[:, None, :]
-            w = (Gh[:, :, sel] + sign * 1j * Wh[:, :, sel]) * twist
+        for own, other in ((plus, minus), (minus, plus)):
+            w = np.concatenate([own, other[:, :, paired]], axis=2)
             vj += two_variation(w * coeff_scale)
         variation += 2.0 ** (j * s) * vj
     return variation + besov_sup(grid, G_ts, s), variation

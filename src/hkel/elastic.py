@@ -147,7 +147,7 @@ def null_form(grid, G, H, G_fine=None):
     G = np.asarray(G)
     Gf, pad = _on_fine(grid, G, G_fine)
     Hf = pad_to_fine(grid, np.asarray(H), pad)
-    Bh = np.zeros((n, n) + G.shape[2:], dtype=complex)
+    Bh = np.zeros((n, n) + G.shape[2 : G.ndim - n] + grid.spectral_shape, dtype=complex)
     for a in range(n):
         for k in range(a + 1, n):
             acc = Gf[0, a] * Hf[0, k] - Gf[0, k] * Hf[0, a]
@@ -323,7 +323,7 @@ def curl_compatibility_residual(grid, G):
     for a in range(n):
         for b in range(n):
             for k in range(b + 1, n):
-                diff = grid.ifft(Gh[a, b] * (1j * grid.freq[k]) - Gh[a, k] * (1j * grid.freq[b]))
+                diff = grid.ifft(Gh[a, b] * (1j * grid.dfreq[k]) - Gh[a, k] * (1j * grid.dfreq[b]))
                 worst = max(worst, float(np.abs(diff).max()))
     scale = float(np.abs(G).max())
     return worst / scale if scale > 0 else worst

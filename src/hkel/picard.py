@@ -9,7 +9,8 @@ with boxY carried exactly alongside and H = grad boxY: the free-wave term
 contributes nothing to it, the Duhamel term contributes its own forcing W,
 and the curl-free displacement Z its finite-difference box.  G and d_t G
 are derived from Y and d_t Y when first read.  The stopping rule measures
-successive differences of G in the sup-in-time dyadic n/2 norm.
+successive differences of G = grad Y in the sup-in-time dyadic n/2 norm,
+read from the spectrum of Y; the iteration never forms a trajectory of G.
 """
 
 import math
@@ -19,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .diagnostics import besov_sup
+from .diagnostics import gradient_besov_sup
 from .elastic import (
     compatibility_residuals,
     curl_free_displacement,
@@ -36,6 +37,7 @@ from .waves import (
 )
 
 COMPATIBILITY_TOL = 1e-8
+DIVERGING_RATIOS = 3  # successive contraction ratios above 1 that end the iteration
 
 
 def compatible(r1, r2):
@@ -105,7 +107,7 @@ def picard_map(grid, state, free):
     chunk = max(1, 2**18 // (4 * grid.npoints))  # ~16 samples at n=2, N=64
     for m0 in range(0, nsamples, chunk):
         m1 = min(m0 + chunk, nsamples)
-        Gc = np.ascontiguousarray(np.moveaxis(state.G[m0:m1], 0, 2))
+        Gc = np.ascontiguousarray(np.moveaxis(grid.jacobian(state.Y[m0:m1]), 0, 2))
         Hc = np.ascontiguousarray(np.moveaxis(grid.jacobian(state.boxY[m0:m1]), 0, 2))
         # one lattice for the null form and the minors: products of degree n
         # (the top minor) are alias-free at pad (n + 1) / 2, the 3/2 rule in 2D
@@ -129,8 +131,9 @@ def picard_solve(grid, data, cfg, check_compatibility=True):
 
     Non-convergence within ``picard_max_iter`` is reported on the result,
     not raised: probing the breakdown amplitude is a supported experiment.
-    A delta or scale that is not finite ends the iteration at once, with
-    ``reason`` set: no later iterate can recover from it.
+    A delta or scale that is not finite ends the iteration at once, and so
+    do three successive contraction ratios above 1, both with ``reason``
+    set: the iterates are diverging.
     """
     cfg.require_grid(grid)
     started = time.perf_counter()
@@ -143,8 +146,7 @@ def picard_solve(grid, data, cfg, check_compatibility=True):
     tg = cfg.time_grid()
     s = grid.n / 2.0
     free = free_wave_state(grid, tg, data)
-    # a second state on the same arrays: G cached on the seed would live through the solve
-    state = PicardState(grid, tg, free.Y, free.dY, free.boxY)
+    state = free
     ratios = []
     deltas = []
     converged = False
@@ -152,17 +154,22 @@ def picard_solve(grid, data, cfg, check_compatibility=True):
     iterations = 0
     for iterations in range(1, cfg.picard_max_iter + 1):
         new = picard_map(grid, state, free)
-        delta = besov_sup(grid, new.G - state.G, s)
+        delta = gradient_besov_sup(grid, new.Y - state.Y, s)
         if deltas:
             ratios.append(delta / deltas[-1] if deltas[-1] > 0 else 0.0)
         deltas.append(delta)
         state = new
-        scale = besov_sup(grid, state.G, s)
+        scale = gradient_besov_sup(grid, state.Y, s)
         if not (math.isfinite(delta) and math.isfinite(scale)):
             reason = f"non-finite Picard delta {delta} (scale {scale}) at iteration {iterations}"
             break
         if delta <= cfg.picard_tol * max(scale, 1e-300) or (delta == 0.0 and scale == 0.0):
             converged = True
+            break
+        recent = ratios[-DIVERGING_RATIOS:]
+        if len(recent) == DIVERGING_RATIOS and min(recent) > 1.0:
+            last = ", ".join(f"{r:.3g}" for r in recent)
+            reason = f"diverging Picard iteration: ratios {last} above 1 at iteration {iterations}"
             break
     return PicardResult(
         state=state,

@@ -7,8 +7,15 @@ Every operation broadcasts over leading (component or time) axes, so the
 same code path serves scalars, Jacobians and whole trajectories.
 
 The frequency lattice is the integer dual lattice xi in {-N/2, ..., N/2-1}
-per axis.  Multipliers with an inverse power of |xi| set the zero mode to
-zero and reject inputs whose mean is not negligible.
+per axis.  Fields are real, so their spectra are Hermitian and every
+transform is a real one (rfftn/irfftn): spectra and multipliers live on the
+half lattice ``grid.spectral_shape = shape[:-1] + (N/2 + 1,)``, whose last
+axis holds the columns 0..N/2.  Its last column is the Nyquist index, read
+as -N/2 like the leading axes' Nyquist index.  Columns 0 and N/2 are
+self-paired under xi -> -xi; every interior column stands for itself and
+its conjugate partner, so Parseval sums weight it by 2
+(``grid.parseval_weight``).  Multipliers with an inverse power of |xi| set
+the zero mode to zero and reject inputs whose mean is not negligible.
 
 Pointwise products are formed on a finer lattice of pad * N points per
 axis (an even integer >= N), reached through rfftn half spectra; a product
@@ -47,35 +54,43 @@ class Grid:
         self.cell_volume = (2 * np.pi / size) ** n
 
         k1 = np.fft.fftfreq(size, d=1.0 / size)  # integer frequencies as floats
+        half = size // 2
+        self.spectral_shape = self.shape[:-1] + (half + 1,)
         # The lattice window {-N/2..N/2-1} holds the unpaired Nyquist line
-        # -N/2.  Real fields are read as symmetric trig interpolants, whose
-        # odd-order derivatives vanish at the sample points on that line, so
+        # -N/2, which is also where the last axis reads its column N/2.  Real
+        # fields are read as symmetric trig interpolants, whose odd-order
+        # derivatives vanish at the sample points on that line, so
         # first-order multipliers use dfreq with the Nyquist entry zeroed.
-        d1 = np.where(np.abs(k1) == size // 2, 0.0, k1)
+        d1 = np.where(np.abs(k1) == half, 0.0, k1)
         self.freq = []
         self.dfreq = []
         for a in range(n):
             sh = [1] * n
-            sh[a] = size
-            self.freq.append(k1.reshape(sh))
-            self.dfreq.append(d1.reshape(sh))
-        self.k2 = sum(k * k for k in self.freq) + np.zeros(self.shape)
+            sh[a] = self.spectral_shape[a]
+            self.freq.append(k1[: sh[a]].reshape(sh))
+            self.dfreq.append(d1[: sh[a]].reshape(sh))
+        self.k2 = sum(k * k for k in self.freq) + np.zeros(self.spectral_shape)
         self.absk = np.sqrt(self.k2)
         nonzero = self.k2 > 0
         self.inv_k2 = np.where(nonzero, 1.0 / np.where(nonzero, self.k2, 1.0), 0.0)
         self.inv_absk = np.where(nonzero, 1.0 / np.where(nonzero, self.absk, 1.0), 0.0)
+        # Parseval weight of a half-lattice mode: interior columns count twice
+        weight = np.full(half + 1, 2.0)
+        weight[[0, half]] = 1.0
+        self.parseval_weight = weight.reshape((1,) * (n - 1) + (half + 1,))
+
 
         # sharp dyadic shells 2^j <= |xi| < 2^(j+1); the zero mode gets -1
-        self.nbands = int(math.log2(size // 2)) + 1
+        self.nbands = int(math.log2(half)) + 1
         with np.errstate(divide="ignore"):
             j = np.floor(np.log2(np.where(nonzero, self.absk, 1.0))).astype(np.int64)
         self.band_of = np.where(nonzero, j, -1)
         assert self.band_of.max() == self.nbands - 1
 
         # physical window: modes below the unpaired Nyquist line on every axis
-        mask = np.ones(self.shape, dtype=bool)
+        mask = np.ones(self.spectral_shape, dtype=bool)
         for a in range(n):
-            mask &= np.abs(self.freq[a]) < size // 2
+            mask &= np.abs(self.freq[a]) < half
         self.phys_mask = mask
 
         x1 = 2 * np.pi * np.arange(size) / size
@@ -87,10 +102,12 @@ class Grid:
     # -- transforms -------------------------------------------------------
 
     def fft(self, u):
-        return np.fft.fftn(np.asarray(u), axes=self.axes)
+        """Half spectrum of a real field, on ``spectral_shape``."""
+        return np.fft.rfftn(np.asarray(u), axes=self.axes)
 
     def ifft(self, uh):
-        return np.fft.ifftn(uh, axes=self.axes).real
+        """Real field of a half spectrum (the inverse of ``fft``)."""
+        return np.fft.irfftn(uh, s=self.shape, axes=self.axes)
 
     def mean(self, u):
         return np.asarray(u).mean(axis=self.axes)
@@ -136,9 +153,10 @@ class Grid:
         (M, n, n) + shape.
         """
         vh = self.fft(v)
-        return np.stack(
-            [self.ifft(vh * (1j * k)) for k in self.dfreq], axis=vh.ndim - self.n
-        )
+        out = np.empty(vh.shape[: -self.n] + (self.n,) + self.shape)
+        for b, k in enumerate(self.dfreq):
+            out[(Ellipsis, b) + (slice(None),) * self.n] = self.ifft(vh * (1j * k))
+        return out
 
     def divergence(self, v):
         """Divergence of a vector field (first axis = component)."""
@@ -169,11 +187,16 @@ class Grid:
             raise ValueError("leray_project expects a vector field")
         if check_mean:
             self.require_mean_free(v, "leray_project input")
+        # freq is even under xi -> -xi (mod N) on a Nyquist plane, so xi xi^T
+        # is not Hermitian there; a real field sees only its Hermitian part
+        # d d^T + e e^T, with d = dfreq and the Nyquist part e = freq - dfreq.
         vh = self.fft(v)
-        kdotv = sum(self.freq[a] * vh[a] for a in range(self.n))
+        nyq = [f - d for f, d in zip(self.freq, self.dfreq)]
+        ddotv = sum(self.dfreq[a] * vh[a] for a in range(self.n))
+        edotv = sum(nyq[a] * vh[a] for a in range(self.n))
         out = np.empty_like(vh)
         for a in range(self.n):
-            out[a] = vh[a] - self.freq[a] * kdotv * self.inv_k2
+            out[a] = vh[a] - (self.dfreq[a] * ddotv + nyq[a] * edotv) * self.inv_k2
         return self.ifft(out)
 
     # -- dyadic shells ------------------------------------------------------
@@ -189,12 +212,20 @@ class Grid:
 
         Computed in frequency space via Parseval; returns shape (nbands,).
         """
-        uh = self.fft(u)
-        power = np.abs(uh) ** 2
+        power = np.abs(self.fft(u)) ** 2
         if power.ndim > self.n:
             power = power.sum(axis=tuple(range(power.ndim - self.n)))
+        return self.band_l2_of_power(power)
+
+    def band_l2_of_power(self, power):
+        """Per-band L2 norms from a power spectrum |u_hat|^2 on ``spectral_shape``.
+
+        Parseval on the half lattice: interior columns count twice.
+        """
         sums = np.bincount(
-            (self.band_of + 1).ravel(), weights=power.ravel(), minlength=self.nbands + 1
+            (self.band_of + 1).ravel(),
+            weights=(power * self.parseval_weight).ravel(),
+            minlength=self.nbands + 1,
         )
         return np.sqrt(sums[1:] * self.cell_volume / self.npoints)
 
@@ -270,7 +301,7 @@ def pad_to_fine(grid, u, pad):
     big = _fine_size(grid, pad)
     n, half = grid.n, grid.size // 2
     scale = (big / grid.size) ** n
-    uh = np.fft.rfftn(u, axes=grid.axes)
+    uh = grid.fft(u)
     cols = (slice(0, half),)
     low = uh[..., :half] * (0.5 * scale)
     nyq = uh[..., half] * ((0.5 if big > grid.size else 1.0) * scale)
@@ -301,7 +332,7 @@ def truncate_from_fine(grid, u_fine, pad):
     uh[..., :half] *= 0.5
     for src, dst in _placements(grid, big, True):
         uh[(Ellipsis,) + src + (half,)] = fh[(Ellipsis,) + dst + (half,)]
-    return np.fft.irfftn(uh / (big / grid.size) ** n, s=grid.shape, axes=grid.axes)
+    return grid.ifft(uh / (big / grid.size) ** n)
 
 
 def _canonical_order(arrays):

@@ -132,7 +132,7 @@ def test_simulate_exit_two_on_non_convergence(tmp_path, capsys):
 
 def test_simulate_diverging_iteration_exits_two(tmp_path, capsys, monkeypatch):
     # amplitude 1 fails the compatibility check, which is skipped here to
-    # reach a Picard iteration whose deltas overflow
+    # reach a Picard iteration whose ratios stay above 1
     monkeypatch.setattr(cli, "compatibility_residuals", lambda grid, data: (0.0, 0.0))
     out = tmp_path / "out"
     body = SMALL.format(eps=1.0, solver="picard", out=out)
@@ -140,7 +140,8 @@ def test_simulate_diverging_iteration_exits_two(tmp_path, capsys, monkeypatch):
     assert main(["simulate", write_cfg(tmp_path, body)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert "non-finite Picard delta inf" in err
+    assert err.startswith("not converged: diverging Picard iteration: ratios")
+    assert "at iteration 5" in err
 
 
 def test_simulate_refuses_run_larger_than_memory(tmp_path, capsys, monkeypatch):

@@ -9,6 +9,7 @@ from hkel.diagnostics import (
     besov_sup,
     data_norm,
     energy,
+    gradient_besov_sup,
     loglog_slope,
     pairwise_sq_dists,
     s_surrogate,
@@ -18,8 +19,10 @@ from hkel.diagnostics import (
 )
 from hkel.elastic import make_shear_data
 from hkel.picard import free_wave_state
-from hkel.spectral import random_mean_free
+from hkel.spectral import Grid, random_mean_free
 from hkel.waves import TimeGrid
+
+from conftest import ComplexGrid
 
 
 def brute_force_variation(d2):
@@ -146,6 +149,57 @@ def test_s_surrogate_free_wave_variation_vanishes(grid2):
     besov_part = besov_sup(grid2, free.G, grid2.n / 2.0)
     assert variation <= 1e-10 * besov_part
     assert np.isclose(total, besov_part, rtol=1e-9)
+
+
+def full_spectrum_s_surrogate(grid, tg, G_ts, dG_ts, s):
+    """s_surrogate on the full complex-FFT lattice, every mode and sign explicit."""
+    ref = ComplexGrid(grid)
+    idx = np.arange(tg.nsamples)
+    coeff_scale = np.sqrt(grid.cell_volume) / np.sqrt(grid.npoints)
+    ncomp = int(np.prod(G_ts.shape[1 : G_ts.ndim - grid.n]))
+    Gh = np.stack([ref.fft(G_ts[m]).reshape(ncomp, -1) for m in idx])
+    Wh = np.stack([ref.fft(dG_ts[m]).reshape(ncomp, -1) for m in idx]) * ref.inv_absk.ravel()
+    absk, band = ref.absk.ravel(), ref.band_of.ravel()
+    variation = 0.0
+    for j in range(grid.nbands):
+        sel = np.nonzero(band == j)[0]
+        for sign in (+1.0, -1.0):
+            twist = np.exp(sign * 1j * tg.times[:, None] * absk[sel])[:, None, :]
+            w = (Gh[:, :, sel] + sign * 1j * Wh[:, :, sel]) * twist
+            variation += 2.0 ** (j * s) * two_variation(w * coeff_scale)
+    weights = 2.0 ** (s * np.arange(grid.nbands))
+    besov = max(float(np.dot(weights, ref.band_l2_profile(Gm))) for Gm in G_ts)
+    return variation + besov, variation
+
+
+@pytest.mark.parametrize("n, size", [(2, 16), (3, 8)])
+def test_s_surrogate_matches_full_spectrum(rng, n, size):
+    # white noise: the interior columns and the self-paired columns 0 and
+    # N/2 all carry content
+    grid = Grid(n, size)
+    tg = TimeGrid(0.1, 6)
+    G_ts = rng.standard_normal((tg.nsamples, n, n) + grid.shape)
+    dG_ts = rng.standard_normal(G_ts.shape)
+    got = s_surrogate(grid, tg, G_ts, dG_ts)
+    expected = full_spectrum_s_surrogate(grid, tg, G_ts, dG_ts, n / 2.0)
+    assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n, size", [(2, 16), (3, 8)])
+def test_gradient_besov_sup_matches_jacobian_norm(rng, n, size):
+    grid = Grid(n, size)
+    Y_ts = rng.standard_normal((5, n) + grid.shape)
+    for s in (n / 2.0, 0.0):
+        expected = besov_sup(grid, grid.jacobian(Y_ts), s)
+        assert abs(gradient_besov_sup(grid, Y_ts, s) - expected) <= 1e-14 * expected
+
+
+def test_sup_norms_propagate_nan(grid2, rng):
+    # a NaN sample past the first once dropped out of besov_sup's max
+    Y_ts = rng.standard_normal((3, 2) + grid2.shape)
+    Y_ts[2, 0, 1, 1] = np.nan
+    assert np.isnan(besov_sup(grid2, Y_ts, 1.0))
+    assert np.isnan(gradient_besov_sup(grid2, Y_ts, 1.0))
 
 
 # -- sweep ----------------------------------------------------------------------------

@@ -162,15 +162,41 @@ def test_picard_non_convergence_reported():
 
 
 def test_diverging_iteration_not_reported_converged():
-    # far outside the contraction regime the deltas overflow to inf, and the
-    # stopping rule once read inf <= tol * inf as convergence
+    # far outside the contraction regime the ratios climb above 1 from the
+    # second on (0.954, 1.07, 1.02, 1.15, ...); the iteration once ran 16
+    # full maps, until a delta overflowed, before it reported the divergence
     grid = Grid(2, 16)
     data = make_shear_data(grid, 1.0, seed=0)
     cfg = RunConfig(dimension=2, grid_n=16, epsilon=1.0, t_end=2.0, dt=0.05)
     result = picard_solve(grid, data, cfg, check_compatibility=False)
     assert not result.converged
-    assert not np.isfinite(result.deltas[-1])
-    assert "non-finite Picard delta" in result.reason
+    assert result.iterations <= 5
+    assert all(np.isfinite(result.deltas))
+    assert all(r > 1.0 for r in result.ratios[-3:])
+    assert result.reason.startswith("diverging Picard iteration: ratios")
+    assert "\n" not in result.reason
+
+
+def test_slow_contraction_runs_to_max_iter():
+    # ratios 0.30-0.51: slow, but contracting, so the early stop must not trip
+    grid = Grid(2, 16)
+    data = make_shear_data(grid, 0.3, seed=0)
+    cfg = RunConfig(dimension=2, grid_n=16, epsilon=0.3, t_end=2.0, dt=0.05)
+    result = picard_solve(grid, data, cfg, check_compatibility=False)
+    assert result.iterations == cfg.picard_max_iter
+    assert not result.converged and result.reason == ""
+    assert max(result.ratios) < 1.0
+
+
+def test_non_finite_data_not_reported_converged():
+    # a NaN sample makes every delta NaN: the iteration ends at once
+    grid = Grid(2, 16)
+    data = make_shear_data(grid, 1e-2, seed=0)
+    f = data.f.copy()
+    f[0, 3, 5] = np.nan
+    result = picard_solve(grid, InitialData(f, data.g), small_config(), check_compatibility=False)
+    assert not result.converged and result.iterations == 1
+    assert result.reason == "non-finite Picard delta nan (scale nan) at iteration 1"
 
 
 def test_picard_rejects_mismatched_grid(grid2):
@@ -260,7 +286,7 @@ def gradient_picard_map(grid, tg, state, free):
     Gf, Hf = pad_to_fine(grid, Gc, pad), pad_to_fine(grid, Hc, pad)
     s = minor_sum_total(grid, Gc, G_fine=Gf)
     sh = grid.fft(s - s.mean(axis=grid.axes, keepdims=True))
-    Bh = np.zeros((n, n) + Gc.shape[2:], dtype=complex)
+    Bh = np.zeros((n, n) + Gc.shape[2 : Gc.ndim - n] + grid.spectral_shape, dtype=complex)
     for a in range(n):
         for k in range(a + 1, n):
             acc = sum(Gf[l, a] * Hf[l, k] - Gf[l, k] * Hf[l, a] for l in range(n))

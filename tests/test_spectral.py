@@ -11,7 +11,7 @@ from hkel.spectral import (
     truncate_from_fine,
 )
 
-from conftest import random_vector
+from conftest import ComplexGrid, random_vector
 
 
 def test_grid_validation():
@@ -30,8 +30,9 @@ def test_round_trip(grid2, grid3, rng):
 
 
 def test_parseval(grid2, rng):
+    # half lattice: interior columns stand for their conjugate partners too
     u = rng.standard_normal(grid2.shape)
-    spectral = np.sum(np.abs(grid2.fft(u)) ** 2) / grid2.npoints
+    spectral = np.sum(grid2.parseval_weight * np.abs(grid2.fft(u)) ** 2) / grid2.npoints
     assert np.isclose(spectral, np.sum(u * u), rtol=1e-12)
 
 
@@ -172,13 +173,17 @@ def test_dyadic_single_mode_shell(grid2):
 
 
 def test_dyadic_bands_partition_lattice_exactly(grid2, grid3):
+    # every half-lattice mode but the zero mode lies in exactly one band, and
+    # the bands' weighted mode counts cover the full lattice
     for grid in (grid2, grid3):
-        seen = np.zeros(grid.shape, dtype=int)
+        seen = np.zeros(grid.spectral_shape, dtype=int)
         for j in range(grid.nbands):
             seen += grid.band_of == j
-        expected = np.ones(grid.shape, dtype=int)
+        expected = np.ones(grid.spectral_shape, dtype=int)
         expected[(0,) * grid.n] = 0
         assert np.array_equal(seen, expected)
+        weight = np.broadcast_to(grid.parseval_weight, grid.spectral_shape)
+        assert sum(weight[grid.band_of == j].sum() for j in range(grid.nbands)) == grid.npoints - 1
 
 
 def test_dyadic_parseval_over_shells(grid2, rng):
@@ -318,3 +323,38 @@ def test_pad_rejects_bad_fine_size(pad):
         pad_to_fine(grid, np.zeros(grid.shape), pad)
     with pytest.raises(ValueError, match="even integer"):
         truncate_from_fine(grid, np.zeros((32, 32)), pad)
+
+
+# -- half lattice against the complex full-lattice operators ---------------------
+
+
+@pytest.mark.parametrize("n, size", [(2, 16), (3, 8)])
+def test_operators_match_complex_fft_oracle(rng, n, size):
+    # unit-variance white noise fills every Nyquist line, plane and corner,
+    # where a multiplier that is not Hermitian would show
+    grid = Grid(n, size)
+    ref = ComplexGrid(grid)
+    u = rng.standard_normal(grid.shape)
+    u -= u.mean()
+    v = rng.standard_normal((n,) + grid.shape)
+    v -= v.mean(axis=grid.axes, keepdims=True)
+    traj = rng.standard_normal((3, n) + grid.shape)
+    cases = [
+        ("gradient", (u,)),
+        ("jacobian", (v,)),
+        ("jacobian", (traj,)),
+        ("divergence", (v,)),
+        ("laplacian", (traj,)),
+        ("inverse_laplacian", (u,)),
+        ("leray_project", (v,)),
+        ("project_physical", (traj,)),
+        ("band_l2_profile", (v,)),
+    ]
+    cases += [("deriv", (u, a)) for a in range(n)]
+    cases += [("riesz", (u, a)) for a in range(n)]
+    cases += [("dyadic_project", (u, j)) for j in range(grid.nbands)]
+    for name, args in cases:
+        got = getattr(grid, name)(*args)
+        expected = getattr(ref, name)(*args)
+        assert got.shape == expected.shape, name
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max(), (name, args[1:])

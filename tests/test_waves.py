@@ -17,7 +17,7 @@ def duhamel(grid, tg, F, m):
     if m == 0:
         return np.zeros(F.shape[1:])
     t = tg.dt * m
-    acc = np.zeros(F.shape[1:], dtype=complex)
+    acc = np.zeros(F.shape[1 : F.ndim - grid.n] + grid.spectral_shape, dtype=complex)
     for i in range(m + 1):
         weight = tg.dt if 0 < i < m else 0.5 * tg.dt
         s = tg.dt * i
