@@ -4,6 +4,11 @@ The 2-variation norm replaces the atomic path-space norm wherever one is
 needed: it admits an exact O(M^2) dynamic program over sample times.  The
 propagator-twisted surrogate built on it vanishes on exact free waves, so
 its size measures the deviation from free evolution.
+
+Every trajectory-level norm of G = grad Y is read from the spectrum of the
+displacement Y: grad Y has the spectrum i dfreq_b Y_hat_a, so a mode of G
+carries the power of Y_hat weighted by |d|^2 = sum_b dfreq_b^2
+(``grid.dk2``), and no trajectory of G is formed.
 """
 
 from dataclasses import dataclass, field
@@ -26,11 +31,10 @@ def besov_sup(grid, u_ts, s):
 def gradient_besov_sup(grid, Y_ts, s):
     """Sup over the leading (time) axis of the Besov norm of grad Y, read from Y.
 
-    grad Y has the spectrum i dfreq_b Y_hat_a, so per band
-    ||P_j grad Y||^2 sums |d|^2 sum_a |Y_hat_a|^2 with |d|^2 = sum_b dfreq_b^2:
-    no Jacobian is formed.  A sample that is not finite makes the sup NaN.
+    Per band ||P_j grad Y||^2 sums |d|^2 sum_a |Y_hat_a|^2: no Jacobian is
+    formed.  A sample that is not finite makes the sup NaN.
     """
-    power = (np.abs(grid.fft(Y_ts)) ** 2).sum(axis=1) * sum(k * k for k in grid.dfreq)
+    power = (np.abs(grid.fft(Y_ts)) ** 2).sum(axis=1) * grid.dk2
     weights = 2.0 ** (s * np.arange(grid.nbands))
     return float(np.max([np.dot(weights, grid.band_l2_of_power(p)) for p in power]))
 
@@ -41,10 +45,10 @@ def data_norm(grid, data):
     return besov_norm(grid, data.f, s + 1.0) + besov_norm(grid, data.g, s)
 
 
-def solution_norm(grid, G_ts, dG_ts):
-    """Sup-in-time size of a solution: ||G|| at n/2 plus ||dG|| at n/2-1."""
+def solution_norm(grid, Y_ts, dY_ts):
+    """Sup-in-time size of a solution: ||grad Y|| at n/2 plus ||grad d_t Y|| at n/2-1."""
     s = grid.n / 2.0
-    return besov_sup(grid, G_ts, s) + besov_sup(grid, dG_ts, s - 1.0)
+    return gradient_besov_sup(grid, Y_ts, s) + gradient_besov_sup(grid, dY_ts, s - 1.0)
 
 
 def energy(grid, velocity, G):
@@ -111,14 +115,16 @@ def _subsample(path, max_samples):
 VARIATION_MAX_SAMPLES = 256
 
 
-def s_surrogate(grid, tg, G_ts, dG_ts, s=None, max_samples=VARIATION_MAX_SAMPLES):
-    """Iteration-space surrogate: twisted per-band 2-variation plus sup-Besov.
+def s_surrogate(grid, tg, Y_ts, dY_ts, s=None, max_samples=VARIATION_MAX_SAMPLES):
+    """Iteration-space surrogate of G = grad Y: twisted per-band 2-variation plus sup-Besov.
 
-    Per band j and sign, the path w(t) = exp(+-i t |k|)(u +- i |k|^-1 d_t u)
+    Per band j and sign, the path w(t) = exp(+-i t |k|)(G +- i |k|^-1 d_t G)
     restricted to the band is constant for exact free waves; its 2-variation
-    accumulates only the inhomogeneous part of the evolution.  Bands are
-    combined with the weight 2^(j s) and the sup-in-time Besov norm of u is
-    added.
+    accumulates only the inhomogeneous part of the evolution.  The twist and
+    |k|^-1 are scalars per mode, so the distances between samples of w are
+    those of the path of Y_hat and d_t Y_hat weighted by |d|: the path runs
+    over the n components of Y, not the n^2 of G.  Bands are combined with
+    the weight 2^(j s) and the sup-in-time Besov norm of G is added.
     """
     if s is None:
         s = grid.n / 2.0
@@ -128,14 +134,15 @@ def s_surrogate(grid, tg, G_ts, dG_ts, s=None, max_samples=VARIATION_MAX_SAMPLES
     flat_absk = grid.absk.ravel()
     flat_band = grid.band_of.ravel()
     flat_paired = np.broadcast_to(grid.parseval_weight == 2.0, grid.spectral_shape).ravel()
-    ncomp = int(np.prod(G_ts.shape[1 : G_ts.ndim - grid.n], dtype=int))
+    absd = np.sqrt(grid.dk2).ravel()
 
-    Gh = np.empty((len(idx), ncomp, flat_absk.size), dtype=complex)
-    Wh = np.empty_like(Gh)
+    Yh = np.empty((len(idx), grid.n, flat_absk.size), dtype=complex)
+    Wh = np.empty_like(Yh)
     for row, m in enumerate(idx):
-        Gh[row] = grid.fft(G_ts[m]).reshape(ncomp, -1)
-        Wh[row] = grid.fft(dG_ts[m]).reshape(ncomp, -1)
-    Wh *= grid.inv_absk.ravel()
+        Yh[row] = grid.fft(Y_ts[m]).reshape(grid.n, -1)
+        Wh[row] = grid.fft(dY_ts[m]).reshape(grid.n, -1)
+    Yh *= absd
+    Wh *= absd * grid.inv_absk.ravel()
 
     # On the full lattice the sign-+ path at -xi is the conjugate of the
     # sign-- path at xi, so each sign's variation runs over its own path on
@@ -147,7 +154,7 @@ def s_surrogate(grid, tg, G_ts, dG_ts, s=None, max_samples=VARIATION_MAX_SAMPLES
         if len(sel) == 0:
             continue
         plus, minus = (
-            (Gh[:, :, sel] + sign * 1j * Wh[:, :, sel])
+            (Yh[:, :, sel] + sign * 1j * Wh[:, :, sel])
             * np.exp(sign * 1j * times[:, None] * flat_absk[sel])[:, None, :]
             for sign in (+1.0, -1.0)
         )
@@ -157,7 +164,7 @@ def s_surrogate(grid, tg, G_ts, dG_ts, s=None, max_samples=VARIATION_MAX_SAMPLES
             w = np.concatenate([own, other[:, :, paired]], axis=2)
             vj += two_variation(w * coeff_scale)
         variation += 2.0 ** (j * s) * vj
-    return variation + besov_sup(grid, G_ts, s), variation
+    return variation + gradient_besov_sup(grid, Y_ts, s), variation
 
 
 @dataclass

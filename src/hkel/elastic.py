@@ -209,11 +209,6 @@ def det_residual(G):
     return float(np.abs(det_pointwise(eye + G) - 1.0).max())
 
 
-def det_residual_sup(G_ts):
-    """Max over the samples of a trajectory (leading time axis) of det_residual."""
-    return max(det_residual(Gm) for Gm in G_ts)
-
-
 # -- compatibility -----------------------------------------------------------
 
 

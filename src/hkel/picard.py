@@ -7,10 +7,10 @@ through
 
 with boxY carried exactly alongside and H = grad boxY: the free-wave term
 contributes nothing to it, the Duhamel term contributes its own forcing W,
-and the curl-free displacement Z its finite-difference box.  G and d_t G
-are derived from Y and d_t Y when first read.  The stopping rule measures
-successive differences of G = grad Y in the sup-in-time dyadic n/2 norm,
-read from the spectrum of Y; the iteration never forms a trajectory of G.
+and the curl-free displacement Z its finite-difference box.  The stopping
+rule measures successive differences of G = grad Y in the sup-in-time dyadic
+n/2 norm, read from the spectrum of Y; the iteration never forms a
+trajectory of G.
 """
 
 import math
@@ -57,13 +57,12 @@ class PicardState:
 
     @cached_property
     def G(self):
-        """grad Y, (steps+1, n, n) + grid.shape."""
-        return self.grid.jacobian(self.Y)
+        """grad Y, (steps+1, n, n) + grid.shape, formed on first read.
 
-    @cached_property
-    def dG(self):
-        """grad d_t Y, same shape as G."""
-        return self.grid.jacobian(self.dY)
+        No library path reads it: the pipeline forms G one sample at a time.
+        It stays for the benchmark's correctness gate (perfbench/worker.py).
+        """
+        return self.grid.jacobian(self.Y)
 
 
 @dataclass

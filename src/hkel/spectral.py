@@ -70,6 +70,9 @@ class Grid:
             self.freq.append(k1[: sh[a]].reshape(sh))
             self.dfreq.append(d1[: sh[a]].reshape(sh))
         self.k2 = sum(k * k for k in self.freq) + np.zeros(self.spectral_shape)
+        # |d|^2: grad u has the spectrum i dfreq_b u_hat, so the power of grad u
+        # at a mode is |d|^2 |u_hat|^2
+        self.dk2 = sum(k * k for k in self.dfreq) + np.zeros(self.spectral_shape)
         self.absk = np.sqrt(self.k2)
         nonzero = self.k2 > 0
         self.inv_k2 = np.where(nonzero, 1.0 / np.where(nonzero, self.k2, 1.0), 0.0)
@@ -134,12 +137,6 @@ class Grid:
             )
 
     # -- first-order calculus ---------------------------------------------
-
-    def deriv(self, u, axis):
-        """Spectral partial derivative along spatial axis ``axis``."""
-        if not 0 <= axis < self.n:
-            raise ValueError(f"axis must be in 0..{self.n - 1}, got {axis}")
-        return self.ifft(self.fft(u) * (1j * self.dfreq[axis]))
 
     def gradient(self, u):
         """Stack of all partial derivatives along a new leading axis."""

@@ -105,16 +105,12 @@ def time_derivative(tg, u):
     return du
 
 
-def second_time_derivative(tg, u):
-    """Second-order d^2/dt^2 of a sampled trajectory (all samples)."""
+def box_trajectory(grid, tg, u):
+    """Finite-difference box of every sample (one-sided at the endpoints)."""
     ddu = np.empty_like(u)
     dt2 = tg.dt**2
     ddu[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dt2
     ddu[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / dt2
     ddu[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / dt2
+    ddu -= grid.laplacian(u)
     return ddu
-
-
-def box_trajectory(grid, tg, u):
-    """Finite-difference box of every sample (one-sided at the endpoints)."""
-    return second_time_derivative(tg, u) - grid.laplacian(u)

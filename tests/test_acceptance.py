@@ -9,15 +9,15 @@ import numpy as np
 import pytest
 
 from hkel.diagnostics import (
-    besov_sup,
     data_norm,
+    gradient_besov_sup,
     loglog_slope,
     s_surrogate,
     solution_norm,
 )
 from hkel.config import RunConfig
 from hkel.direct import cross_validate, run_direct
-from hkel.elastic import InitialData, det_residual_sup, make_shear_data
+from hkel.elastic import InitialData, det_residual, make_shear_data
 from hkel.picard import free_wave_state, picard_solve
 from hkel.selftest import (
     check_compatibility,
@@ -59,7 +59,7 @@ def contraction_run(grid64):
         ratios=result.ratios,
         iterations=result.iterations,
         converged=result.converged,
-        det_dev=det_residual_sup(result.state.G),
+        det_dev=max(det_residual(grid64.jacobian(Ym)) for Ym in result.state.Y),
     )
 
 
@@ -83,8 +83,8 @@ def sweep_runs(grid64):
                 iterations=result.iterations,
                 first_ratio=result.ratios[0],
                 data_norm=data_norm(grid64, data),
-                solution_norm=solution_norm(grid64, result.state.G, result.state.dG),
-                free_deviation=besov_sup(grid64, result.state.G - free.G, 1.0),
+                solution_norm=solution_norm(grid64, result.state.Y, result.state.dY),
+                free_deviation=gradient_besov_sup(grid64, result.state.Y - free.Y, 1.0),
             )
         )
         del result, free
@@ -191,7 +191,7 @@ def test_criterion_9_continuous_dependence(grid64):
             grid64, InitialData(data2.f - base_data.f, data2.g - base_data.g)
         )
         dsol = solution_norm(
-            grid64, run2.state.G - base.state.G, run2.state.dG - base.state.dG
+            grid64, run2.state.Y - base.state.Y, run2.state.dY - base.state.dY
         )
         constants.append(dsol / ddata)
         del run2
@@ -208,7 +208,7 @@ def test_criterion_10_variation_norm(grid64):
     data = make_shear_data(grid64, EPS, seed=77, band=2)
     tg = TimeGrid(0.02, 100)
     free = free_wave_state(grid64, tg, data)
-    total, variation = s_surrogate(grid64, tg, free.G, free.dG)
+    total, variation = s_surrogate(grid64, tg, free.Y, free.dY)
     besov_part = total - variation
     ok = exact and variation < 1e-10 * besov_part
     report(

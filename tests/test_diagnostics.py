@@ -13,6 +13,7 @@ from hkel.diagnostics import (
     loglog_slope,
     pairwise_sq_dists,
     s_surrogate,
+    solution_norm,
     sweep_report,
     two_variation,
     two_variation_from_dists,
@@ -136,7 +137,7 @@ def test_two_variation_subsampling_cap(rng):
 
 def test_s_surrogate_zero_state(grid2):
     tg = TimeGrid(0.1, 8)
-    Z = np.zeros((tg.nsamples, 2, 2) + grid2.shape)
+    Z = np.zeros((tg.nsamples, 2) + grid2.shape)
     total, variation = s_surrogate(grid2, tg, Z, Z)
     assert total == 0.0 and variation == 0.0
 
@@ -145,7 +146,7 @@ def test_s_surrogate_free_wave_variation_vanishes(grid2):
     data = make_shear_data(grid2, 1e-2, seed=5, band=2)
     tg = TimeGrid(1 / 16, 16)
     free = free_wave_state(grid2, tg, data)
-    total, variation = s_surrogate(grid2, tg, free.G, free.dG)
+    total, variation = s_surrogate(grid2, tg, free.Y, free.dY)
     besov_part = besov_sup(grid2, free.G, grid2.n / 2.0)
     assert variation <= 1e-10 * besov_part
     assert np.isclose(total, besov_part, rtol=1e-9)
@@ -178,10 +179,12 @@ def test_s_surrogate_matches_full_spectrum(rng, n, size):
     # N/2 all carry content
     grid = Grid(n, size)
     tg = TimeGrid(0.1, 6)
-    G_ts = rng.standard_normal((tg.nsamples, n, n) + grid.shape)
-    dG_ts = rng.standard_normal(G_ts.shape)
-    got = s_surrogate(grid, tg, G_ts, dG_ts)
-    expected = full_spectrum_s_surrogate(grid, tg, G_ts, dG_ts, n / 2.0)
+    Y_ts = rng.standard_normal((tg.nsamples, n) + grid.shape)
+    dY_ts = rng.standard_normal(Y_ts.shape)
+    got = s_surrogate(grid, tg, Y_ts, dY_ts)
+    expected = full_spectrum_s_surrogate(
+        grid, tg, grid.jacobian(Y_ts), grid.jacobian(dY_ts), n / 2.0
+    )
     assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
@@ -192,6 +195,17 @@ def test_gradient_besov_sup_matches_jacobian_norm(rng, n, size):
     for s in (n / 2.0, 0.0):
         expected = besov_sup(grid, grid.jacobian(Y_ts), s)
         assert abs(gradient_besov_sup(grid, Y_ts, s) - expected) <= 1e-14 * expected
+
+
+@pytest.mark.parametrize("n, size", [(2, 16), (3, 8)])
+def test_solution_norm_measures_jacobians(rng, n, size):
+    grid = Grid(n, size)
+    Y_ts = rng.standard_normal((5, n) + grid.shape)
+    dY_ts = rng.standard_normal(Y_ts.shape)
+    expected = besov_sup(grid, grid.jacobian(Y_ts), n / 2.0) + besov_sup(
+        grid, grid.jacobian(dY_ts), n / 2.0 - 1.0
+    )
+    assert abs(solution_norm(grid, Y_ts, dY_ts) - expected) <= 1e-14 * expected
 
 
 def test_sup_norms_propagate_nan(grid2, rng):
@@ -259,7 +273,7 @@ def test_s_surrogate_variation_scales_quadratically():
         )
         result = picard_solve(grid, data, cfg)
         _, variation = s_surrogate(
-            grid, result.state.tg, result.state.G, result.state.dG
+            grid, result.state.tg, result.state.Y, result.state.dY
         )
         variations[eps] = variation
     slope = loglog_slope(list(variations), list(variations.values()))

@@ -10,7 +10,7 @@ from hkel.direct import (
     run_direct,
     solve_pressure,
 )
-from hkel.elastic import InitialData, make_shear_data
+from hkel.elastic import InitialData, det_residual, make_shear_data
 from hkel.spectral import Grid, random_mean_free
 
 
@@ -40,7 +40,8 @@ def test_pressure_zero_state_single_mode(grid2):
     # single-mode stream function: tr((grad g)^2) = 0, so p = 0 exactly
     x = grid2.coords
     psi = np.cos(x[0] + 2 * x[1])
-    g = np.stack([grid2.deriv(psi, 1), -grid2.deriv(psi, 0)])
+    dpsi = grid2.gradient(psi)
+    g = np.stack([dpsi[1], -dpsi[0]])
     Y = np.zeros((2,) + grid2.shape)
     p, iters = solve_pressure(grid2, identity_minv(grid2), Y, g, None, 1e-11, 50)
     assert np.abs(p).max() <= 1e-11
@@ -68,7 +69,7 @@ def test_direct_zero_data_stays_zero(grid2):
     cfg = small_config(grid_n=32, epsilon=0.0)
     data = InitialData(np.zeros((2,) + grid2.shape), np.zeros((2,) + grid2.shape))
     run = run_direct(grid2, data, cfg)
-    assert np.abs(run.G).max() == 0.0
+    assert np.abs(run.Y).max() == 0.0
     assert run.det_drift == 0.0
 
 
@@ -90,6 +91,15 @@ def test_direct_constraint_drift_second_order():
     assert abs(order - 2.0) <= 0.4
 
 
+def test_direct_det_drift_is_max_over_samples_bitwise():
+    # run_direct keeps a running max per step instead of a trajectory of grad Y
+    grid = Grid(2, 16)
+    data = make_shear_data(grid, 1e-2, seed=10, band=1)
+    run = run_direct(grid, data, small_config())
+    assert run.det_drift > 0.0
+    assert run.det_drift == max(det_residual(grid.jacobian(Ym)) for Ym in run.Y)
+
+
 def test_direct_energy_drift_second_order():
     grid = Grid(2, 16)
     data = make_shear_data(grid, 1e-2, seed=11, band=1)
@@ -98,7 +108,7 @@ def test_direct_energy_drift_second_order():
         cfg = small_config(t_end=0.5, dt=dt)
         run = run_direct(grid, data, cfg)
         energies = [
-            energy(grid, run.velocity[m], run.G[m]) for m in range(len(run.G))
+            energy(grid, run.velocity[m], grid.jacobian(run.Y[m])) for m in range(len(run.Y))
         ]
         drifts.append(max(abs(e - energies[0]) for e in energies) / energies[0])
     order = np.log2(drifts[0] / drifts[1])

@@ -187,7 +187,8 @@ def test_null_form_bracket_diagonal_vanishes(grid2, rng):
 
 def test_compatibility_zero_displacement(grid2, rng):
     psi = random_mean_free(grid2, rng, band=4)
-    g = np.stack([grid2.deriv(psi, 1), -grid2.deriv(psi, 0)])
+    dpsi = grid2.gradient(psi)
+    g = np.stack([dpsi[1], -dpsi[0]])
     data = InitialData(np.zeros((2,) + grid2.shape), g)
     r1, r2 = compatibility_residuals(grid2, data)
     assert r1 <= 1e-12

@@ -41,11 +41,11 @@ def test_parseval(grid2, rng):
 
 def test_derivative_single_mode(grid2):
     x = grid2.coords
-    assert np.abs(grid2.deriv(np.sin(x[0]), 0) - np.cos(x[0])).max() <= 1e-12
+    assert np.abs(grid2.gradient(np.sin(x[0]))[0] - np.cos(x[0])).max() <= 1e-12
 
 
 def test_derivative_constant(grid2):
-    assert np.abs(grid2.deriv(np.ones(grid2.shape), 1)).max() == 0.0
+    assert np.abs(grid2.gradient(np.ones(grid2.shape))[1]).max() == 0.0
 
 
 def test_derivative_against_refined_finite_differences(rng):
@@ -60,7 +60,7 @@ def test_derivative_against_refined_finite_differences(rng):
     w = np.array([3, -32, 168, -672, 0, 672, -168, 32, -3]) / (840.0 * h)
     df = sum(w[i] * np.roll(uf, 4 - i, axis=0) for i in range(9))
     df_on_coarse = df[::4, ::4]
-    got = grid.deriv(u, 0)
+    got = grid.gradient(u)[0]
     scale = np.abs(df_on_coarse).max()
     assert np.abs(got - df_on_coarse).max() <= 1e-8 * scale
 
@@ -136,7 +136,8 @@ def test_leray_annihilates_gradients(grid2):
 
 def test_leray_fixes_divergence_free(grid2, rng):
     psi = random_mean_free(grid2, rng)
-    w = np.stack([grid2.deriv(psi, 1), -grid2.deriv(psi, 0)])
+    dpsi = grid2.gradient(psi)
+    w = np.stack([dpsi[1], -dpsi[0]])
     assert np.abs(grid2.leray_project(w) - w).max() <= 1e-12 * np.abs(w).max()
 
 
@@ -255,7 +256,7 @@ def test_pad_interpolates_point_values(grid2):
 def test_trigpoly_derivative_matches_grid(grid2, rng):
     poly = random_scalar(rng, 2, band=4)
     u = poly.sample(grid2)
-    assert np.allclose(poly.deriv(1).sample(grid2), grid2.deriv(u, 1), atol=1e-12)
+    assert np.allclose(poly.deriv(1).sample(grid2), grid2.gradient(u)[1], atol=1e-12)
 
 
 # -- half-spectrum padding on fractional lattices --------------------------------
@@ -350,7 +351,6 @@ def test_operators_match_complex_fft_oracle(rng, n, size):
         ("project_physical", (traj,)),
         ("band_l2_profile", (v,)),
     ]
-    cases += [("deriv", (u, a)) for a in range(n)]
     cases += [("riesz", (u, a)) for a in range(n)]
     cases += [("dyadic_project", (u, j)) for j in range(grid.nbands)]
     for name, args in cases:
@@ -358,3 +358,6 @@ def test_operators_match_complex_fft_oracle(rng, n, size):
         expected = getattr(ref, name)(*args)
         assert got.shape == expected.shape, name
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max(), (name, args[1:])
+    for a in range(n):  # each partial derivative against its own scale
+        got, expected = grid.gradient(u)[a], ref.deriv(u, a)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max(), ("gradient", a)
