@@ -21,7 +21,6 @@ from .elastic import (
     curl_free_displacement,
     make_shear_data,
     null_form,
-    principal_minor_sum,
     recover_pressure,
 )
 from .picard import (
@@ -46,7 +45,6 @@ __all__ = [
     "parse_config",
     "make_shear_data",
     "compatibility_residuals",
-    "principal_minor_sum",
     "curl_free_displacement",
     "null_form",
     "recover_pressure",

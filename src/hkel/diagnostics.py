@@ -28,15 +28,19 @@ def besov_sup(grid, u_ts, s):
     return float(np.max([besov_norm(grid, u_m, s) for u_m in u_ts]))
 
 
-def gradient_besov_sup(grid, Y_ts, s):
-    """Sup over the leading (time) axis of the Besov norm of grad Y, read from Y.
+def gradient_besov_norms(grid, Y_ts, s):
+    """Besov norm of grad Y per sample of the leading (time) axis, read from Y.
 
-    Per band ||P_j grad Y||^2 sums |d|^2 sum_a |Y_hat_a|^2: no Jacobian is
-    formed.  A sample that is not finite makes the sup NaN.
+    Per band ||P_j grad Y||^2 sums |d|^2 sum_a |Y_hat_a|^2; no Jacobian is formed.
     """
     power = (np.abs(grid.fft(Y_ts)) ** 2).sum(axis=1) * grid.dk2
     weights = 2.0 ** (s * np.arange(grid.nbands))
-    return float(np.max([np.dot(weights, grid.band_l2_of_power(p)) for p in power]))
+    return np.array([np.dot(weights, grid.band_l2_of_power(p)) for p in power])
+
+
+def gradient_besov_sup(grid, Y_ts, s):
+    """Sup over the leading (time) axis of ``gradient_besov_norms``; NaN if any sample is NaN."""
+    return float(np.max(gradient_besov_norms(grid, Y_ts, s)))
 
 
 def data_norm(grid, data):

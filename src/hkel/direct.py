@@ -8,7 +8,10 @@ log det(grad X) to vanish:
 
 The variable-coefficient pressure problem is solved by Richardson
 iteration preconditioned with the constant-coefficient inverse Laplacian,
-which contracts geometrically while the deformation stays small.  Products
+which contracts geometrically while the deformation stays small.  The
+iterate is the half spectrum of p; a step makes one transform call for
+grad p, one each way for all n^2 derivatives of (grad X)^-T grad p, and one
+for the residual spectrum, whose norm Parseval gives.  Products
 here are plain collocation products: the coefficients are rational in
 grad Y, so exact dealiasing does not apply, and the oracle's error budget
 is O(dt^2) plus spectral tails either way.
@@ -45,13 +48,7 @@ class DirectRun:
 def _trace_product(Minv, A):
     """tr(Minv A) pointwise for matrix fields."""
     n = Minv.shape[0]
-    acc = Minv[0, 0] * A[0, 0]
-    for a in range(n):
-        for b in range(n):
-            if a == 0 and b == 0:
-                continue
-            acc = acc + Minv[a, b] * A[b, a]
-    return acc
+    return sum(Minv[a, b] * A[b, a] for a in range(n) for b in range(n))
 
 
 def _matT_vec(M, v):
@@ -73,40 +70,38 @@ def _mat_mat(A, B):
 def solve_pressure(grid, Minv, Y, velocity, p0, tol, max_iter):
     """Mean-zero pressure from the constraint's second time derivative.
 
-    Richardson iteration p <- p + lap^-1 (b - A p) with
-    A p = tr(Minv grad((grad X)^-T grad p)).  The residual is projected
-    onto the mean-free physical frequency window: its mean vanishes
-    identically by the Piola identity, and unpaired Nyquist-plane content
-    is collocation noise outside the operator's range.
-    Returns (p, iterations); raises on stagnation with the observed
-    contraction factor.
+    Richardson iteration p_hat <- p_hat - |xi|^-2 r_hat on the half spectrum
+    of p, with r = b - A p and A p = tr(Minv grad((grad X)^-T grad p)).  The
+    residual is projected onto the mean-free physical frequency window (its
+    mean vanishes by the Piola identity, and unpaired Nyquist-plane content
+    is collocation noise outside the operator's range), and its norm is read
+    from that spectrum by Parseval.  Returns (p, iterations), p transformed
+    back once; raises on stagnation with the observed contraction factor.
     """
     gradL = grid.jacobian(grid.laplacian(Y))
     W = _mat_mat(Minv, grid.jacobian(velocity))
-    b = grid.project_physical(_trace_product(Minv, gradL) - _trace_product(W, W))
-    bnorm = grid.l2(b)
+    bh = grid.physical_spectrum(_trace_product(Minv, gradL) - _trace_product(W, W))
+    bnorm = grid.spectral_l2(bh)
     if bnorm == 0.0:
         return np.zeros(grid.shape), 0
 
-    def apply_op(p):
-        u = _matT_vec(Minv, grid.gradient(p))
-        return _trace_product(Minv, grid.jacobian(u))
-
-    p = p0.copy() if p0 is not None else np.zeros(grid.shape)
-    p -= p.mean()
+    ph = grid.physical_spectrum(p0) if p0 is not None else np.zeros(grid.spectral_shape, complex)
     prev_res = None
     for it in range(1, max_iter + 1):
-        r = grid.project_physical(b - apply_op(p))
-        res = grid.l2(r)
+        u = _matT_vec(Minv, grid.ifft(ph * grid.idfreq))  # (grad X)^-T grad p
+        # grid.gradient(u)[b, a] = d_b u_a: the n^2 derivatives in one call each way
+        Ap = _trace_product(Minv, grid.gradient(u).swapaxes(0, 1))
+        rh = bh - grid.physical_spectrum(Ap)
+        res = grid.spectral_l2(rh)
         if res <= tol * bnorm:
-            return p, it
+            return grid.ifft(ph), it
         if prev_res is not None and res >= prev_res:
             raise RuntimeError(
                 f"pressure iteration stagnated at step {it}: residual ratio "
                 f"{res / prev_res:.3f} (deformation too large)"
             )
         prev_res = res
-        p += grid.inverse_laplacian(r, check_mean=False)
+        ph -= rh * grid.inv_k2
     raise RuntimeError(
         f"pressure iteration exceeded {max_iter} steps; last contraction "
         f"{res / prev_res if prev_res else float('nan'):.3f}"

@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .bandlimited import random_divergence_free, random_scalar
-from .spectral import dealiased_product, pad_to_fine, truncate_from_fine
+from .spectral import pad_to_fine, truncate_from_fine
 
 
 @dataclass
@@ -91,15 +91,6 @@ def _on_fine(grid, A, fine=None):
     if fine is None:
         fine = pad_to_fine(grid, np.asarray(A), 2)
     return fine, fine.shape[-1] / grid.size
-
-
-def principal_minor_sum(grid, A, k):
-    """Sum of all k x k principal minors of a matrix field, dealiased."""
-    n = grid.n
-    if not 2 <= k <= n:
-        raise ValueError(f"minor order must satisfy 2 <= k <= {n}, got {k}")
-    fine = pad_to_fine(grid, np.asarray(A), 2)
-    return truncate_from_fine(grid, _accumulate_terms(fine, _minor_terms(n, (k,))), 2)
 
 
 def minor_sum_total(grid, G, G_fine=None):
@@ -290,35 +281,31 @@ def make_shear_data(grid, amplitude, seed, band=2, nshears=None):
 
 
 def recover_pressure(grid, G, boxY):
-    """Pressure and curl residual from the momentum balance.
+    """Pressure and curl residual from the momentum balance, per sample.
 
     The elastic acceleration balance reads (I + G^T) box(Y) = -grad p, so
-    p = -inv_lap(div w) for w = (I + G^T) box(Y).  The returned residual
-    ||leray(w)|| / ||w|| measures how far w is from a pure gradient.
+    p = -inv_lap(div w) for w = (I + G^T) box(Y).  The residual
+    ||leray(w)|| / ||w|| (0 where w = 0) measures how far w is from a pure
+    gradient.  G is L + (n, n) + space and boxY L + (n,) + space for leading
+    (time) axes L; p is L + space and the residual has shape L.  Both inputs
+    are padded once onto the pad-3/2 lattice, where quadratic products are
+    alias-free, sum_l G[l, b] boxY[l] is accumulated there in the order of l
+    and truncated once: a sample's result does not depend on its batch.
     """
     n = grid.n
-    w = boxY.astype(float).copy()
-    for b in range(n):
-        for l in range(n):
-            w[b] += dealiased_product(grid, [G[l, b], boxY[l]])
+    pad = 1.5
+    Gf = pad_to_fine(grid, G, pad)
+    Bf = pad_to_fine(grid, boxY, pad)
+    row = (slice(None),) * (n + 1)  # G[l, b] over b, boxY[l] broadcast along b
+    acc = Gf[(Ellipsis, 0) + row] * Bf[(Ellipsis, 0, None) + row[1:]]
+    for l in range(1, n):
+        acc += Gf[(Ellipsis, l) + row] * Bf[(Ellipsis, l, None) + row[1:]]
+    w = boxY + truncate_from_fine(grid, acc, pad)
     w -= w.mean(axis=grid.axes, keepdims=True)  # constant part carries no curl
     p = -grid.inverse_laplacian(grid.divergence(w), check_mean=False)
-    wnorm = grid.l2(w)
-    if wnorm == 0.0:
-        return p, 0.0
-    residual = grid.l2(grid.leray_project(w, check_mean=False)) / wnorm
-    return p, residual
-
-
-def curl_compatibility_residual(grid, G):
-    """Max relative failure of d_k G[a, b] = d_b G[a, k] (gradient check)."""
-    n = grid.n
-    Gh = grid.fft(G)
-    worst = 0.0
-    for a in range(n):
-        for b in range(n):
-            for k in range(b + 1, n):
-                diff = grid.ifft(Gh[a, b] * (1j * grid.dfreq[k]) - Gh[a, k] * (1j * grid.dfreq[b]))
-                worst = max(worst, float(np.abs(diff).max()))
-    scale = float(np.abs(G).max())
-    return worst / scale if scale > 0 else worst
+    curl = grid.leray_project(w, check_mean=False)
+    sample = (-n - 1,) + grid.axes
+    wnorm = np.sqrt(grid.cell_volume * np.sum(w * w, axis=sample))
+    cnorm = np.sqrt(grid.cell_volume * np.sum(curl * curl, axis=sample))
+    residual = np.divide(cnorm, wnorm, out=np.zeros_like(wnorm), where=wnorm > 0.0)
+    return p, residual[()]

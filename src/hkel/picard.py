@@ -103,7 +103,7 @@ def picard_map(grid, state, free):
 
     W = np.empty_like(state.Y)
     Z = np.empty_like(state.Y)
-    chunk = max(1, 2**18 // (4 * grid.npoints))  # ~16 samples at n=2, N=64
+    chunk = grid.samples_per_chunk()
     for m0 in range(0, nsamples, chunk):
         m1 = min(m0 + chunk, nsamples)
         Gc = np.ascontiguousarray(np.moveaxis(grid.jacobian(state.Y[m0:m1]), 0, 2))

@@ -69,6 +69,8 @@ class Grid:
             sh[a] = self.spectral_shape[a]
             self.freq.append(k1[: sh[a]].reshape(sh))
             self.dfreq.append(d1[: sh[a]].reshape(sh))
+        # i dfreq_b stacked over b: one inverse transform gives every derivative
+        self.idfreq = np.stack([1j * np.broadcast_to(d, self.spectral_shape) for d in self.dfreq])
         self.k2 = sum(k * k for k in self.freq) + np.zeros(self.spectral_shape)
         # |d|^2: grad u has the spectrum i dfreq_b u_hat, so the power of grad u
         # at a mode is |d|^2 |u_hat|^2
@@ -81,7 +83,6 @@ class Grid:
         weight = np.full(half + 1, 2.0)
         weight[[0, half]] = 1.0
         self.parseval_weight = weight.reshape((1,) * (n - 1) + (half + 1,))
-
 
         # sharp dyadic shells 2^j <= |xi| < 2^(j+1); the zero mode gets -1
         self.nbands = int(math.log2(half)) + 1
@@ -120,11 +121,24 @@ class Grid:
         u = np.asarray(u)
         return math.sqrt(self.cell_volume * float(np.sum(u * u)))
 
-    def project_physical(self, u):
-        """Drop unpaired Nyquist-plane content and the mean."""
+    def spectral_l2(self, uh):
+        """``l2`` of the real field whose half spectrum is uh, by Parseval."""
+        power = float(np.sum((uh.real**2 + uh.imag**2) * self.parseval_weight))
+        return math.sqrt(self.cell_volume / self.npoints * power)
+
+    def physical_spectrum(self, u):
+        """Half spectrum of u without unpaired Nyquist-plane content and the mean."""
         uh = self.fft(u) * self.phys_mask
         uh[(Ellipsis,) + (0,) * self.n] = 0.0
-        return self.ifft(uh)
+        return uh
+
+    def project_physical(self, u):
+        """Drop unpaired Nyquist-plane content and the mean."""
+        return self.ifft(self.physical_spectrum(u))
+
+    def samples_per_chunk(self):
+        """Time samples per batch of Jacobian work: 2**18 / (4 N^n), 16 at N^n = 4096."""
+        return max(1, 2**18 // (4 * self.npoints))
 
     def require_mean_free(self, u, what="field"):
         u = np.asarray(u)
@@ -141,7 +155,8 @@ class Grid:
     def gradient(self, u):
         """Stack of all partial derivatives along a new leading axis."""
         uh = self.fft(u)
-        return np.stack([self.ifft(uh * (1j * k)) for k in self.dfreq])
+        lead = (1,) * (uh.ndim - self.n)
+        return self.ifft(uh * self.idfreq.reshape((self.n,) + lead + self.spectral_shape))
 
     def jacobian(self, v):
         """Jacobian G[a, b] = d_b v_a of a vector field (component axis just before space).
@@ -156,8 +171,8 @@ class Grid:
         return out
 
     def divergence(self, v):
-        """Divergence of a vector field (first axis = component)."""
-        vh = self.fft(v)
+        """Divergence of a vector field (component axis just before space)."""
+        vh = np.moveaxis(self.fft(v), -self.n - 1, 0)
         acc = vh[0] * (1j * self.dfreq[0])
         for a in range(1, self.n):
             acc = acc + vh[a] * (1j * self.dfreq[a])
@@ -178,23 +193,23 @@ class Grid:
         return self.ifft(self.fft(u) * (1j * self.dfreq[i] * self.inv_absk))
 
     def leray_project(self, v, check_mean=True):
-        """Divergence-free part of a vector field: v - grad(inv_lap(div v))."""
+        """Divergence-free part v - grad(inv_lap(div v)), components just before space."""
         v = np.asarray(v)
-        if v.shape[0] != self.n:
+        if v.ndim <= self.n or v.shape[-self.n - 1] != self.n:
             raise ValueError("leray_project expects a vector field")
         if check_mean:
             self.require_mean_free(v, "leray_project input")
         # freq is even under xi -> -xi (mod N) on a Nyquist plane, so xi xi^T
         # is not Hermitian there; a real field sees only its Hermitian part
         # d d^T + e e^T, with d = dfreq and the Nyquist part e = freq - dfreq.
-        vh = self.fft(v)
+        vh = np.moveaxis(self.fft(v), -self.n - 1, 0)
         nyq = [f - d for f, d in zip(self.freq, self.dfreq)]
         ddotv = sum(self.dfreq[a] * vh[a] for a in range(self.n))
         edotv = sum(nyq[a] * vh[a] for a in range(self.n))
         out = np.empty_like(vh)
         for a in range(self.n):
             out[a] = vh[a] - (self.dfreq[a] * ddotv + nyq[a] * edotv) * self.inv_k2
-        return self.ifft(out)
+        return self.ifft(np.moveaxis(out, 0, -self.n - 1))
 
     # -- dyadic shells ------------------------------------------------------
 

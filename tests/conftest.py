@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hkel.spectral import Grid
+from hkel.elastic import _accumulate_terms, _minor_terms
+from hkel.spectral import Grid, pad_to_fine, truncate_from_fine
 
 
 @pytest.fixture(scope="session")
@@ -31,6 +32,29 @@ def random_jacobian(grid, rng, scale=1.0, band=None):
         band = grid.size // 4
     Y = scale * random_vector(grid, rng, band=band)
     return grid.jacobian(Y)
+
+
+def principal_minor_sum(grid, A, k):
+    """Sum of all k x k principal minors of a matrix field, dealiased (the oracle)."""
+    n = grid.n
+    if not 2 <= k <= n:
+        raise ValueError(f"minor order must satisfy 2 <= k <= {n}, got {k}")
+    fine = pad_to_fine(grid, np.asarray(A), 2)
+    return truncate_from_fine(grid, _accumulate_terms(fine, _minor_terms(n, (k,))), 2)
+
+
+def curl_compatibility_residual(grid, G):
+    """Max relative failure of d_k G[a, b] = d_b G[a, k] (gradient check)."""
+    n = grid.n
+    Gh = grid.fft(G)
+    worst = 0.0
+    for a in range(n):
+        for b in range(n):
+            for k in range(b + 1, n):
+                diff = grid.ifft(Gh[a, b] * (1j * grid.dfreq[k]) - Gh[a, k] * (1j * grid.dfreq[b]))
+                worst = max(worst, float(np.abs(diff).max()))
+    scale = float(np.abs(G).max())
+    return worst / scale if scale > 0 else worst
 
 
 class ComplexGrid:

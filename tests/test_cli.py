@@ -110,6 +110,23 @@ def test_simulate_deterministic_output(tmp_path):
     assert (out_a / "diagnostics.csv").read_bytes() == (out_b / "diagnostics.csv").read_bytes()
 
 
+@pytest.mark.parametrize("solver", ["picard", "direct"])
+def test_diagnostics_bytes_independent_of_chunk_size(tmp_path, monkeypatch, solver):
+    from hkel.spectral import Grid
+
+    default = Grid.samples_per_chunk
+    outputs = []
+    for name, chunk in (("one", lambda grid: 1), ("default", default)):
+        monkeypatch.setattr(Grid, "samples_per_chunk", chunk)
+        out = tmp_path / name
+        body = SMALL.format(eps=0.01, solver=solver, out=out) + "diagnostics_every = 3\n"
+        assert main(["simulate", write_cfg(tmp_path, body, f"{name}.cfg")]) == 0
+        outputs.append((out / "diagnostics.csv").read_bytes())
+    assert Grid(2, 16).samples_per_chunk() > 3  # the default batches several samples
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 1 + 3  # t = 0, 3 dt, 6 dt of 9 samples
+
+
 def test_simulate_output_override(tmp_path):
     out = tmp_path / "default"
     override = tmp_path / "elsewhere"

@@ -9,6 +9,7 @@ from hkel.diagnostics import (
     besov_sup,
     data_norm,
     energy,
+    gradient_besov_norms,
     gradient_besov_sup,
     loglog_slope,
     pairwise_sq_dists,
@@ -195,6 +196,18 @@ def test_gradient_besov_sup_matches_jacobian_norm(rng, n, size):
     for s in (n / 2.0, 0.0):
         expected = besov_sup(grid, grid.jacobian(Y_ts), s)
         assert abs(gradient_besov_sup(grid, Y_ts, s) - expected) <= 1e-14 * expected
+
+
+@pytest.mark.parametrize("n, size", [(2, 16), (3, 8)])
+def test_gradient_besov_norms_per_sample(rng, n, size):
+    grid = Grid(n, size)
+    Y_ts = rng.standard_normal((5, n) + grid.shape)
+    for s in (n / 2.0, n / 2.0 - 1.0):
+        got = gradient_besov_norms(grid, Y_ts, s)
+        assert got.shape == (5,)
+        for m in range(5):
+            expected = besov_norm(grid, grid.jacobian(Y_ts[m]), s)
+            assert abs(got[m] - expected) <= 1e-14 * expected
 
 
 @pytest.mark.parametrize("n, size", [(2, 16), (3, 8)])

@@ -5,13 +5,18 @@ from hkel.config import RunConfig
 from hkel.diagnostics import energy
 from hkel.direct import (
     DirectState,
+    _mat_mat,
+    _matT_vec,
+    _trace_product,
     cross_validate,
     direct_step,
     run_direct,
     solve_pressure,
 )
-from hkel.elastic import InitialData, det_residual, make_shear_data
+from hkel.elastic import InitialData, det_residual, inverse_pointwise, make_shear_data
 from hkel.spectral import Grid, random_mean_free
+
+from conftest import random_jacobian, random_vector
 
 
 def small_config(**overrides):
@@ -57,12 +62,45 @@ def test_pressure_manufactured_solution(grid2, rng):
     # velocity whose quadratic term reproduces lap(p_true) is awkward to
     # manufacture; instead check the operator directly via one Richardson
     # pass from the exact right-hand side
-    from hkel.direct import _matT_vec, _trace_product
-
     Minv = identity_minv(grid2)
     u = _matT_vec(Minv, grid2.gradient(p_true))
     b = _trace_product(Minv, grid2.jacobian(u))
     assert np.abs(b - grid2.laplacian(p_true)).max() <= 1e-11 * np.abs(p_true).max()
+
+
+@pytest.mark.parametrize("n, size", [(2, 32), (3, 16)])
+def test_pressure_residual_by_parseval_matches_physical_norm(rng, n, size):
+    # solve_pressure reads ||project_physical(b - A p)|| from the masked
+    # half spectrum; the physical-space route is the oracle
+    grid = Grid(n, size)
+    gradX = random_jacobian(grid, rng, scale=0.01, band=2)
+    for a in range(n):
+        gradX[a, a] += 1.0
+    Minv = inverse_pointwise(gradX)
+    Y, velocity = random_vector(grid, rng), random_vector(grid, rng)
+    p = random_mean_free(grid, rng)
+    W = _mat_mat(Minv, grid.jacobian(velocity))
+    b = _trace_product(Minv, grid.jacobian(grid.laplacian(Y))) - _trace_product(W, W)
+    Ap = _trace_product(Minv, grid.jacobian(_matT_vec(Minv, grid.gradient(p))))
+    expected = grid.l2(grid.project_physical(b - Ap))
+    got = grid.spectral_l2(grid.physical_spectrum(b) - grid.physical_spectrum(Ap))
+    assert abs(got - expected) <= 1e-13 * expected
+
+
+@pytest.mark.parametrize(
+    "eps, tol, iterations",
+    [
+        (1e-2, 1e-10, [7] + [6] * 15),
+        (1e-1, 1e-10, [14] + [12] * 14 + [11]),
+    ],
+)
+def test_pressure_iterations_per_step_pinned(eps, tol, iterations):
+    # recorded from the physical-space Richardson loop that the spectral
+    # iterate replaced: the same number of steps, step by step
+    grid = Grid(2, 16)
+    data = make_shear_data(grid, eps, seed=10, band=1)
+    run = run_direct(grid, data, small_config(epsilon=eps, pressure_tol=tol))
+    assert run.pressure_iterations == iterations
 
 
 def test_direct_zero_data_stays_zero(grid2):

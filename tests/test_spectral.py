@@ -65,6 +65,16 @@ def test_derivative_against_refined_finite_differences(rng):
     assert np.abs(got - df_on_coarse).max() <= 1e-8 * scale
 
 
+@pytest.mark.parametrize("n, size", [(2, 32), (3, 16)])
+def test_gradient_one_call_matches_per_derivative_loop_bitwise(rng, n, size):
+    grid = Grid(n, size)
+    for u in (rng.standard_normal(grid.shape), rng.standard_normal((3, n) + grid.shape)):
+        uh = grid.fft(u)
+        loop = np.stack([grid.ifft(uh * (1j * k)) for k in grid.dfreq])
+        got = grid.gradient(u)
+        assert got.shape == loop.shape and got.tobytes() == loop.tobytes()
+
+
 # -- inverse laplacian ----------------------------------------------------------
 
 
@@ -147,6 +157,18 @@ def test_leray_idempotent(grid2, grid3, rng):
         pv = grid.leray_project(v)
         assert np.abs(grid.leray_project(pv) - pv).max() <= 1e-12 * np.abs(v).max()
         assert np.abs(grid.divergence(pv)).max() <= 1e-12 * grid.l2(v)
+
+
+def test_vector_operators_broadcast_over_leading_axes_bitwise(grid2, grid3, rng):
+    # the component axis is the one just before space, as for jacobian
+    for grid in (grid2, grid3):
+        v = np.stack([random_vector(grid, rng) for _ in range(3)])
+        pv, dv = grid.leray_project(v), grid.divergence(v)
+        for m in range(3):
+            assert pv[m].tobytes() == grid.leray_project(v[m]).tobytes()
+            assert dv[m].tobytes() == grid.divergence(v[m]).tobytes()
+    with pytest.raises(ValueError):
+        grid2.leray_project(np.zeros((3,) + grid2.shape))
 
 
 # -- dyadic bands -----------------------------------------------------------------
