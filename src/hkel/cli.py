@@ -35,7 +35,7 @@ from .elastic import (
 from .picard import COMPATIBILITY_TOL, compatible, free_wave_state, picard_solve
 from .selftest import run_selftest
 from .snapshots import read_snapshot, write_snapshot
-from .waves import box_trajectory
+from .waves import second_time_derivative
 from .spectral import Grid
 
 EXIT_OK = 0
@@ -45,10 +45,11 @@ EXIT_NOT_CONVERGED = 2
 
 # Trajectory-sized arrays alive at a run's peak: the slope of own-process peak
 # RSS against the trajectory size between two horizons, rounded up from the
-# larger of 7.9 (2D N=64, 300/600 steps) and 4.9 (3D N=16, 30/90 steps) for
+# larger of 7.9 (2D N=64, 300/600 steps) and 5.0 (3D N=16, 30/90 steps) for
 # Picard, and from 3.4 (2D N=64, 300/600 steps) for the leapfrog.  Both 2D
 # horizons cap the surrogate at VARIATION_MAX_SAMPLES samples, so the slope
-# sees one phase; for Picard it is the solve's Duhamel temporaries.
+# sees one phase; for Picard it is the solve's spectral iterates and Duhamel
+# temporaries.
 PEAK_TRAJECTORY_ARRAYS = {"picard": 8, "direct": 4}
 
 # In-memory products of one simulation, reused by sweep analytics.
@@ -167,7 +168,10 @@ def run_one(cfg, subdir=None):
         except RuntimeError as exc:
             print(f"not converged: {exc}", file=sys.stderr)
             return EXIT_NOT_CONVERGED, None
-        Y_ts, dY_ts, boxY_ts = run.Y, run.velocity, box_trajectory(grid, tg, run.Y)
+        Y_ts, dY_ts = run.Y, run.velocity
+        # the box differenced before any transform, whose rounding 1/dt^2 would amplify
+        boxY_ts = second_time_derivative(tg, Y_ts)
+        boxY_ts -= grid.laplacian(Y_ts)
         report.iterations = int(np.max(run.pressure_iterations))
 
     # G = grad Y exists one chunk of the sampled times at a time
@@ -178,8 +182,8 @@ def run_one(cfg, subdir=None):
         batch = slice(m0, min(m0 + span, tg.nsamples), every)
         G = grid.jacobian(Y_ts[batch])
         _, curl_res = recover_pressure(grid, G, boxY_ts[batch])
-        besov_G = gradient_besov_norms(grid, Y_ts[batch], s)
-        besov_dG = gradient_besov_norms(grid, dY_ts[batch], s - 1.0)
+        besov_G = gradient_besov_norms(grid, grid.fft(Y_ts[batch]), s)
+        besov_dG = gradient_besov_norms(grid, grid.fft(dY_ts[batch]), s - 1.0)
         for i, m in enumerate(range(tg.nsamples)[batch]):
             report.rows.append((float(tg.times[m]), besov_G[i], besov_dG[i],
                                 energy(grid, dY_ts[m], G[i]), det_residual(G[i]), curl_res[i]))
@@ -300,7 +304,7 @@ def _sweep_row(grid, eps, art):
         first_picard_ratio=art.report.ratios[0] if art.report.ratios else 0.0,
         iterations=art.report.iterations,
         converged=art.report.converged,
-        free_deviation=gradient_besov_sup(grid, art.Y - free.Y, grid.n / 2.0),
+        free_deviation=gradient_besov_sup(grid, grid.fft(art.Y - free.Y), grid.n / 2.0),
     )
 
 

@@ -5,8 +5,8 @@ needed: it admits an exact O(M^2) dynamic program over sample times.  The
 propagator-twisted surrogate built on it vanishes on exact free waves, so
 its size measures the deviation from free evolution.
 
-Every trajectory-level norm of G = grad Y is read from the spectrum of the
-displacement Y: grad Y has the spectrum i dfreq_b Y_hat_a, so a mode of G
+Every trajectory-level norm of G = grad Y is read from the half spectra of
+the displacement Y: grad Y has the spectrum i dfreq_b Y_hat_a, so a mode of G
 carries the power of Y_hat weighted by |d|^2 = sum_b dfreq_b^2
 (``grid.dk2``), and no trajectory of G is formed.
 """
@@ -28,19 +28,19 @@ def besov_sup(grid, u_ts, s):
     return float(np.max([besov_norm(grid, u_m, s) for u_m in u_ts]))
 
 
-def gradient_besov_norms(grid, Y_ts, s):
-    """Besov norm of grad Y per sample of the leading (time) axis, read from Y.
+def gradient_besov_norms(grid, Yh_ts, s):
+    """Besov norm of grad Y per sample of the leading (time) axis, from the half spectra of Y.
 
     Per band ||P_j grad Y||^2 sums |d|^2 sum_a |Y_hat_a|^2; no Jacobian is formed.
     """
-    power = (np.abs(grid.fft(Y_ts)) ** 2).sum(axis=1) * grid.dk2
+    power = (np.abs(Yh_ts) ** 2).sum(axis=1) * grid.dk2
     weights = 2.0 ** (s * np.arange(grid.nbands))
     return np.array([np.dot(weights, grid.band_l2_of_power(p)) for p in power])
 
 
-def gradient_besov_sup(grid, Y_ts, s):
+def gradient_besov_sup(grid, Yh_ts, s):
     """Sup over the leading (time) axis of ``gradient_besov_norms``; NaN if any sample is NaN."""
-    return float(np.max(gradient_besov_norms(grid, Y_ts, s)))
+    return float(np.max(gradient_besov_norms(grid, Yh_ts, s)))
 
 
 def data_norm(grid, data):
@@ -52,7 +52,8 @@ def data_norm(grid, data):
 def solution_norm(grid, Y_ts, dY_ts):
     """Sup-in-time size of a solution: ||grad Y|| at n/2 plus ||grad d_t Y|| at n/2-1."""
     s = grid.n / 2.0
-    return gradient_besov_sup(grid, Y_ts, s) + gradient_besov_sup(grid, dY_ts, s - 1.0)
+    return (gradient_besov_sup(grid, grid.fft(Y_ts), s)
+            + gradient_besov_sup(grid, grid.fft(dY_ts), s - 1.0))
 
 
 def energy(grid, velocity, G):
@@ -168,7 +169,7 @@ def s_surrogate(grid, tg, Y_ts, dY_ts, s=None, max_samples=VARIATION_MAX_SAMPLES
             w = np.concatenate([own, other[:, :, paired]], axis=2)
             vj += two_variation(w * coeff_scale)
         variation += 2.0 ** (j * s) * vj
-    return variation + gradient_besov_sup(grid, Y_ts, s), variation
+    return variation + gradient_besov_sup(grid, grid.fft(Y_ts), s), variation
 
 
 @dataclass

@@ -9,7 +9,8 @@ log det(grad X) to vanish:
 The variable-coefficient pressure problem is solved by Richardson
 iteration preconditioned with the constant-coefficient inverse Laplacian,
 which contracts geometrically while the deformation stays small.  The
-iterate is the half spectrum of p; a step makes one transform call for
+iterate is the half spectrum of p, and so is the pressure a step keeps for
+the next one's warm start; an iteration makes one transform call for
 grad p, one each way for all n^2 derivatives of (grad X)^-T grad p, and one
 for the residual spectrum, whose norm Parseval gives.  Products
 here are plain collocation products: the coefficients are rational in
@@ -33,7 +34,7 @@ class DirectState:
     velocity: np.ndarray
     Y_prev: np.ndarray = None
     accel: np.ndarray = None
-    pressure: np.ndarray = None
+    pressure: np.ndarray = None  # half spectrum, the next pressure solve's warm start
     iterations: int = 0
 
 
@@ -59,15 +60,11 @@ def _matT_vec(M, v):
 
 def _mat_mat(A, B):
     n = A.shape[0]
-    return np.stack(
-        [
-            np.stack([sum(A[a, l] * B[l, b] for l in range(n)) for b in range(n)])
-            for a in range(n)
-        ]
-    )
+    return np.array([[sum(A[a, l] * B[l, b] for l in range(n)) for b in range(n)]
+                     for a in range(n)])
 
 
-def solve_pressure(grid, Minv, Y, velocity, p0, tol, max_iter):
+def solve_pressure(grid, Minv, lapY, velocity, p0h, tol, max_iter):
     """Mean-zero pressure from the constraint's second time derivative.
 
     Richardson iteration p_hat <- p_hat - |xi|^-2 r_hat on the half spectrum
@@ -75,17 +72,19 @@ def solve_pressure(grid, Minv, Y, velocity, p0, tol, max_iter):
     residual is projected onto the mean-free physical frequency window (its
     mean vanishes by the Piola identity, and unpaired Nyquist-plane content
     is collocation noise outside the operator's range), and its norm is read
-    from that spectrum by Parseval.  Returns (p, iterations), p transformed
-    back once; raises on stagnation with the observed contraction factor.
+    from that spectrum by Parseval.  ``lapY`` is the Laplacian of the
+    displacement and ``p0h`` the half spectrum of the warm start (or None).
+    Returns (p_hat, iterations); raises on stagnation with the observed
+    contraction factor.
     """
-    gradL = grid.jacobian(grid.laplacian(Y))
+    gradL = grid.jacobian(lapY)
     W = _mat_mat(Minv, grid.jacobian(velocity))
     bh = grid.physical_spectrum(_trace_product(Minv, gradL) - _trace_product(W, W))
     bnorm = grid.spectral_l2(bh)
     if bnorm == 0.0:
-        return np.zeros(grid.shape), 0
+        return np.zeros(grid.spectral_shape, complex), 0
 
-    ph = grid.physical_spectrum(p0) if p0 is not None else np.zeros(grid.spectral_shape, complex)
+    ph = p0h.copy() if p0h is not None else np.zeros(grid.spectral_shape, complex)
     prev_res = None
     for it in range(1, max_iter + 1):
         u = _matT_vec(Minv, grid.ifft(ph * grid.idfreq))  # (grad X)^-T grad p
@@ -94,7 +93,7 @@ def solve_pressure(grid, Minv, Y, velocity, p0, tol, max_iter):
         rh = bh - grid.physical_spectrum(Ap)
         res = grid.spectral_l2(rh)
         if res <= tol * bnorm:
-            return grid.ifft(ph), it
+            return ph, it
         if prev_res is not None and res >= prev_res:
             raise RuntimeError(
                 f"pressure iteration stagnated at step {it}: residual ratio "
@@ -113,25 +112,23 @@ def _acceleration(grid, state, tol, max_iter):
     for a in range(grid.n):
         gradX[a, a] += 1.0
     Minv = inverse_pointwise(gradX)
-    p, iters = solve_pressure(
-        grid, Minv, state.Y, state.velocity, state.pressure, tol, max_iter
-    )
-    accel = grid.laplacian(state.Y) - _matT_vec(Minv, grid.gradient(p))
-    return accel, p, iters
+    lapY = grid.laplacian(state.Y)
+    ph, iters = solve_pressure(grid, Minv, lapY, state.velocity, state.pressure, tol, max_iter)
+    return lapY - _matT_vec(Minv, grid.ifft(ph * grid.idfreq)), ph, iters
 
 
 def direct_step(grid, state, dt, tol=1e-10, max_iter=400):
     """One leapfrog step; the velocity estimate is second-order accurate."""
     if state.Y_prev is None:
-        accel, p, iters = _acceleration(grid, state, tol, max_iter)
+        accel, ph, iters = _acceleration(grid, state, tol, max_iter)
         Y_new = state.Y + dt * state.velocity + 0.5 * dt**2 * accel
-        new = DirectState(Y_new, None, state.Y.copy(), accel, p)
+        new = DirectState(Y_new, None, state.Y.copy(), accel, ph)
     else:
         vel = (state.Y - state.Y_prev) / dt + 0.5 * dt * state.accel
         probe = DirectState(state.Y, vel, None, None, state.pressure)
-        accel, p, iters = _acceleration(grid, probe, tol, max_iter)
+        accel, ph, iters = _acceleration(grid, probe, tol, max_iter)
         Y_new = 2.0 * state.Y - state.Y_prev + dt**2 * accel
-        new = DirectState(Y_new, None, state.Y, accel, p)
+        new = DirectState(Y_new, None, state.Y, accel, ph)
     new.iterations = iters
     return new
 

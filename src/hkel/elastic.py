@@ -6,8 +6,8 @@ trace(G) plus the principal-minor sums E_k(G), and those minors drive both
 the curl-free reconstruction and the compatibility checks.
 
 Minors of true Jacobian fields are null Lagrangians, so their means vanish
-in exact arithmetic; the helpers below subtract the rounding-level mean
-before applying Riesz multipliers.
+in exact arithmetic; the Riesz multipliers below vanish at the zero mode,
+so the rounding-level mean drops out.
 """
 
 from dataclasses import dataclass
@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .bandlimited import random_divergence_free, random_scalar
-from .spectral import pad_to_fine, truncate_from_fine
+from .spectral import fine_to_spectrum, pad_to_fine, truncate_from_fine
 
 
 @dataclass
@@ -79,76 +79,54 @@ def _accumulate_terms(stack, terms):
     return acc
 
 
-def _demean(grid, u):
-    return u - u.mean(axis=grid.axes, keepdims=True)
+def minor_sum_total(grid, G):
+    """E_2(G) + ... + E_n(G) with one shared padded transform, on the pad-2 lattice."""
+    return grid.ifft(_minor_sum_spectrum(grid, pad_to_fine(grid, np.asarray(G), 2)))
 
 
-def _on_fine(grid, A, fine=None):
-    """A on a product lattice and that lattice's pad, read from its shape.
-
-    Without ``fine`` A is padded by 2, which resolves products of degree 3.
-    """
-    if fine is None:
-        fine = pad_to_fine(grid, np.asarray(A), 2)
-    return fine, fine.shape[-1] / grid.size
+def _minor_sum_spectrum(grid, G_fine):
+    """Half spectrum of E_2(G) + ... + E_n(G), truncated from the lattice of ``G_fine``."""
+    terms = _minor_terms(grid.n, range(2, grid.n + 1))
+    return fine_to_spectrum(grid, _accumulate_terms(G_fine, terms), G_fine.shape[-1] / grid.size)
 
 
-def minor_sum_total(grid, G, G_fine=None):
-    """E_2(G) + ... + E_n(G) with one shared padded transform.
-
-    ``G_fine`` is G on a product lattice fine enough for degree n; the sum
-    is truncated from that lattice.
-    """
-    n = grid.n
-    fine, pad = _on_fine(grid, G, G_fine)
-    terms = _minor_terms(n, range(2, n + 1))
-    return truncate_from_fine(grid, _accumulate_terms(fine, terms), pad)
-
-
-def curl_free_displacement(grid, G, G_fine=None):
-    """Curl-free displacement slaved to the constraint.
+def curl_free_displacement(grid, G_fine):
+    """Half spectrum of the curl-free displacement slaved to the constraint.
 
     Z_hat[a] = i xi_a |xi|^-2 s_hat with s = sum_k E_k(G), so grad Z is the
     Riesz-Hessian R_a R_b s, whose trace is -s off the Nyquist planes.
-    ``G`` may carry extra axes between its component and spatial axes (time
-    batching); Z then has shape (n,) + those axes + space.  ``G_fine`` is its
-    padded field when the caller has it, on a lattice fine enough for the
-    degree-n minor.
+    ``G_fine`` is G on a product lattice fine enough for the degree-n minor
+    (its pad read from its shape), with any extra (time) axes between its
+    component and spatial axes; Z_hat is (n,) + those + ``spectral_shape``.
     """
-    s = minor_sum_total(grid, G, G_fine=G_fine)
-    s = _demean(grid, s)  # rounding-level for Jacobian input (null Lagrangian)
-    sh = grid.fft(s)
-    return np.stack([grid.ifft(sh * (1j * k * grid.inv_k2)) for k in grid.dfreq])
+    sh = _minor_sum_spectrum(grid, G_fine)
+    return np.stack([sh * m for m in grid.idfreq_inv_k2])
 
 
-def null_form(grid, G, H, G_fine=None):
-    """Displacement whose gradient is the null-form coupling of G with H = box(G).
+def null_form(grid, G_fine, H_fine):
+    """Half spectrum of the displacement whose gradient is the null-form coupling.
 
     W_hat[a] = sum_k i xi_k |xi|^-2 B_hat[a, k], so grad W[a, b] is
     sum_k R_b R_k B[a, k], with the bracket
-    B[a, k] = sum_l (G[l, a] H[l, k] - G[l, k] H[l, a]); B is stored exactly
-    antisymmetrically, so div W vanishes up to rounding.
+    B[a, k] = sum_l (G[l, a] H[l, k] - G[l, k] H[l, a]) of G and H = box(G);
+    B is stored exactly antisymmetrically, so div W vanishes up to rounding.
 
-    Both arguments may carry extra axes between the two component axes and
-    the spatial axes (time batching); W has shape (n,) + those axes + space.
-    The brackets are formed on the lattice of ``G_fine`` (pad 2 without it),
-    and H is padded to the same one.
+    ``G_fine`` and ``H_fine`` are G and H on the product lattice of the
+    brackets (its pad read from their shape), with any extra (time) axes
+    between the component and spatial axes; W_hat is (n,) + those +
+    ``spectral_shape``.
     """
-    n = grid.n
-    G = np.asarray(G)
-    Gf, pad = _on_fine(grid, G, G_fine)
-    Hf = pad_to_fine(grid, np.asarray(H), pad)
-    Bh = np.zeros((n, n) + G.shape[2 : G.ndim - n] + grid.spectral_shape, dtype=complex)
+    n, Gf, Hf = grid.n, G_fine, H_fine
+    pad = Gf.shape[-1] / grid.size
+    Bh = np.zeros((n, n) + Gf.shape[2 : Gf.ndim - n] + grid.spectral_shape, dtype=complex)
     for a in range(n):
         for k in range(a + 1, n):
             acc = Gf[0, a] * Hf[0, k] - Gf[0, k] * Hf[0, a]
             for l in range(1, n):
                 acc += Gf[l, a] * Hf[l, k] - Gf[l, k] * Hf[l, a]
-            b_ak = _demean(grid, truncate_from_fine(grid, acc, pad))
-            Bh[a, k] = grid.fft(b_ak)
+            Bh[a, k] = fine_to_spectrum(grid, acc, pad)
             Bh[k, a] = -Bh[a, k]
-    mult = [1j * k * grid.inv_k2 for k in grid.dfreq]
-    return np.stack([grid.ifft(sum(Bh[a, k] * mult[k] for k in range(n))) for a in range(n)])
+    return np.stack([sum(Bh[a, k] * grid.idfreq_inv_k2[k] for k in range(n)) for a in range(n)])
 
 
 # -- pointwise matrix algebra ------------------------------------------------
@@ -234,9 +212,7 @@ def compatibility_residuals(grid, data):
     Gfine = gradXf.copy()
     for a in range(n):
         Gfine[a, a] -= 1.0
-    trace = Gfine[0, 0].copy()
-    for a in range(1, n):
-        trace += Gfine[a, a]
+    trace = sum(Gfine[a, a] for a in range(n))
     minors = _accumulate_terms(Gfine, _minor_terms(n, range(2, n + 1)))
     r1 = float(np.abs(trace + minors).max())
 

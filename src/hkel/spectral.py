@@ -79,6 +79,8 @@ class Grid:
         nonzero = self.k2 > 0
         self.inv_k2 = np.where(nonzero, 1.0 / np.where(nonzero, self.k2, 1.0), 0.0)
         self.inv_absk = np.where(nonzero, 1.0 / np.where(nonzero, self.absk, 1.0), 0.0)
+        # i dfreq_b |xi|^-2, 0 at the zero mode: d_a of its product with u_hat is R_a R_b u
+        self.idfreq_inv_k2 = self.idfreq * self.inv_k2
         # Parseval weight of a half-lattice mode: interior columns count twice
         weight = np.full(half + 1, 2.0)
         weight[[0, half]] = 1.0
@@ -131,10 +133,6 @@ class Grid:
         uh = self.fft(u) * self.phys_mask
         uh[(Ellipsis,) + (0,) * self.n] = 0.0
         return uh
-
-    def project_physical(self, u):
-        """Drop unpaired Nyquist-plane content and the mean."""
-        return self.ifft(self.physical_spectrum(u))
 
     def samples_per_chunk(self):
         """Time samples per batch of Jacobian work: 2**18 / (4 N^n), 16 at N^n = 4096."""
@@ -297,23 +295,27 @@ def pad_factor(degree):
 
 
 def pad_to_fine(grid, u, pad):
-    """Trigonometric interpolation of real u onto the pad-times finer lattice.
+    """Trigonometric interpolation of real u onto the pad-times finer lattice."""
+    return spectrum_to_fine(grid, grid.fft(u), pad)
+
+
+def spectrum_to_fine(grid, uh, pad):
+    """The real field on the pad-times finer lattice of a half spectrum on the grid.
 
     ``pad * N`` must be an even integer >= N (``ValueError`` otherwise); a
     product of ``d`` factors is alias-free once ``pad >= (d + 1) / 2``.
-    Works on rfftn half spectra.  The unpaired Nyquist index means what it
-    means on the grid: the real part of the interpolant with that mode at
-    -N/2.  So on the columns 0..N/2-1 a coefficient goes half to the slot
-    with all its leading-axis Nyquist indices at -N/2 and half to the slot
-    with them at +N/2 (one slot, full weight, when it has none), and the
-    last-axis Nyquist column goes half to +N/2, with its leading Nyquist
-    indices at +N/2; the half spectrum implies the conjugate half.  At
-    ``pad * N == N`` the slots coincide.
+    The unpaired Nyquist index means what it means on the grid: the real
+    part of the interpolant with that mode at -N/2.  So on the columns
+    0..N/2-1 a coefficient goes half to the slot with all its leading-axis
+    Nyquist indices at -N/2 and half to the slot with them at +N/2 (one
+    slot, full weight, when it has none), and the last-axis Nyquist column
+    goes half to +N/2, with its leading Nyquist indices at +N/2; the half
+    spectrum implies the conjugate half.  At ``pad * N == N`` the slots
+    coincide.
     """
     big = _fine_size(grid, pad)
     n, half = grid.n, grid.size // 2
     scale = (big / grid.size) ** n
-    uh = grid.fft(u)
     cols = (slice(0, half),)
     low = uh[..., :half] * (0.5 * scale)
     nyq = uh[..., half] * ((0.5 if big > grid.size else 1.0) * scale)
@@ -327,10 +329,15 @@ def pad_to_fine(grid, u, pad):
 
 
 def truncate_from_fine(grid, u_fine, pad):
-    """Project a real fine-lattice field back onto the grid's frequency window.
+    """Project a real fine-lattice field back onto the grid's frequency window."""
+    return grid.ifft(fine_to_spectrum(grid, u_fine, pad))
 
-    The mirror of ``pad_to_fine``: the columns 0..N/2-1 average the slots
-    with the leading-axis Nyquist indices at -N/2 and at +N/2, and the
+
+def fine_to_spectrum(grid, u_fine, pad):
+    """Half spectrum on the grid of a real fine-lattice field, truncated to its window.
+
+    The mirror of ``spectrum_to_fine``: the columns 0..N/2-1 average the
+    slots with the leading-axis Nyquist indices at -N/2 and at +N/2, and the
     last-axis Nyquist column is read at +N/2.
     """
     big = _fine_size(grid, pad)
@@ -344,7 +351,7 @@ def truncate_from_fine(grid, u_fine, pad):
     uh[..., :half] *= 0.5
     for src, dst in _placements(grid, big, True):
         uh[(Ellipsis,) + src + (half,)] = fh[(Ellipsis,) + dst + (half,)]
-    return grid.ifft(uh / (big / grid.size) ** n)
+    return uh / (big / grid.size) ** n
 
 
 def _canonical_order(arrays):

@@ -84,7 +84,7 @@ def sweep_runs(grid64):
                 first_ratio=result.ratios[0],
                 data_norm=data_norm(grid64, data),
                 solution_norm=solution_norm(grid64, result.state.Y, result.state.dY),
-                free_deviation=gradient_besov_sup(grid64, result.state.Y - free.Y, 1.0),
+                free_deviation=gradient_besov_sup(grid64, result.state.Yh - free.Yh, 1.0),
             )
         )
         del result, free

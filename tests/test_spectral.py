@@ -5,9 +5,11 @@ from hkel.bandlimited import TrigPoly, random_scalar
 from hkel.spectral import (
     Grid,
     dealiased_product,
+    fine_to_spectrum,
     pad_factor,
     pad_to_fine,
     random_mean_free,
+    spectrum_to_fine,
     truncate_from_fine,
 )
 
@@ -339,6 +341,17 @@ def test_half_spectrum_padding_matches_complex_padding(rng, n, size, pad):
     assert np.abs(diff).max() <= 1e-14
 
 
+@pytest.mark.parametrize("n, size, pad", [(2, 32, 1.5), (2, 32, 2), (3, 16, 2)])
+def test_physical_padding_is_spectral_padding_of_transform_bitwise(rng, n, size, pad):
+    grid = Grid(n, size)
+    u = rng.standard_normal((2, n) + grid.shape)
+    want = spectrum_to_fine(grid, grid.fft(u), pad)
+    assert pad_to_fine(grid, u, pad).tobytes() == want.tobytes()
+    v = rng.standard_normal((2,) + (int(pad * size),) * n)
+    got = truncate_from_fine(grid, v, pad)
+    assert got.tobytes() == grid.ifft(fine_to_spectrum(grid, v, pad)).tobytes()
+
+
 @pytest.mark.parametrize("pad", [1.0625, 1.3, 0.5])  # 17 (odd), 20.8, 8 < N points
 def test_pad_rejects_bad_fine_size(pad):
     grid = Grid(2, 16)
@@ -370,7 +383,6 @@ def test_operators_match_complex_fft_oracle(rng, n, size):
         ("laplacian", (traj,)),
         ("inverse_laplacian", (u,)),
         ("leray_project", (v,)),
-        ("project_physical", (traj,)),
         ("band_l2_profile", (v,)),
     ]
     cases += [("riesz", (u, a)) for a in range(n)]
@@ -383,3 +395,13 @@ def test_operators_match_complex_fft_oracle(rng, n, size):
     for a in range(n):  # each partial derivative against its own scale
         got, expected = grid.gradient(u)[a], ref.deriv(u, a)
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max(), ("gradient", a)
+    got, expected = grid.ifft(grid.physical_spectrum(traj)), ref.project_physical(traj)
+    assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max(), "physical_spectrum"
+
+
+@pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+def test_riesz_hessian_table_matches_inline_multipliers_bitwise(grid_name, request):
+    grid = request.getfixturevalue(grid_name)
+    for k, row in zip(grid.dfreq, grid.idfreq_inv_k2):
+        inline = np.broadcast_to(1j * k * grid.inv_k2, grid.spectral_shape)
+        assert row.tobytes() == np.ascontiguousarray(inline).tobytes()

@@ -26,10 +26,26 @@ def duhamel(grid, tg, F, m):
     return grid.ifft(acc)
 
 
-def box_fd(grid, tg, u, m):
-    """Central second difference in time minus the spectral Laplacian, at sample m."""
-    dtt = (u[m + 1] - 2.0 * u[m] + u[m - 1]) / tg.dt**2
-    return dtt - grid.laplacian(u[m])
+def box_fd(grid, tg, uh, m):
+    """Central second difference in time plus |xi|^2, on the half spectra at sample m."""
+    dtt = (uh[m + 1] - 2.0 * uh[m] + uh[m - 1]) / tg.dt**2
+    return dtt + grid.k2 * uh[m]
+
+
+def physical_wave(grid, f, g, t, derivative=False):
+    """free_wave's spectra transformed back to the lattice."""
+    out = free_wave(grid, f, g, t, derivative)
+    return tuple(map(grid.ifft, out)) if derivative else grid.ifft(out)
+
+
+def physical_duhamel(grid, tg, F, derivative=False):
+    """duhamel_trajectory of a sampled physical forcing, transformed back to the lattice."""
+    out = duhamel_trajectory(grid, tg, grid.fft(F), derivative)
+    return tuple(map(grid.ifft, out)) if derivative else grid.ifft(out)
+
+
+def physical_box(grid, tg, u):
+    return grid.ifft(box_trajectory(grid, tg, grid.fft(u)))
 
 
 def test_time_grid_validation():
@@ -42,20 +58,20 @@ def test_time_grid_validation():
 def test_free_wave_at_zero(grid2, rng):
     f = rng.standard_normal(grid2.shape)
     g = random_mean_free(grid2, rng)
-    assert np.abs(free_wave(grid2, f, g, 0.0) - f).max() <= 1e-14 * np.abs(f).max()
+    assert np.abs(physical_wave(grid2, f, g, 0.0) - f).max() <= 1e-14 * np.abs(f).max()
 
 
 def test_free_wave_cosine_closed_form(grid2):
     x = grid2.coords
     f = np.cos(2 * x[0])
-    out = free_wave(grid2, f, np.zeros(grid2.shape), np.pi / 2)
+    out = physical_wave(grid2, f, np.zeros(grid2.shape), np.pi / 2)
     assert np.abs(out + f).max() <= 1e-10
 
 
 def test_free_wave_sine_closed_form(grid2):
     x = grid2.coords
     g = np.cos(x[1])
-    out = free_wave(grid2, np.zeros(grid2.shape), g, np.pi)
+    out = physical_wave(grid2, np.zeros(grid2.shape), g, np.pi)
     assert np.abs(out).max() <= 1e-10
 
 
@@ -66,7 +82,7 @@ def test_free_wave_rejects_mean_velocity(grid2):
 
 def test_free_wave_constant_f_propagates(grid2):
     f = 3.0 * np.ones(grid2.shape)
-    out = free_wave(grid2, f, np.zeros(grid2.shape), 2.0)
+    out = physical_wave(grid2, f, np.zeros(grid2.shape), 2.0)
     assert np.abs(out - 3.0).max() <= 1e-13
 
 
@@ -74,10 +90,9 @@ def test_propagator_group_law(grid2, rng):
     f = random_mean_free(grid2, rng, band=6)
     g = random_mean_free(grid2, rng, band=6)
     t1, t2 = 0.7, 1.9
-    direct = free_wave(grid2, f, g, t1 + t2)
-    f_mid = free_wave(grid2, f, g, t1)
-    g_mid = free_wave(grid2, f, g, t1, derivative=True)[1]
-    stepped = free_wave(grid2, f_mid, g_mid, t2)
+    direct = physical_wave(grid2, f, g, t1 + t2)
+    f_mid, g_mid = physical_wave(grid2, f, g, t1, derivative=True)
+    stepped = physical_wave(grid2, f_mid, g_mid, t2)
     assert np.abs(direct - stepped).max() <= 1e-11 * np.abs(f).max()
 
 
@@ -86,7 +101,7 @@ def test_free_wave_energy_constant(grid2, rng):
     g = random_mean_free(grid2, rng, band=6)
     values = []
     for t in (0.0, 0.5, 1.3, 4.0):
-        u, du = free_wave(grid2, f, g, t, derivative=True)
+        u, du = physical_wave(grid2, f, g, t, derivative=True)
         values.append(energy(grid2, du, grid2.gradient(u)))
     values = np.array(values)
     assert np.abs(values - values[0]).max() <= 1e-12 * values[0]
@@ -99,7 +114,7 @@ def test_duhamel_zero_forcing(grid2):
     tg = TimeGrid(0.1, 10)
     F = np.zeros((tg.nsamples,) + grid2.shape)
     assert np.abs(duhamel(grid2, tg, F, 10)).max() == 0.0
-    assert np.abs(duhamel_trajectory(grid2, tg, F)).max() == 0.0
+    assert np.abs(physical_duhamel(grid2, tg, F)).max() == 0.0
 
 
 def closed_form_error(grid, steps):
@@ -125,7 +140,7 @@ def test_duhamel_trajectory_matches_single_time(grid2, rng):
     F = np.empty((tg.nsamples,) + grid2.shape)
     for m in range(tg.nsamples):
         F[m] = random_mean_free(grid2, rng, band=6)
-    traj = duhamel_trajectory(grid2, tg, F)
+    traj = physical_duhamel(grid2, tg, F)
     for m in (0, 1, 7, 20):
         single = duhamel(grid2, tg, F, m)
         assert np.abs(traj[m] - single).max() <= 1e-12 * max(np.abs(single).max(), 1e-30)
@@ -138,7 +153,7 @@ def test_duhamel_derivative_kernel_order(grid2):
     for steps in (64, 128):
         tg = TimeGrid(np.pi / steps, steps)
         F = np.broadcast_to(g, (tg.nsamples,) + grid2.shape)
-        _, dtraj = duhamel_trajectory(grid2, tg, F, derivative=True)
+        _, dtraj = physical_duhamel(grid2, tg, F, derivative=True)
         # d/dt (1 - cos t) cos(x) = sin(t) cos(x); at t = pi/2 this is cos(x)
         m = steps // 2
         errs.append(float(np.abs(dtraj[m] - np.sin(tg.times[m]) * g).max()))
@@ -154,7 +169,7 @@ def test_box_fd_quadratic_exact(grid2):
     for m, t in enumerate(tg.times):
         u[m] = 0.5 * t**2
     for m in (1, 5, 9):
-        assert np.abs(box_trajectory(grid2, tg, u)[m] - 1.0).max() <= 1e-12
+        assert np.abs(physical_box(grid2, tg, u)[m] - 1.0).max() <= 1e-12
 
 
 def test_box_fd_linear(grid2, rng):
@@ -162,8 +177,8 @@ def test_box_fd_linear(grid2, rng):
     shape = (tg.nsamples,) + grid2.shape
     u = rng.standard_normal(shape)
     v = rng.standard_normal(shape)
-    lhs = box_trajectory(grid2, tg, 2.0 * u + 3.0 * v)
-    rhs = 2.0 * box_trajectory(grid2, tg, u) + 3.0 * box_trajectory(grid2, tg, v)
+    lhs = physical_box(grid2, tg, 2.0 * u + 3.0 * v)
+    rhs = 2.0 * physical_box(grid2, tg, u) + 3.0 * physical_box(grid2, tg, v)
     assert np.abs(lhs - rhs).max() <= 1e-12 * max(np.abs(lhs).max(), 1.0)
 
 
@@ -173,8 +188,8 @@ def test_box_fd_annihilates_free_waves_at_second_order(grid2, rng):
     errs = []
     for steps in (32, 64):
         tg = TimeGrid(1.0 / steps, steps)
-        u = free_wave(grid2, f, g, tg.times)
-        errs.append(float(np.abs(box_trajectory(grid2, tg, u)[steps // 2]).max()))
+        u = physical_wave(grid2, f, g, tg.times)
+        errs.append(float(np.abs(physical_box(grid2, tg, u)[steps // 2]).max()))
     order = np.log2(errs[0] / errs[1])
     assert order >= 1.9
 
@@ -187,9 +202,9 @@ def test_box_fd_recovers_duhamel_forcing(grid2, rng):
         tg = TimeGrid(1.0 / steps, steps)
         envelope = np.cos(tg.times).reshape(-1, 1, 1)
         F = envelope * F_poly
-        traj = duhamel_trajectory(grid2, tg, F)
+        traj = physical_duhamel(grid2, tg, F)
         m = steps // 2
-        got = box_trajectory(grid2, tg, traj)[m]
+        got = physical_box(grid2, tg, traj)[m]
         errs.append(float(np.abs(got - F[m]).max()))
     order = np.log2(errs[0] / errs[1])
     assert order >= 1.9
@@ -199,19 +214,19 @@ def test_box_fd_recovers_duhamel_forcing(grid2, rng):
 def test_box_trajectory_interior_matches_box_fd_bitwise(grid_name, request, rng):
     grid = request.getfixturevalue(grid_name)
     tg = TimeGrid(0.1, 6)
-    u = rng.standard_normal((tg.nsamples, 2) + grid.shape)
-    box = box_trajectory(grid, tg, u)
+    uh = grid.fft(rng.standard_normal((tg.nsamples, 2) + grid.shape))
+    box = box_trajectory(grid, tg, uh)
     for m in range(1, tg.steps):
-        assert box[m].tobytes() == box_fd(grid, tg, u, m).tobytes()
+        assert box[m].tobytes() == box_fd(grid, tg, uh, m).tobytes()
 
 
 def test_free_wave_on_times_matches_single_times(grid2, rng):
     f = random_mean_free(grid2, rng, band=6)
     g = random_mean_free(grid2, rng, band=6)
     times = np.array([0.0, 0.3, 1.7])
-    u, du = free_wave(grid2, f, g, times, derivative=True)
+    u, du = physical_wave(grid2, f, g, times, derivative=True)
     for m, t in enumerate(times):
-        um, dum = free_wave(grid2, f, g, t, derivative=True)
+        um, dum = physical_wave(grid2, f, g, t, derivative=True)
         assert np.array_equal(u[m], um) and np.array_equal(du[m], dum)
 
 
@@ -229,7 +244,7 @@ def test_box_trajectory_endpoints_second_order(grid2, rng):
     errs = []
     for steps in (32, 64):
         tg = TimeGrid(1.0 / steps, steps)
-        b = box_trajectory(grid2, tg, free_wave(grid2, f, g, tg.times))
+        b = physical_box(grid2, tg, physical_wave(grid2, f, g, tg.times))
         errs.append(float(max(np.abs(b[0]).max(), np.abs(b[-1]).max())))
     assert np.log2(errs[0] / errs[1]) >= 1.7
 
@@ -242,7 +257,7 @@ def test_duhamel_zero_mode_kernel(grid2):
     got = duhamel(grid2, tg, F, 64)
     expected = 3.0 * tg.horizon**2 / 2.0
     assert np.abs(got - expected).max() <= 1e-10
-    traj = duhamel_trajectory(grid2, tg, F)
+    traj = physical_duhamel(grid2, tg, F)
     assert np.abs(traj[64] - expected).max() <= 1e-10
 
 
@@ -252,7 +267,7 @@ def test_duhamel_trajectory_zero_mode_exact(grid2):
     tg = TimeGrid(1 / 16, 16)
     c = np.array([3.0, -0.5]).reshape(1, 2, 1, 1)
     F = np.broadcast_to(c, (tg.nsamples, 2) + grid2.shape)
-    traj, dtraj = duhamel_trajectory(grid2, tg, F, derivative=True)
+    traj, dtraj = physical_duhamel(grid2, tg, F, derivative=True)
     t = tg.times.reshape(-1, 1, 1, 1)
     assert np.abs(traj - c * t**2 / 2).max() <= 1e-13
     assert np.abs(dtraj - c * t).max() <= 1e-13
