@@ -45,11 +45,11 @@ EXIT_NOT_CONVERGED = 2
 
 # Trajectory-sized arrays alive at a run's peak: the slope of own-process peak
 # RSS against the trajectory size between two horizons, rounded up from the
-# larger of 7.9 (2D N=64, 300/600 steps) and 5.0 (3D N=16, 30/90 steps) for
+# larger of 7.9 (2D N=64, 300/600 steps) and 6.1 (3D N=16, 30/90 steps) for
 # Picard, and from 3.4 (2D N=64, 300/600 steps) for the leapfrog.  Both 2D
 # horizons cap the surrogate at VARIATION_MAX_SAMPLES samples, so the slope
 # sees one phase; for Picard it is the solve's spectral iterates and Duhamel
-# temporaries.
+# temporaries.  The 3D slope depends on the horizons: 2.7 at 90/150 steps.
 PEAK_TRAJECTORY_ARRAYS = {"picard": 8, "direct": 4}
 
 # In-memory products of one simulation, reused by sweep analytics.
@@ -180,9 +180,10 @@ def run_one(cfg, subdir=None):
     span = every * grid.samples_per_chunk()
     for m0 in range(0, tg.nsamples, span):
         batch = slice(m0, min(m0 + span, tg.nsamples), every)
-        G = grid.jacobian(Y_ts[batch])
+        Yh = grid.fft(Y_ts[batch])
+        G = grid.jacobian_of_spectrum(Yh)
         _, curl_res = recover_pressure(grid, G, boxY_ts[batch])
-        besov_G = gradient_besov_norms(grid, grid.fft(Y_ts[batch]), s)
+        besov_G = gradient_besov_norms(grid, Yh, s)
         besov_dG = gradient_besov_norms(grid, grid.fft(dY_ts[batch]), s - 1.0)
         for i, m in enumerate(range(tg.nsamples)[batch]):
             report.rows.append((float(tg.times[m]), besov_G[i], besov_dG[i],

@@ -228,11 +228,3 @@ def sweep_report(rows):
             for j in range(i)
         )
     return rows
-
-
-def loglog_slope(xs, ys):
-    """Least-squares slope of log(y) against log(x)."""
-    lx = np.log(np.asarray(xs, dtype=float))
-    ly = np.log(np.asarray(ys, dtype=float))
-    lx = lx - lx.mean()
-    return float(np.dot(lx, ly - ly.mean()) / np.dot(lx, lx))

@@ -108,21 +108,24 @@ def picard_map(grid, state, free):
     Wh = np.empty_like(state.Yh)
     Zh = np.empty_like(state.Yh)
     chunk = grid.samples_per_chunk()
+    forced = state is not free  # the free seed's box Y, so its forcing W, is 0
     for m0 in range(0, tg.nsamples, chunk):
         c = slice(m0, min(m0 + chunk, tg.nsamples))
         Gf = _jacobian_on_fine(grid, state.Yh[c], pad)
-        Hf = _jacobian_on_fine(grid, state.boxYh[c], pad)
-        Wh[c] = np.moveaxis(null_form(grid, Gf, Hf), 0, 1)
-        del Hf  # freed before the minors accumulate, which would otherwise raise the peak
+        if forced:  # H = grad box Y is a temporary, freed before the minors accumulate
+            Wh[c] = np.moveaxis(
+                null_form(grid, Gf, _jacobian_on_fine(grid, state.boxYh[c], pad)), 0, 1)
         Zh[c] = np.moveaxis(curl_free_displacement(grid, Gf), 0, 1)
 
     Yh = free.Yh + Zh
     dYh = free.dYh + time_derivative(tg, Zh)
-    boxYh = Wh + box_trajectory(grid, tg, Zh)
-    for a in range(grid.n):
-        duh, dduh = duhamel_trajectory(grid, tg, Wh[:, a], derivative=True)
-        Yh[:, a] += duh
-        dYh[:, a] += dduh
+    boxYh = box_trajectory(grid, tg, Zh)
+    if forced:
+        boxYh += Wh
+        for a in range(grid.n):
+            duh, dduh = duhamel_trajectory(grid, tg, Wh[:, a], derivative=True)
+            Yh[:, a] += duh
+            dYh[:, a] += dduh
     return PicardState(grid, tg, Yh, dYh, boxYh)
 
 

@@ -19,7 +19,10 @@ the zero mode to zero and reject inputs whose mean is not negligible.
 
 Pointwise products are formed on a finer lattice of pad * N points per
 axis (an even integer >= N), reached through rfftn half spectra; a product
-of d factors is alias-free once pad >= (d + 1) / 2.
+of d factors is alias-free once pad >= (d + 1) / 2.  Between the lattices
+numpy's 1D passes run in irfftn/rfftn order, in place, on only the lines a
+coarse spectrum reaches; numpy transforms each line alone, so the result is
+bitwise that of irfftn/rfftn.
 """
 
 import hashlib
@@ -162,7 +165,10 @@ class Grid:
         Leading axes broadcast: a trajectory of shape (M, n) + shape gives
         (M, n, n) + shape.
         """
-        vh = self.fft(v)
+        return self.jacobian_of_spectrum(self.fft(v))
+
+    def jacobian_of_spectrum(self, vh):
+        """``jacobian`` of the vector field whose half spectrum is vh."""
         out = np.empty(vh.shape[: -self.n] + (self.n,) + self.shape)
         for b, k in enumerate(self.dfreq):
             out[(Ellipsis, b) + (slice(None),) * self.n] = self.ifft(vh * (1j * k))
@@ -289,6 +295,20 @@ def _placements(grid, big, plus):
         yield tuple(c for c, _ in combo), tuple(f for _, f in combo)
 
 
+def _leading_passes(grid, a, big, transform, order):
+    """``transform`` in place along the leading axes -n + k, k in ``order``.
+
+    Only on lines whose later leading indices are rows 0..N/2 or big - N/2..,
+    the rows a coarse spectrum fills and truncation reads.
+    """
+    n, half = grid.n, grid.size // 2
+    slabs = (slice(0, half + 1), slice(max(half + 1, big - half), big))
+    for k in order:
+        for rows in product(slabs, repeat=n - 2 - k):
+            view = a[(Ellipsis,) + (slice(None),) * (k + 1) + rows + (slice(None),)]
+            transform(view, axis=k - n, out=view)
+
+
 def pad_factor(degree):
     """Integer padding multiple for an alias-free product of ``degree`` factors."""
     return (degree + 2) // 2
@@ -311,7 +331,8 @@ def spectrum_to_fine(grid, uh, pad):
     slot, full weight, when it has none), and the last-axis Nyquist column
     goes half to +N/2, with its leading Nyquist indices at +N/2; the half
     spectrum implies the conjugate half.  At ``pad * N == N`` the slots
-    coincide.
+    coincide.  Staged on the columns 0..N/2 only: ``ifft`` runs along axes
+    -n..-2 on the occupied lines, then ``irfft`` pads the last axis.
     """
     big = _fine_size(grid, pad)
     n, half = grid.n, grid.size // 2
@@ -319,13 +340,14 @@ def spectrum_to_fine(grid, uh, pad):
     cols = (slice(0, half),)
     low = uh[..., :half] * (0.5 * scale)
     nyq = uh[..., half] * ((0.5 if big > grid.size else 1.0) * scale)
-    fine = np.zeros(uh.shape[:-n] + (big,) * (n - 1) + (big // 2 + 1,), dtype=complex)
+    fine = np.zeros(uh.shape[:-n] + (big,) * (n - 1) + (half + 1,), dtype=complex)
     for plus in (False, True):
         for src, dst in _placements(grid, big, plus):
             fine[(Ellipsis,) + dst + cols] += low[(Ellipsis,) + src + cols]
     for src, dst in _placements(grid, big, True):
         fine[(Ellipsis,) + dst + (half,)] = nyq[(Ellipsis,) + src]
-    return np.fft.irfftn(fine, s=(big,) * n, axes=grid.axes)
+    _leading_passes(grid, fine, big, np.fft.ifft, range(n - 1))
+    return np.fft.irfft(fine, n=big, axis=-1)
 
 
 def truncate_from_fine(grid, u_fine, pad):
@@ -338,11 +360,13 @@ def fine_to_spectrum(grid, u_fine, pad):
 
     The mirror of ``spectrum_to_fine``: the columns 0..N/2-1 average the
     slots with the leading-axis Nyquist indices at -N/2 and at +N/2, and the
-    last-axis Nyquist column is read at +N/2.
+    last-axis Nyquist column is read at +N/2.  ``rfft`` runs along the last
+    axis, then ``fft`` along axes -2..-n on the columns 0..N/2 and read rows.
     """
     big = _fine_size(grid, pad)
     n, half = grid.n, grid.size // 2
-    fh = np.fft.rfftn(u_fine, axes=grid.axes)
+    fh = np.fft.rfft(u_fine, axis=-1)[..., : half + 1]
+    _leading_passes(grid, fh, big, np.fft.fft, range(n - 2, -1, -1))
     cols = (slice(0, half),)
     uh = np.zeros(fh.shape[:-n] + (grid.size,) * (n - 1) + (half + 1,), dtype=complex)
     for plus in (False, True):

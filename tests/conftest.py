@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hkel.elastic import _accumulate_terms, _minor_terms
-from hkel.spectral import Grid, pad_to_fine, truncate_from_fine
+from hkel.spectral import Grid, _fine_size, _placements, pad_to_fine, truncate_from_fine
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +34,14 @@ def random_jacobian(grid, rng, scale=1.0, band=None):
     return grid.jacobian(Y)
 
 
+def loglog_slope(xs, ys):
+    """Least-squares slope of log(y) against log(x)."""
+    lx = np.log(np.asarray(xs, dtype=float))
+    ly = np.log(np.asarray(ys, dtype=float))
+    lx = lx - lx.mean()
+    return float(np.dot(lx, ly - ly.mean()) / np.dot(lx, lx))
+
+
 def principal_minor_sum(grid, A, k):
     """Sum of all k x k principal minors of a matrix field, dealiased (the oracle)."""
     n = grid.n
@@ -41,6 +49,39 @@ def principal_minor_sum(grid, A, k):
         raise ValueError(f"minor order must satisfy 2 <= k <= {n}, got {k}")
     fine = pad_to_fine(grid, np.asarray(A), 2)
     return truncate_from_fine(grid, _accumulate_terms(fine, _minor_terms(n, (k,))), 2)
+
+
+def full_spectrum_to_fine(grid, uh, pad):
+    """``spectral.spectrum_to_fine`` staged on the whole fine half lattice (the oracle)."""
+    big = _fine_size(grid, pad)
+    n, half = grid.n, grid.size // 2
+    scale = (big / grid.size) ** n
+    cols = (slice(0, half),)
+    low = uh[..., :half] * (0.5 * scale)
+    nyq = uh[..., half] * ((0.5 if big > grid.size else 1.0) * scale)
+    fine = np.zeros(uh.shape[:-n] + (big,) * (n - 1) + (big // 2 + 1,), dtype=complex)
+    for plus in (False, True):
+        for src, dst in _placements(grid, big, plus):
+            fine[(Ellipsis,) + dst + cols] += low[(Ellipsis,) + src + cols]
+    for src, dst in _placements(grid, big, True):
+        fine[(Ellipsis,) + dst + (half,)] = nyq[(Ellipsis,) + src]
+    return np.fft.irfftn(fine, s=(big,) * n, axes=grid.axes)
+
+
+def full_fine_to_spectrum(grid, u_fine, pad):
+    """``spectral.fine_to_spectrum`` read from the whole rfftn of the fine field (the oracle)."""
+    big = _fine_size(grid, pad)
+    n, half = grid.n, grid.size // 2
+    fh = np.fft.rfftn(u_fine, axes=grid.axes)
+    cols = (slice(0, half),)
+    uh = np.zeros(fh.shape[:-n] + (grid.size,) * (n - 1) + (half + 1,), dtype=complex)
+    for plus in (False, True):
+        for src, dst in _placements(grid, big, plus):
+            uh[(Ellipsis,) + src + cols] += fh[(Ellipsis,) + dst + cols]
+    uh[..., :half] *= 0.5
+    for src, dst in _placements(grid, big, True):
+        uh[(Ellipsis,) + src + (half,)] = fh[(Ellipsis,) + dst + (half,)]
+    return uh / (big / grid.size) ** n
 
 
 def curl_compatibility_residual(grid, G):

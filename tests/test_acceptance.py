@@ -11,7 +11,6 @@ import pytest
 from hkel.diagnostics import (
     data_norm,
     gradient_besov_sup,
-    loglog_slope,
     s_surrogate,
     solution_norm,
 )
@@ -28,6 +27,8 @@ from hkel.selftest import (
 )
 from hkel.spectral import Grid
 from hkel.waves import TimeGrid
+
+from conftest import loglog_slope
 
 N2 = 64
 EPS = 1e-2

@@ -11,7 +11,6 @@ from hkel.diagnostics import (
     energy,
     gradient_besov_norms,
     gradient_besov_sup,
-    loglog_slope,
     pairwise_sq_dists,
     s_surrogate,
     solution_norm,
@@ -24,7 +23,7 @@ from hkel.picard import free_wave_state
 from hkel.spectral import Grid, random_mean_free
 from hkel.waves import TimeGrid
 
-from conftest import ComplexGrid
+from conftest import ComplexGrid, loglog_slope
 
 
 def brute_force_variation(d2):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hkel.config import RunConfig
-from hkel.diagnostics import besov_sup, loglog_slope
+from hkel.diagnostics import besov_sup
 from hkel.elastic import (
     InitialData,
     _accumulate_terms,
@@ -20,6 +20,8 @@ from hkel.picard import (
 )
 from hkel.spectral import Grid, pad_to_fine, spectrum_to_fine, truncate_from_fine
 from hkel.waves import duhamel_trajectory, free_wave, time_derivative
+
+from conftest import loglog_slope
 
 
 def physical_box(grid, tg, u):
@@ -272,6 +274,26 @@ def test_picard_map_product_lattice(monkeypatch, n, size, fine_shape):
     free = free_wave_state(grid, cfg.time_grid(), data)
     picard_map(grid, free, free)
     assert shapes and set(shapes) == {fine_shape}
+
+
+@pytest.mark.parametrize("n, size", [(2, 32), (3, 16)])
+def test_first_map_skips_zero_forcing_bitwise(monkeypatch, n, size):
+    # the free seed's box Y is 0: its map forms no null form and no Duhamel
+    # integral, and returns the bytes of the forced path run on a zero box,
+    # up to the sign of exact zeros (the forced path adds a +0 Duhamel
+    # increment, which turns a -0.0 of the seed's Nyquist corner into +0.0)
+    grid = Grid(n, size)
+    cfg = small_config(dimension=n, grid_n=size, t_end=0.25)
+    free = free_wave_state(grid, cfg.time_grid(), make_shear_data(grid, 1e-2, seed=3))
+    forced_seed = PicardState(grid, free.tg, free.Yh, free.dYh, free.boxYh)
+    want = picard_map(grid, forced_seed, free)
+    calls = []
+    monkeypatch.setattr("hkel.picard.null_form", lambda *a: calls.append("null_form"))
+    monkeypatch.setattr("hkel.picard.duhamel_trajectory", lambda *a, **k: calls.append("duhamel"))
+    got = picard_map(grid, free, free)
+    assert calls == []
+    for name in ("Yh", "dYh", "boxYh"):
+        assert (getattr(got, name) + 0.0).tobytes() == (getattr(want, name) + 0.0).tobytes(), name
 
 
 def test_compatible_treats_nan_as_failure():

@@ -13,7 +13,7 @@ from hkel.spectral import (
     truncate_from_fine,
 )
 
-from conftest import ComplexGrid, random_vector
+from conftest import ComplexGrid, full_fine_to_spectrum, full_spectrum_to_fine, random_vector
 
 
 def test_grid_validation():
@@ -350,6 +350,38 @@ def test_physical_padding_is_spectral_padding_of_transform_bitwise(rng, n, size,
     v = rng.standard_normal((2,) + (int(pad * size),) * n)
     got = truncate_from_fine(grid, v, pad)
     assert got.tobytes() == grid.ifft(fine_to_spectrum(grid, v, pad)).tobytes()
+
+
+PRUNED_CASES = [(2, 64, 1.5), (2, 64, 2), (2, 16, 1), (3, 16, 2), (3, 16, 1.5), (3, 8, 1)]
+
+
+@pytest.mark.parametrize("n, size, pad", PRUNED_CASES)
+def test_pruned_transforms_match_full_lattice_oracle_bitwise(rng, n, size, pad):
+    # white noise fills every line; (3, 8, 1) has pad * N == N, where the
+    # two blocks of occupied rows meet
+    grid = Grid(n, size)
+    fine = (int(pad * size),) * n
+    for lead in [(), (n, n, 3)]:
+        uh = grid.fft(rng.standard_normal(lead + grid.shape))
+        got = spectrum_to_fine(grid, uh, pad)
+        assert got.tobytes() == full_spectrum_to_fine(grid, uh, pad).tobytes(), lead
+        v = rng.standard_normal(lead + fine)
+        got = fine_to_spectrum(grid, v, pad)
+        assert got.tobytes() == full_fine_to_spectrum(grid, v, pad).tobytes(), lead
+
+
+@pytest.mark.parametrize("n, size, pad", PRUNED_CASES)
+def test_pruned_transforms_match_oracle_on_noncontiguous_input_bitwise(rng, n, size, pad):
+    grid = Grid(n, size)
+    fine = (int(pad * size),) * n
+    # time axis last in memory, moved to the front: no input axis is contiguous
+    uh = np.moveaxis(np.fft.rfftn(rng.standard_normal(grid.shape + (3,)), axes=range(n)), -1, 0)
+    assert not uh.flags.c_contiguous
+    got = spectrum_to_fine(grid, uh, pad)
+    assert got.tobytes() == full_spectrum_to_fine(grid, uh, pad).tobytes()
+    v = np.moveaxis(rng.standard_normal(fine + (3,)), -1, 0)[::2]
+    got = fine_to_spectrum(grid, v, pad)
+    assert got.tobytes() == full_fine_to_spectrum(grid, v, pad).tobytes()
 
 
 @pytest.mark.parametrize("pad", [1.0625, 1.3, 0.5])  # 17 (odd), 20.8, 8 < N points
