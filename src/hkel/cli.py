@@ -35,7 +35,6 @@ from .elastic import (
 from .picard import COMPATIBILITY_TOL, compatible, free_wave_state, picard_solve
 from .selftest import run_selftest
 from .snapshots import read_snapshot, write_snapshot
-from .waves import second_time_derivative
 from .spectral import Grid
 
 EXIT_OK = 0
@@ -44,16 +43,18 @@ EXIT_NOT_CONVERGED = 2
 
 
 # Trajectory-sized arrays alive at a run's peak: the slope of own-process peak
-# RSS against the trajectory size between two horizons, rounded up from the
-# larger of 7.9 (2D N=64, 300/600 steps) and 6.1 (3D N=16, 30/90 steps) for
-# Picard, and from 3.4 (2D N=64, 300/600 steps) for the leapfrog.  Both 2D
-# horizons cap the surrogate at VARIATION_MAX_SAMPLES samples, so the slope
-# sees one phase; for Picard it is the solve's spectral iterates and Duhamel
-# temporaries.  The 3D slope depends on the horizons: 2.7 at 90/150 steps.
+# RSS against the trajectory size between two 2D N=64 horizons (dt = 0.01),
+# rounded up.  Picard reads 7.9 at 300/600 steps: the solve's spectral
+# iterates and Duhamel temporaries.  The leapfrog reads 2.3 at 300/600 steps
+# and 3.1 at 600/900, where run_direct returns: it holds the physical and
+# spectral Y, the velocity's spectrum and the box with its difference
+# temporaries.  The 3D slope depends on the horizons (Picard at N=16: 6.1 at
+# 30/90 steps, 2.7 at 90/150), because a run's chunk-lattice temporaries do
+# not grow with the horizon, so it is not a count of arrays.
 PEAK_TRAJECTORY_ARRAYS = {"picard": 8, "direct": 4}
 
 # In-memory products of one simulation, reused by sweep analytics.
-SimArtifacts = namedtuple("SimArtifacts", "grid data tg Y dY report")
+SimArtifacts = namedtuple("SimArtifacts", "grid data tg Yh dYh report")
 
 
 def main(argv=None):
@@ -102,7 +103,7 @@ def main(argv=None):
             if getattr(args, "epsilons", None):
                 epsilons = tuple(float(x) for x in args.epsilons.split(",") if x.strip())
             return cmd_sweep(cfg, epsilons)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     raise AssertionError(f"unhandled command {args.command}")
@@ -158,37 +159,32 @@ def run_one(cfg, subdir=None):
         if result.reason:
             print(f"not converged: {result.reason}", file=sys.stderr)
             return EXIT_NOT_CONVERGED, None
-        Y_ts, dY_ts, boxY_ts = result.state.Y, result.state.dY, result.state.boxY
+        traj = result.state
         report.ratios = list(result.ratios)
         report.converged = result.converged
         report.iterations = result.iterations
     else:
         try:
-            run = run_direct(grid, data, cfg)
+            traj = run_direct(grid, data, cfg)
         except RuntimeError as exc:
             print(f"not converged: {exc}", file=sys.stderr)
             return EXIT_NOT_CONVERGED, None
-        Y_ts, dY_ts = run.Y, run.velocity
-        # the box differenced before any transform, whose rounding 1/dt^2 would amplify
-        boxY_ts = second_time_derivative(tg, Y_ts)
-        boxY_ts -= grid.laplacian(Y_ts)
-        report.iterations = int(np.max(run.pressure_iterations))
+        report.iterations = int(np.max(traj.pressure_iterations))
+    Yh, dYh = traj.Yh, traj.dYh  # both solvers hand over half spectra, time first
 
-    # G = grad Y exists one chunk of the sampled times at a time
+    # G = grad Y exists one chunk of the sampled times at a time, for det_residual
     s = grid.n / 2.0
     every = cfg.diagnostics_every
     span = every * grid.samples_per_chunk()
     for m0 in range(0, tg.nsamples, span):
         batch = slice(m0, min(m0 + span, tg.nsamples), every)
-        Yh = grid.fft(Y_ts[batch])
-        G = grid.jacobian_of_spectrum(Yh)
-        _, curl_res = recover_pressure(grid, G, boxY_ts[batch])
-        besov_G = gradient_besov_norms(grid, Yh, s)
-        besov_dG = gradient_besov_norms(grid, grid.fft(dY_ts[batch]), s - 1.0)
-        for i, m in enumerate(range(tg.nsamples)[batch]):
-            report.rows.append((float(tg.times[m]), besov_G[i], besov_dG[i],
-                                energy(grid, dY_ts[m], G[i]), det_residual(G[i]), curl_res[i]))
-    total, variation = s_surrogate(grid, tg, Y_ts, dY_ts)
+        Yb, dYb = Yh[batch], dYh[batch]
+        rows = zip(tg.times[batch], gradient_besov_norms(grid, Yb, s),
+                   gradient_besov_norms(grid, dYb, s - 1.0), energy(grid, Yb, dYb),
+                   map(det_residual, grid.jacobian_of_spectrum(Yb)),
+                   recover_pressure(grid, Yb, traj.boxYh[batch]))
+        report.rows.extend(tuple(map(float, row)) for row in rows)
+    total, variation = s_surrogate(grid, tg, Yh, dYh)
     report.s_surrogate = total
     report.s_variation_part = variation
     report.variation_stride = max(1, -(-tg.nsamples // VARIATION_MAX_SAMPLES))
@@ -202,10 +198,10 @@ def run_one(cfg, subdir=None):
                 grid.n,
                 grid.size,
                 tg.times[m],
-                grid.jacobian(Y_ts[m]).reshape((-1,) + grid.shape),
+                grid.jacobian_of_spectrum(Yh[m]).reshape((-1,) + grid.shape),
             )
     write_run_summary(outdir / "report.txt", cfg, report, r1, r2)
-    artifacts = SimArtifacts(grid, data, tg, Y_ts, dY_ts, report)
+    artifacts = SimArtifacts(grid, data, tg, Yh, dYh, report)
     if not report.converged:
         print(f"not converged after {report.iterations} iterations; "
               f"ratios: {', '.join(f'{r:.3f}' for r in report.ratios)}", file=sys.stderr)
@@ -296,7 +292,7 @@ def _sweep_row(grid, eps, art):
     """Sweep analytics from one run's artifacts."""
     free = free_wave_state(grid, art.tg, art.data)
     dn = data_norm(grid, art.data)
-    sn = solution_norm(grid, art.Y, art.dY)
+    sn = solution_norm(grid, art.Yh, art.dYh)
     return SweepRow(
         epsilon=eps,
         data_norm=dn,
@@ -305,7 +301,7 @@ def _sweep_row(grid, eps, art):
         first_picard_ratio=art.report.ratios[0] if art.report.ratios else 0.0,
         iterations=art.report.iterations,
         converged=art.report.converged,
-        free_deviation=gradient_besov_sup(grid, grid.fft(art.Y - free.Y), grid.n / 2.0),
+        free_deviation=gradient_besov_sup(grid, art.Yh - free.Yh, grid.n / 2.0),
     )
 
 

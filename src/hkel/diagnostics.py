@@ -49,16 +49,22 @@ def data_norm(grid, data):
     return besov_norm(grid, data.f, s + 1.0) + besov_norm(grid, data.g, s)
 
 
-def solution_norm(grid, Y_ts, dY_ts):
-    """Sup-in-time size of a solution: ||grad Y|| at n/2 plus ||grad d_t Y|| at n/2-1."""
+def solution_norm(grid, Yh_ts, dYh_ts):
+    """Sup-in-time size of a solution: ||grad Y|| at n/2 plus ||grad d_t Y|| at n/2-1.
+
+    From the half spectra of Y and d_t Y, time first.
+    """
     s = grid.n / 2.0
-    return (gradient_besov_sup(grid, grid.fft(Y_ts), s)
-            + gradient_besov_sup(grid, grid.fft(dY_ts), s - 1.0))
+    return gradient_besov_sup(grid, Yh_ts, s) + gradient_besov_sup(grid, dYh_ts, s - 1.0)
 
 
-def energy(grid, velocity, G):
-    """Quadratic energy 0.5 ||d_t Y||^2 + 0.5 ||grad Y||^2 (L2 norms)."""
-    return 0.5 * grid.l2(velocity) ** 2 + 0.5 * grid.l2(G) ** 2
+def energy(grid, Yh_ts, dYh_ts):
+    """Quadratic energy 0.5 ||d_t Y||^2 + 0.5 ||grad Y||^2 per sample of the leading (time) axis.
+
+    By Parseval from the half spectra of Y and d_t Y: a mode of grad Y
+    carries the power of Y_hat times |d|^2.
+    """
+    return 0.5 * grid.sample_sq_l2(dYh_ts) + 0.5 * grid.sample_sq_l2(Yh_ts, grid.dk2)
 
 
 # -- 2-variation by dynamic programming --------------------------------------
@@ -120,7 +126,7 @@ def _subsample(path, max_samples):
 VARIATION_MAX_SAMPLES = 256
 
 
-def s_surrogate(grid, tg, Y_ts, dY_ts, s=None, max_samples=VARIATION_MAX_SAMPLES):
+def s_surrogate(grid, tg, Yh_ts, dYh_ts, s=None, max_samples=VARIATION_MAX_SAMPLES):
     """Iteration-space surrogate of G = grad Y: twisted per-band 2-variation plus sup-Besov.
 
     Per band j and sign, the path w(t) = exp(+-i t |k|)(G +- i |k|^-1 d_t G)
@@ -130,6 +136,7 @@ def s_surrogate(grid, tg, Y_ts, dY_ts, s=None, max_samples=VARIATION_MAX_SAMPLES
     those of the path of Y_hat and d_t Y_hat weighted by |d|: the path runs
     over the n components of Y, not the n^2 of G.  Bands are combined with
     the weight 2^(j s) and the sup-in-time Besov norm of G is added.
+    ``Yh_ts`` and ``dYh_ts`` are the half spectra of Y and d_t Y, time first.
     """
     if s is None:
         s = grid.n / 2.0
@@ -141,11 +148,8 @@ def s_surrogate(grid, tg, Y_ts, dY_ts, s=None, max_samples=VARIATION_MAX_SAMPLES
     flat_paired = np.broadcast_to(grid.parseval_weight == 2.0, grid.spectral_shape).ravel()
     absd = np.sqrt(grid.dk2).ravel()
 
-    Yh = np.empty((len(idx), grid.n, flat_absk.size), dtype=complex)
-    Wh = np.empty_like(Yh)
-    for row, m in enumerate(idx):
-        Yh[row] = grid.fft(Y_ts[m]).reshape(grid.n, -1)
-        Wh[row] = grid.fft(dY_ts[m]).reshape(grid.n, -1)
+    Yh = Yh_ts[idx].reshape(len(idx), grid.n, -1)  # copies: idx is an index array
+    Wh = dYh_ts[idx].reshape(Yh.shape)
     Yh *= absd
     Wh *= absd * grid.inv_absk.ravel()
 
@@ -169,7 +173,7 @@ def s_surrogate(grid, tg, Y_ts, dY_ts, s=None, max_samples=VARIATION_MAX_SAMPLES
             w = np.concatenate([own, other[:, :, paired]], axis=2)
             vj += two_variation(w * coeff_scale)
         variation += 2.0 ** (j * s) * vj
-    return variation + gradient_besov_sup(grid, grid.fft(Y_ts), s), variation
+    return variation + gradient_besov_sup(grid, Yh_ts, s), variation
 
 
 @dataclass

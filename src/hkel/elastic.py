@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .bandlimited import random_divergence_free, random_scalar
-from .spectral import fine_to_spectrum, pad_to_fine, truncate_from_fine
+from .spectral import fine_to_spectrum, jacobian_on_fine, pad_to_fine, spectrum_to_fine
 
 
 @dataclass
@@ -256,32 +256,29 @@ def make_shear_data(grid, amplitude, seed, band=2, nshears=None):
 # -- pressure ------------------------------------------------------------------
 
 
-def recover_pressure(grid, G, boxY):
-    """Pressure and curl residual from the momentum balance, per sample.
+def recover_pressure(grid, Yh, boxYh):
+    """Curl residual of the momentum balance per sample, from the half spectra of Y and box Y.
 
-    The elastic acceleration balance reads (I + G^T) box(Y) = -grad p, so
-    p = -inv_lap(div w) for w = (I + G^T) box(Y).  The residual
-    ||leray(w)|| / ||w|| (0 where w = 0) measures how far w is from a pure
-    gradient.  G is L + (n, n) + space and boxY L + (n,) + space for leading
-    (time) axes L; p is L + space and the residual has shape L.  Both inputs
-    are padded once onto the pad-3/2 lattice, where quadratic products are
+    The elastic acceleration balance reads (I + G^T) box(Y) = -grad p, so the
+    residual ||leray(w)|| / ||w|| (0 where w = 0) of w = (I + G^T) box(Y),
+    mean removed, measures how far w is from a pure gradient.  Yh and boxYh
+    are (time, n) + ``spectral_shape``; the residual has shape (time,).  G and
+    box Y are placed on the pad-3/2 lattice, where quadratic products are
     alias-free, sum_l G[l, b] boxY[l] is accumulated there in the order of l
-    and truncated once: a sample's result does not depend on its batch.
+    and truncated once, and both norms are read by Parseval: a sample's
+    result does not depend on its batch.
     """
-    n = grid.n
-    pad = 1.5
-    Gf = pad_to_fine(grid, G, pad)
-    Bf = pad_to_fine(grid, boxY, pad)
-    row = (slice(None),) * (n + 1)  # G[l, b] over b, boxY[l] broadcast along b
-    acc = Gf[(Ellipsis, 0) + row] * Bf[(Ellipsis, 0, None) + row[1:]]
+    n, pad = grid.n, 1.5
+    Gf = jacobian_on_fine(grid, Yh, pad)
+    Bf = spectrum_to_fine(grid, np.moveaxis(boxYh, 1, 0), pad)
+    acc = Gf[0] * Bf[0]  # G[l, b] over b, boxY[l] broadcast along b
     for l in range(1, n):
-        acc += Gf[(Ellipsis, l) + row] * Bf[(Ellipsis, l, None) + row[1:]]
-    w = boxY + truncate_from_fine(grid, acc, pad)
-    w -= w.mean(axis=grid.axes, keepdims=True)  # constant part carries no curl
-    p = -grid.inverse_laplacian(grid.divergence(w), check_mean=False)
-    curl = grid.leray_project(w, check_mean=False)
-    sample = (-n - 1,) + grid.axes
-    wnorm = np.sqrt(grid.cell_volume * np.sum(w * w, axis=sample))
-    cnorm = np.sqrt(grid.cell_volume * np.sum(curl * curl, axis=sample))
-    residual = np.divide(cnorm, wnorm, out=np.zeros_like(wnorm), where=wnorm > 0.0)
-    return p, residual[()]
+        acc += Gf[l] * Bf[l]
+    # the spectrum of the real field w: Parseval would also count the
+    # non-Hermitian part of the Nyquist column that fine_to_spectrum reads,
+    # and of a Picard box's, whose rounding the 1/dt^2 difference amplifies
+    wh = grid.fft(grid.ifft(boxYh + np.moveaxis(fine_to_spectrum(grid, acc, pad), 0, 1)))
+    wh[(Ellipsis,) + (0,) * n] = 0.0  # the constant part carries no curl
+    wnorm = grid.sample_sq_l2(wh)
+    cnorm = grid.sample_sq_l2(grid.leray_of_spectrum(wh))
+    return np.sqrt(np.divide(cnorm, wnorm, out=np.zeros_like(wnorm), where=wnorm > 0.0))

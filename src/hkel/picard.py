@@ -13,7 +13,8 @@ but the products in W and Z, so an iteration transforms only on the product
 lattice: G and H go there straight from i dfreq_b Y_hat_a, and the bracket
 and the minor sum come back as truncated spectra.  The stopping rule reads
 successive differences of G = grad Y in the sup-in-time dyadic n/2 norm from
-the spectra of Y.  The physical trajectories are formed once, on return.
+the spectra of Y.  The solve returns the spectra; nothing after it forms
+a physical trajectory.
 """
 
 import math
@@ -25,7 +26,7 @@ import numpy as np
 
 from .diagnostics import gradient_besov_sup
 from .elastic import compatibility_residuals, curl_free_displacement, minor_sum_total, null_form
-from .spectral import Grid, spectrum_to_fine
+from .spectral import Grid, jacobian_on_fine
 from .waves import TimeGrid, box_trajectory, duhamel_trajectory, free_wave, time_derivative
 
 COMPATIBILITY_TOL = 1e-8
@@ -39,10 +40,7 @@ def compatible(r1, r2):
 
 @dataclass
 class PicardState:
-    """Half spectra of the displacement trajectory, its time derivative and exact d'Alembertian.
-
-    The physical trajectories Y, dY and boxY are formed on first read.
-    """
+    """Half spectra of the displacement trajectory, its time derivative and exact d'Alembertian."""
 
     grid: Grid
     tg: TimeGrid
@@ -50,17 +48,13 @@ class PicardState:
     dYh: np.ndarray  # spectrum of d_t Y, same shape
     boxYh: np.ndarray  # spectrum of box Y, same shape
 
-    Y = cached_property(lambda self: self.grid.ifft(self.Yh))
-    dY = cached_property(lambda self: self.grid.ifft(self.dYh))
-    boxY = cached_property(lambda self: self.grid.ifft(self.boxYh))
-
     @cached_property
     def G(self):
         """grad Y, (steps+1, n, n) + grid.shape, for the benchmark's correctness gate.
 
-        No library path reads it: the pipeline forms G one sample at a time.
+        No library path reads it: the pipeline forms G one chunk at a time.
         """
-        return self.grid.jacobian(self.Y)
+        return self.grid.jacobian_of_spectrum(self.Yh)
 
 
 @dataclass
@@ -87,12 +81,6 @@ def free_wave_state(grid, tg, data):
     return PicardState(grid, tg, Yh, dYh, np.zeros_like(Yh))
 
 
-def _jacobian_on_fine(grid, Yh, pad):
-    """G[a, b] = d_b Y_a on the pad lattice, (n, n, time) + fine, from spectra (time, n) + half."""
-    Yh = np.moveaxis(Yh, 1, 0)
-    return spectrum_to_fine(grid, Yh[:, None] * grid.idfreq[:, None], pad)
-
-
 def picard_map(grid, state, free):
     """One application of the fixed-point map to a trajectory state.
 
@@ -111,10 +99,10 @@ def picard_map(grid, state, free):
     forced = state is not free  # the free seed's box Y, so its forcing W, is 0
     for m0 in range(0, tg.nsamples, chunk):
         c = slice(m0, min(m0 + chunk, tg.nsamples))
-        Gf = _jacobian_on_fine(grid, state.Yh[c], pad)
+        Gf = jacobian_on_fine(grid, state.Yh[c], pad)
         if forced:  # H = grad box Y is a temporary, freed before the minors accumulate
             Wh[c] = np.moveaxis(
-                null_form(grid, Gf, _jacobian_on_fine(grid, state.boxYh[c], pad)), 0, 1)
+                null_form(grid, Gf, jacobian_on_fine(grid, state.boxYh[c], pad)), 0, 1)
         Zh[c] = np.moveaxis(curl_free_displacement(grid, Gf), 0, 1)
 
     Yh = free.Yh + Zh
@@ -175,8 +163,6 @@ def picard_solve(grid, data, cfg, check_compatibility=True):
             last = ", ".join(f"{r:.3g}" for r in recent)
             reason = f"diverging Picard iteration: ratios {last} above 1 at iteration {iterations}"
             break
-    # the physical trajectories, formed here so that the solve's time holds them
-    state.Y, state.dY, state.boxY
     return PicardResult(
         state=state,
         iterations=iterations,

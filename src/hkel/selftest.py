@@ -134,9 +134,10 @@ def check_fixed_point():
         dimension=2, grid_n=16, epsilon=1e-2, t_end=0.5, dt=1 / 32, picard_tol=1e-9
     )
     result = picard_solve(grid, data, cfg)
-    Y = result.state.Y
+    Yh = result.state.Yh
     res = max(
-        trace_constraint_residual(grid, grid.jacobian(Y[m])) for m in range(0, len(Y), 4)
+        trace_constraint_residual(grid, grid.jacobian_of_spectrum(Yh[m]))
+        for m in range(0, len(Yh), 4)
     )
     ok = result.converged and res <= 10 * cfg.picard_tol
     return ok, f"converged={result.converged}, constraint residual {res:.2e}"

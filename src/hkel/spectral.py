@@ -15,7 +15,8 @@ as -N/2 like the leading axes' Nyquist index.  Columns 0 and N/2 are
 self-paired under xi -> -xi; every interior column stands for itself and
 its conjugate partner, so Parseval sums weight it by 2
 (``grid.parseval_weight``).  Multipliers with an inverse power of |xi| set
-the zero mode to zero and reject inputs whose mean is not negligible.
+the zero mode to zero; on physical fields they reject inputs whose mean is
+not negligible.
 
 Pointwise products are formed on a finer lattice of pad * N points per
 axis (an even integer >= N), reached through rfftn half spectra; a product
@@ -128,8 +129,12 @@ class Grid:
 
     def spectral_l2(self, uh):
         """``l2`` of the real field whose half spectrum is uh, by Parseval."""
-        power = float(np.sum((uh.real**2 + uh.imag**2) * self.parseval_weight))
-        return math.sqrt(self.cell_volume / self.npoints * power)
+        return math.sqrt(self.sample_sq_l2(uh[None])[0])
+
+    def sample_sq_l2(self, uh, weight=1.0):
+        """Squared ``l2`` per sample of uh's leading axis by Parseval, mode powers times weight."""
+        power = (uh.real**2 + uh.imag**2) * (weight * self.parseval_weight)
+        return power.reshape(len(uh), -1).sum(axis=1) * (self.cell_volume / self.npoints)
 
     def physical_spectrum(self, u):
         """Half spectrum of u without unpaired Nyquist-plane content and the mean."""
@@ -185,35 +190,32 @@ class Grid:
     def laplacian(self, u):
         return self.ifft(self.fft(u) * (-self.k2))
 
-    def inverse_laplacian(self, u, check_mean=True):
-        """Solve Delta v = u for mean-free u; the zero mode of v is 0."""
-        if check_mean:
-            self.require_mean_free(u, "inverse_laplacian input")
-        return self.ifft(self.fft(u) * (-self.inv_k2))
-
     def riesz(self, u, i):
         """Riesz-type operator with multiplier i*xi_i/|xi|, zero mode 0."""
         self.require_mean_free(u, "riesz input")
         return self.ifft(self.fft(u) * (1j * self.dfreq[i] * self.inv_absk))
 
-    def leray_project(self, v, check_mean=True):
+    def leray_project(self, v):
         """Divergence-free part v - grad(inv_lap(div v)), components just before space."""
         v = np.asarray(v)
         if v.ndim <= self.n or v.shape[-self.n - 1] != self.n:
             raise ValueError("leray_project expects a vector field")
-        if check_mean:
-            self.require_mean_free(v, "leray_project input")
+        self.require_mean_free(v, "leray_project input")
+        return self.ifft(self.leray_of_spectrum(self.fft(v)))
+
+    def leray_of_spectrum(self, vh):
+        """Half spectrum of ``leray_project`` of the vector field whose half spectrum is vh."""
         # freq is even under xi -> -xi (mod N) on a Nyquist plane, so xi xi^T
         # is not Hermitian there; a real field sees only its Hermitian part
         # d d^T + e e^T, with d = dfreq and the Nyquist part e = freq - dfreq.
-        vh = np.moveaxis(self.fft(v), -self.n - 1, 0)
+        vh = np.moveaxis(vh, -self.n - 1, 0)
         nyq = [f - d for f, d in zip(self.freq, self.dfreq)]
         ddotv = sum(self.dfreq[a] * vh[a] for a in range(self.n))
         edotv = sum(nyq[a] * vh[a] for a in range(self.n))
         out = np.empty_like(vh)
         for a in range(self.n):
             out[a] = vh[a] - (self.dfreq[a] * ddotv + nyq[a] * edotv) * self.inv_k2
-        return self.ifft(np.moveaxis(out, 0, -self.n - 1))
+        return np.moveaxis(out, 0, -self.n - 1)
 
     # -- dyadic shells ------------------------------------------------------
 
@@ -348,6 +350,12 @@ def spectrum_to_fine(grid, uh, pad):
         fine[(Ellipsis,) + dst + (half,)] = nyq[(Ellipsis,) + src]
     _leading_passes(grid, fine, big, np.fft.ifft, range(n - 1))
     return np.fft.irfft(fine, n=big, axis=-1)
+
+
+def jacobian_on_fine(grid, Yh, pad):
+    """G[a, b] = d_b Y_a on the pad lattice, (n, n, time) + fine, from spectra (time, n) + half."""
+    Yh = np.moveaxis(Yh, 1, 0)
+    return spectrum_to_fine(grid, Yh[:, None] * grid.idfreq[:, None], pad)
 
 
 def truncate_from_fine(grid, u_fine, pad):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from hkel.elastic import _accumulate_terms, _minor_terms
+from hkel.diagnostics import gradient_besov_norms, s_surrogate
+from hkel.direct import DirectState, direct_step
+from hkel.elastic import _accumulate_terms, _minor_terms, det_residual
 from hkel.spectral import Grid, _fine_size, _placements, pad_to_fine, truncate_from_fine
+from hkel.waves import second_time_derivative, time_derivative
 
 
 @pytest.fixture(scope="session")
@@ -182,3 +185,61 @@ class ComplexGrid:
         sums = np.bincount((self.band_of + 1).ravel(), weights=power.ravel(),
                            minlength=self.grid.nbands + 1)
         return np.sqrt(sums[1:] * self.grid.cell_volume / self.grid.npoints)
+
+
+# -- the physical diagnostics path that the spectral one replaced, as an oracle ----
+
+
+def physical_energy(grid, velocity, G):
+    """Quadratic energy 0.5 ||d_t Y||^2 + 0.5 ||grad Y||^2 of one sample, from physical fields."""
+    return 0.5 * grid.l2(velocity) ** 2 + 0.5 * grid.l2(G) ** 2
+
+
+def physical_recover_pressure(grid, G, boxY):
+    """Pressure and curl residual of w = (I + G^T) box Y for one physical sample.
+
+    The products are formed with pad_to_fine/truncate_from_fine on the
+    pad-3/2 lattice, w is demeaned physically, and the inverse Laplacian and
+    the Leray projection run on the complex full-lattice reference grid.
+    """
+    n, pad, ref = grid.n, 1.5, ComplexGrid(grid)
+    Gf, Bf = pad_to_fine(grid, G, pad), pad_to_fine(grid, boxY, pad)
+    acc = sum(Gf[l] * Bf[l] for l in range(n))  # G[l, b] over b, boxY[l] along b
+    w = boxY + truncate_from_fine(grid, acc, pad)
+    w -= w.mean(axis=grid.axes, keepdims=True)
+    p = -ref.inverse_laplacian(grid.divergence(w))
+    wnorm = grid.l2(w)
+    return p, grid.l2(ref.leray_project(w)) / wnorm if wnorm > 0 else 0.0
+
+
+def physical_run_direct(grid, data, cfg):
+    """The leapfrog's physical Y, central-difference velocity and box trajectories."""
+    tg = cfg.time_grid()
+    Y = np.empty((tg.nsamples, grid.n) + grid.shape)
+    Y[0] = data.f
+    state = DirectState(data.f.copy(), data.g.copy(), None, None, None)
+    for m in range(1, tg.nsamples):
+        state = direct_step(grid, state, tg.dt, cfg.pressure_tol, cfg.pressure_max_iter)
+        Y[m] = state.Y
+    dY = time_derivative(tg, Y)
+    dY[0] = data.g
+    return Y, dY, second_time_derivative(tg, Y) - grid.laplacian(Y)
+
+
+def physical_diagnostics(grid, tg, Y, dY, boxY, every=1):
+    """``diagnostics.csv`` rows and ``s_surrogate`` of physical trajectories, sample by sample."""
+    s = grid.n / 2.0
+    rows = []
+    for m in range(0, tg.nsamples, every):
+        G = grid.jacobian(Y[m])
+        rows.append((
+            tg.times[m],
+            gradient_besov_norms(grid, grid.fft(Y[m : m + 1]), s)[0],
+            gradient_besov_norms(grid, grid.fft(dY[m : m + 1]), s - 1.0)[0],
+            physical_energy(grid, dY[m], G),
+            det_residual(G),
+            physical_recover_pressure(grid, G, boxY[m])[1],
+        ))
+    total, _ = s_surrogate(grid, tg, np.stack([grid.fft(u) for u in Y]),
+                           np.stack([grid.fft(u) for u in dY]))
+    return np.array(rows), total

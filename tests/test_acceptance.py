@@ -60,7 +60,7 @@ def contraction_run(grid64):
         ratios=result.ratios,
         iterations=result.iterations,
         converged=result.converged,
-        det_dev=max(det_residual(grid64.jacobian(Ym)) for Ym in result.state.Y),
+        det_dev=max(det_residual(grid64.jacobian_of_spectrum(Yh)) for Yh in result.state.Yh),
     )
 
 
@@ -84,7 +84,7 @@ def sweep_runs(grid64):
                 iterations=result.iterations,
                 first_ratio=result.ratios[0],
                 data_norm=data_norm(grid64, data),
-                solution_norm=solution_norm(grid64, result.state.Y, result.state.dY),
+                solution_norm=solution_norm(grid64, result.state.Yh, result.state.dYh),
                 free_deviation=gradient_besov_sup(grid64, result.state.Yh - free.Yh, 1.0),
             )
         )
@@ -192,7 +192,7 @@ def test_criterion_9_continuous_dependence(grid64):
             grid64, InitialData(data2.f - base_data.f, data2.g - base_data.g)
         )
         dsol = solution_norm(
-            grid64, run2.state.Y - base.state.Y, run2.state.dY - base.state.dY
+            grid64, run2.state.Yh - base.state.Yh, run2.state.dYh - base.state.dYh
         )
         constants.append(dsol / ddata)
         del run2
@@ -209,7 +209,7 @@ def test_criterion_10_variation_norm(grid64):
     data = make_shear_data(grid64, EPS, seed=77, band=2)
     tg = TimeGrid(0.02, 100)
     free = free_wave_state(grid64, tg, data)
-    total, variation = s_surrogate(grid64, tg, free.Y, free.dY)
+    total, variation = s_surrogate(grid64, tg, free.Yh, free.dYh)
     besov_part = total - variation
     ok = exact and variation < 1e-10 * besov_part
     report(

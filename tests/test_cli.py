@@ -6,6 +6,8 @@ from hkel.cli import main
 from hkel.config import parse_config
 from hkel.snapshots import read_snapshot, write_snapshot
 
+from conftest import physical_diagnostics, physical_run_direct
+
 
 def write_cfg(tmp_path, body, name="run.cfg"):
     path = tmp_path / name
@@ -127,6 +129,51 @@ def test_diagnostics_bytes_independent_of_chunk_size(tmp_path, monkeypatch, solv
     assert len(outputs[0].splitlines()) == 1 + 3  # t = 0, 3 dt, 6 dt of 9 samples
 
 
+# Largest move of each diagnostics.csv column (and of report.txt's s_surrogate)
+# from the physical path, relative to the oracle's value, except det_residual,
+# which sits at its rounding floor and is bounded absolutely.  Measured at this
+# configuration: Picard besov_G 1.9e-12, besov_dG 2.6e-12, energy 3.2e-16,
+# det_residual 0, pressure_curl_residual 1.8e-6 (rounding amplified by the
+# box's 1/dt^2), s_surrogate 1.6e-12; the leapfrog energy 1.6e-16 and
+# pressure_curl_residual 2.5e-10.  The leapfrog transforms its physical
+# samples as the oracle does, so its other columns match exactly.
+ORACLE_BOUNDS = {
+    "picard": dict(t=0.0, besov_G=1e-11, besov_dG=1e-11, energy=1e-14, det_residual=1e-15,
+                   pressure_curl_residual=1e-5, s_surrogate=1e-10),
+    "direct": dict(t=0.0, besov_G=0.0, besov_dG=0.0, energy=1e-14, det_residual=0.0,
+                   pressure_curl_residual=1e-8, s_surrogate=0.0),
+}
+
+
+@pytest.mark.parametrize("solver", ["picard", "direct"])
+def test_diagnostics_match_physical_oracle(tmp_path, solver):
+    from hkel.elastic import make_shear_data
+    from hkel.picard import picard_solve
+    from hkel.spectral import Grid
+
+    out = tmp_path / "out"
+    body = SMALL.format(eps=0.01, solver=solver, out=out)
+    assert main(["simulate", write_cfg(tmp_path, body)]) == 0
+    cfg = parse_config(body)
+    grid = Grid(2, 16)
+    data = make_shear_data(grid, cfg.epsilon, seed=cfg.seed)
+    if solver == "picard":
+        state = picard_solve(grid, data, cfg).state
+        trajectories = [grid.ifft(uh) for uh in (state.Yh, state.dYh, state.boxYh)]
+    else:
+        trajectories = physical_run_direct(grid, data, cfg)
+    want, want_s = physical_diagnostics(grid, cfg.time_grid(), *trajectories)
+    got = np.loadtxt(out / "diagnostics.csv", delimiter=",", skiprows=1)
+    lines = (out / "report.txt").read_text().splitlines()[1:]
+    report = dict(line.split(" = ", 1) for line in lines)
+    bounds = ORACLE_BOUNDS[solver]
+    for j, name in enumerate(("t", "besov_G", "besov_dG", "energy", "det_residual",
+                              "pressure_curl_residual")):
+        scale = 1.0 if name == "det_residual" else np.abs(want[:, j])
+        assert np.all(np.abs(got[:, j] - want[:, j]) <= bounds[name] * scale), name
+    assert abs(float(report["s_surrogate"]) - want_s) <= bounds["s_surrogate"] * want_s
+
+
 def test_simulate_output_override(tmp_path):
     out = tmp_path / "default"
     override = tmp_path / "elsewhere"
@@ -174,6 +221,29 @@ def test_simulate_refuses_run_larger_than_memory(tmp_path, capsys, monkeypatch):
     assert not out.exists()
     monkeypatch.setattr(cli, "physical_memory", lambda: need)
     assert main(["simulate", cfg]) == 0
+
+
+@pytest.mark.parametrize("command", ["simulate", "check-data"])
+def test_missing_init_file_exits_one(tmp_path, capsys, command):
+    missing = tmp_path / "missing.hkel"
+    body = SMALL.format(eps=0.01, solver="picard", out=tmp_path / "out")
+    assert main([command, write_cfg(tmp_path, body + f"init = file:{missing}\n")]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and str(missing) in err
+
+
+@pytest.mark.parametrize(
+    "command", [["simulate"], ["sweep", "--epsilons", "1e-3,3e-3,1e-2"]], ids=["simulate", "sweep"]
+)
+def test_output_dir_that_is_a_file_exits_one(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    cfg = write_cfg(tmp_path, SMALL.format(eps=0.01, solver="picard", out=taken))
+    assert main(command[:1] + [cfg] + command[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and str(taken) in err
 
 
 def test_simulate_bad_config_exit_one(tmp_path, capsys):

@@ -23,7 +23,7 @@ from hkel.picard import free_wave_state
 from hkel.spectral import Grid, random_mean_free
 from hkel.waves import TimeGrid
 
-from conftest import ComplexGrid, loglog_slope
+from conftest import ComplexGrid, loglog_slope, physical_energy
 
 
 def brute_force_variation(d2):
@@ -73,12 +73,21 @@ def test_besov_matrix_components(grid2, rng):
     assert np.isclose(besov_norm(grid2, M, 1.0), 5.0 * besov_norm(grid2, u, 1.0), rtol=1e-12)
 
 
-def test_energy_zero():
-    class G:
-        def l2(self, u):
-            return float(np.sqrt(np.sum(np.asarray(u) ** 2)))
+def test_energy_zero(grid2):
+    Z = np.zeros((3, 2) + grid2.spectral_shape, dtype=complex)
+    assert energy(grid2, Z, Z).tolist() == [0.0] * 3
 
-    assert energy(G(), np.zeros(4), np.zeros(4)) == 0.0
+
+@pytest.mark.parametrize("n, size", [(2, 16), (3, 8)])
+def test_energy_by_parseval_matches_physical_fields(rng, n, size):
+    # white noise: the self-paired columns and the Nyquist lines carry content
+    grid = Grid(n, size)
+    Y_ts = rng.standard_normal((4, n) + grid.shape)
+    dY_ts = rng.standard_normal(Y_ts.shape)
+    got = energy(grid, grid.fft(Y_ts), grid.fft(dY_ts))
+    want = [physical_energy(grid, dY, grid.jacobian(Y)) for Y, dY in zip(Y_ts, dY_ts)]
+    assert got.shape == (4,)
+    assert np.abs(got - want).max() <= 1e-14 * max(want)
 
 
 # -- 2-variation -------------------------------------------------------------------
@@ -137,7 +146,7 @@ def test_two_variation_subsampling_cap(rng):
 
 def test_s_surrogate_zero_state(grid2):
     tg = TimeGrid(0.1, 8)
-    Z = np.zeros((tg.nsamples, 2) + grid2.shape)
+    Z = np.zeros((tg.nsamples, 2) + grid2.spectral_shape, dtype=complex)
     total, variation = s_surrogate(grid2, tg, Z, Z)
     assert total == 0.0 and variation == 0.0
 
@@ -146,7 +155,7 @@ def test_s_surrogate_free_wave_variation_vanishes(grid2):
     data = make_shear_data(grid2, 1e-2, seed=5, band=2)
     tg = TimeGrid(1 / 16, 16)
     free = free_wave_state(grid2, tg, data)
-    total, variation = s_surrogate(grid2, tg, free.Y, free.dY)
+    total, variation = s_surrogate(grid2, tg, free.Yh, free.dYh)
     besov_part = besov_sup(grid2, free.G, grid2.n / 2.0)
     assert variation <= 1e-10 * besov_part
     assert np.isclose(total, besov_part, rtol=1e-9)
@@ -181,7 +190,7 @@ def test_s_surrogate_matches_full_spectrum(rng, n, size):
     tg = TimeGrid(0.1, 6)
     Y_ts = rng.standard_normal((tg.nsamples, n) + grid.shape)
     dY_ts = rng.standard_normal(Y_ts.shape)
-    got = s_surrogate(grid, tg, Y_ts, dY_ts)
+    got = s_surrogate(grid, tg, grid.fft(Y_ts), grid.fft(dY_ts))
     expected = full_spectrum_s_surrogate(
         grid, tg, grid.jacobian(Y_ts), grid.jacobian(dY_ts), n / 2.0
     )
@@ -217,7 +226,8 @@ def test_solution_norm_measures_jacobians(rng, n, size):
     expected = besov_sup(grid, grid.jacobian(Y_ts), n / 2.0) + besov_sup(
         grid, grid.jacobian(dY_ts), n / 2.0 - 1.0
     )
-    assert abs(solution_norm(grid, Y_ts, dY_ts) - expected) <= 1e-14 * expected
+    got = solution_norm(grid, grid.fft(Y_ts), grid.fft(dY_ts))
+    assert abs(got - expected) <= 1e-14 * expected
 
 
 def test_sup_norms_propagate_nan(grid2, rng):
@@ -284,9 +294,7 @@ def test_s_surrogate_variation_scales_quadratically():
             picard_tol=1e-10,
         )
         result = picard_solve(grid, data, cfg)
-        _, variation = s_surrogate(
-            grid, result.state.tg, result.state.Y, result.state.dY
-        )
+        _, variation = s_surrogate(grid, result.state.tg, result.state.Yh, result.state.dYh)
         variations[eps] = variation
     slope = loglog_slope(list(variations), list(variations.values()))
     assert abs(slope - 2.0) <= 0.3

@@ -16,7 +16,7 @@ from hkel.direct import (
 from hkel.elastic import InitialData, det_residual, inverse_pointwise, make_shear_data
 from hkel.spectral import Grid, random_mean_free
 
-from conftest import ComplexGrid, random_jacobian, random_vector
+from conftest import ComplexGrid, physical_run_direct, random_jacobian, random_vector
 
 
 def small_config(**overrides):
@@ -107,7 +107,8 @@ def test_direct_zero_data_stays_zero(grid2):
     cfg = small_config(grid_n=32, epsilon=0.0)
     data = InitialData(np.zeros((2,) + grid2.shape), np.zeros((2,) + grid2.shape))
     run = run_direct(grid2, data, cfg)
-    assert np.abs(run.Y).max() == 0.0
+    for uh in (run.Yh, run.dYh, run.boxYh):
+        assert np.abs(uh).max() == 0.0
     assert run.det_drift == 0.0
 
 
@@ -135,7 +136,17 @@ def test_direct_det_drift_is_max_over_samples_bitwise():
     data = make_shear_data(grid, 1e-2, seed=10, band=1)
     run = run_direct(grid, data, small_config())
     assert run.det_drift > 0.0
-    assert run.det_drift == max(det_residual(grid.jacobian(Ym)) for Ym in run.Y)
+    assert run.det_drift == max(det_residual(grid.jacobian_of_spectrum(Yh)) for Yh in run.Yh)
+
+
+def test_run_direct_spectra_transform_the_physical_trajectories_bitwise():
+    # velocity and box are differenced on the physical samples, then transformed
+    grid = Grid(2, 16)
+    cfg = small_config()
+    data = make_shear_data(grid, 1e-2, seed=10, band=1)
+    run = run_direct(grid, data, cfg)
+    for uh, u in zip((run.Yh, run.dYh, run.boxYh), physical_run_direct(grid, data, cfg)):
+        assert uh.tobytes() == np.stack([grid.fft(um) for um in u]).tobytes()
 
 
 def test_direct_energy_drift_second_order():
@@ -145,9 +156,7 @@ def test_direct_energy_drift_second_order():
     for dt in (1 / 32, 1 / 64):
         cfg = small_config(t_end=0.5, dt=dt)
         run = run_direct(grid, data, cfg)
-        energies = [
-            energy(grid, run.velocity[m], grid.jacobian(run.Y[m])) for m in range(len(run.Y))
-        ]
+        energies = energy(grid, run.Yh, run.dYh)
         drifts.append(max(abs(e - energies[0]) for e in energies) / energies[0])
     order = np.log2(drifts[0] / drifts[1])
     assert abs(order - 2.0) <= 0.5

@@ -18,6 +18,7 @@ from hkel.spectral import Grid, dealiased_product, pad_to_fine, random_mean_free
 from conftest import (
     ComplexGrid,
     curl_compatibility_residual,
+    physical_recover_pressure,
     principal_minor_sum,
     random_jacobian,
     random_vector,
@@ -263,41 +264,44 @@ def test_shear_jacobian_is_curl_compatible(grid2):
 # -- pressure ---------------------------------------------------------------------
 
 
+def random_spectra(grid, rng, samples, scale=1.0, band=None):
+    """Half spectra (samples, n) + spectral_shape of random mean-free vector fields."""
+    band = grid.size // 4 if band is None else band
+    return np.stack([grid.fft(scale * random_vector(grid, rng, band=band)) for _ in range(samples)])
+
+
 def test_pressure_zero_forcing(grid2, rng):
-    G = random_jacobian(grid2, rng, scale=0.1)
-    p, res = recover_pressure(grid2, G, np.zeros((2,) + grid2.shape))
-    assert np.abs(p).max() == 0.0 and res == 0.0
+    Yh = random_spectra(grid2, rng, 1, scale=0.1)
+    res = recover_pressure(grid2, Yh, np.zeros_like(Yh))
+    assert res.shape == (1,) and res[0] == 0.0
 
 
 def test_pressure_gradient_case(grid2, rng):
     phi = random_mean_free(grid2, rng, band=4)
-    boxY = grid2.gradient(phi)
-    p, res = recover_pressure(grid2, np.zeros((2, 2) + grid2.shape), boxY)
-    assert np.abs(p + phi).max() <= 1e-12 * np.abs(phi).max()
-    assert res <= 1e-12
+    boxYh = grid2.fft(grid2.gradient(phi))[None]
+    res = recover_pressure(grid2, np.zeros_like(boxYh), boxYh)
+    assert res[0] <= 1e-12
 
 
 @pytest.mark.parametrize("n, size", [(2, 32), (3, 16)])
 def test_recover_pressure_batch_matches_per_sample_bitwise(rng, n, size):
     grid = Grid(n, size)
-    G = np.stack([random_jacobian(grid, rng, scale=0.1) for _ in range(3)])
-    boxY = np.stack([random_vector(grid, rng, band=size // 4) for _ in range(3)])
-    p, res = recover_pressure(grid, G, boxY)
-    assert p.shape == (3,) + grid.shape and res.shape == (3,)
+    Yh = random_spectra(grid, rng, 3, scale=0.1)
+    boxYh = random_spectra(grid, rng, 3)
+    res = recover_pressure(grid, Yh, boxYh)
+    assert res.shape == (3,)
     for m in range(3):
-        p_m, res_m = recover_pressure(grid, G[m], boxY[m])
-        assert np.ndim(res_m) == 0
-        assert p[m].tobytes() == p_m.tobytes()
-        assert res[m].tobytes() == np.float64(res_m).tobytes()
+        one = slice(m, m + 1)
+        assert res[one].tobytes() == recover_pressure(grid, Yh[one], boxYh[one]).tobytes()
 
 
 def test_recover_pressure_zero_forcing_sample_in_batch(grid2, rng):
     # RuntimeWarning is an error under pytest: 0/0 must not be evaluated
-    G = np.stack([random_jacobian(grid2, rng, scale=0.1) for _ in range(3)])
-    boxY = np.stack([random_vector(grid2, rng, band=8) for _ in range(3)])
-    boxY[1] = 0.0
-    p, res = recover_pressure(grid2, G, boxY)
-    assert res[1] == 0.0 and np.abs(p[1]).max() == 0.0
+    Yh = random_spectra(grid2, rng, 3, scale=0.1)
+    boxYh = random_spectra(grid2, rng, 3, band=8)
+    boxYh[1] = 0.0
+    res = recover_pressure(grid2, Yh, boxYh)
+    assert res[1] == 0.0
     assert res[0] > 0.0 and res[2] > 0.0
 
 
@@ -306,18 +310,28 @@ def test_recover_pressure_matches_pad_two_products(grid2, grid3, rng):
     # balance assembled from pad-2 dealiased_product calls agrees to rounding
     for grid in (grid2, grid3):
         n = grid.n
-        G = random_jacobian(grid, rng, scale=0.1)
-        boxY = random_vector(grid, rng)
+        Y, boxY = 0.1 * random_vector(grid, rng, band=grid.size // 4), random_vector(grid, rng)
+        G = grid.jacobian(Y)
         w = boxY.copy()
         for b in range(n):
             for l in range(n):
                 w[b] += dealiased_product(grid, [G[l, b], boxY[l]])
         w -= w.mean(axis=grid.axes, keepdims=True)
-        p_ref = -grid.inverse_laplacian(grid.divergence(w), check_mean=False)
-        res_ref = grid.l2(grid.leray_project(w, check_mean=False)) / grid.l2(w)
-        p, res = recover_pressure(grid, G, boxY)
-        assert np.abs(p - p_ref).max() <= 1e-13 * np.abs(p_ref).max()
+        res_ref = grid.l2(grid.leray_project(w)) / grid.l2(w)
+        res = recover_pressure(grid, grid.fft(Y)[None], grid.fft(boxY)[None])[0]
         assert abs(res - res_ref) <= 1e-12 * res_ref
+
+
+@pytest.mark.parametrize("n, size", [(2, 32), (3, 16)])
+def test_recover_pressure_matches_physical_oracle(rng, n, size):
+    # white-noise box: its Nyquist lines, planes and corners carry content
+    grid = Grid(n, size)
+    Y = random_spectra(grid, rng, 2, scale=0.1)
+    boxY = rng.standard_normal((2, n) + grid.shape)
+    got = recover_pressure(grid, Y, grid.fft(boxY))
+    for m in range(2):
+        _, want = physical_recover_pressure(grid, grid.jacobian_of_spectrum(Y[m]), boxY[m])
+        assert abs(got[m] - want) <= 1e-13 * want
 
 
 # -- pointwise algebra -------------------------------------------------------------

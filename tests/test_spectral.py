@@ -77,26 +77,6 @@ def test_gradient_one_call_matches_per_derivative_loop_bitwise(rng, n, size):
         assert got.shape == loop.shape and got.tobytes() == loop.tobytes()
 
 
-# -- inverse laplacian ----------------------------------------------------------
-
-
-def test_inverse_laplacian_single_mode(grid2):
-    x = grid2.coords
-    got = grid2.inverse_laplacian(-np.cos(x[0]))
-    assert np.abs(got - np.cos(x[0])).max() <= 1e-12
-
-
-def test_inverse_laplacian_round_trip(grid2, rng):
-    u = random_mean_free(grid2, rng)
-    got = grid2.laplacian(grid2.inverse_laplacian(u))
-    assert np.abs(got - u).max() <= 1e-12 * np.abs(u).max()
-
-
-def test_inverse_laplacian_rejects_mean(grid2):
-    with pytest.raises(ValueError, match="mean-free"):
-        grid2.inverse_laplacian(np.ones(grid2.shape))
-
-
 # -- riesz ----------------------------------------------------------------------
 
 
@@ -171,6 +151,26 @@ def test_vector_operators_broadcast_over_leading_axes_bitwise(grid2, grid3, rng)
             assert dv[m].tobytes() == grid.divergence(v[m]).tobytes()
     with pytest.raises(ValueError):
         grid2.leray_project(np.zeros((3,) + grid2.shape))
+
+
+@pytest.mark.parametrize("n, size", [(2, 16), (3, 8)])
+def test_sample_sq_l2_is_physical_norm_per_sample(rng, n, size):
+    # white noise: every Nyquist line, plane and corner carries content
+    grid = Grid(n, size)
+    v = rng.standard_normal((3, n) + grid.shape)
+    v -= v.mean(axis=grid.axes, keepdims=True)
+    vh = grid.fft(v)
+    cases = [
+        (vh, 1.0, lambda u: u),
+        (vh, grid.dk2, grid.jacobian),
+        # Leray's multiplier is Hermitian: its spectrum is a real field's
+        (grid.leray_of_spectrum(vh), 1.0, grid.leray_project),
+    ]
+    for uh, weight, physical in cases:
+        got = grid.sample_sq_l2(uh, weight)
+        want = [grid.l2(physical(u)) ** 2 for u in v]
+        assert got.shape == (3,)
+        assert np.abs(got - want).max() <= 1e-13 * max(want)
 
 
 # -- dyadic bands -----------------------------------------------------------------
@@ -413,7 +413,6 @@ def test_operators_match_complex_fft_oracle(rng, n, size):
         ("jacobian", (traj,)),
         ("divergence", (v,)),
         ("laplacian", (traj,)),
-        ("inverse_laplacian", (u,)),
         ("leray_project", (v,)),
         ("band_l2_profile", (v,)),
     ]

@@ -99,11 +99,8 @@ def test_propagator_group_law(grid2, rng):
 def test_free_wave_energy_constant(grid2, rng):
     f = random_mean_free(grid2, rng, band=6)
     g = random_mean_free(grid2, rng, band=6)
-    values = []
-    for t in (0.0, 0.5, 1.3, 4.0):
-        u, du = physical_wave(grid2, f, g, t, derivative=True)
-        values.append(energy(grid2, du, grid2.gradient(u)))
-    values = np.array(values)
+    uh, duh = free_wave(grid2, f, g, np.array([0.0, 0.5, 1.3, 4.0]), derivative=True)
+    values = energy(grid2, uh, duh)
     assert np.abs(values - values[0]).max() <= 1e-12 * values[0]
 
 
