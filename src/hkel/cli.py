@@ -264,6 +264,8 @@ def cmd_sweep(cfg, epsilons):
         raise ConfigError("sweep needs at least 3 amplitudes (key sweep_epsilons or --epsilons)")
     if cfg.init != "shear_composition":
         raise ConfigError("sweep needs init = shear_composition: file data has no amplitude")
+    if len(set(epsilons)) != len(epsilons):
+        raise ConfigError("sweep amplitudes must be distinct")
     runs = [replace(cfg, epsilon=eps) for eps in epsilons]  # validates each before any run
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -271,7 +273,7 @@ def cmd_sweep(cfg, epsilons):
     rows = []
     all_ok = True
     for run in runs:
-        code, art = run_one(run, subdir=f"eps_{run.epsilon:g}")
+        code, art = run_one(run, subdir=f"eps_{run.epsilon!r}")  # shortest repr: one per amplitude
         if art is None:  # run_one has printed why
             return code
         all_ok = all_ok and code == EXIT_OK

@@ -16,11 +16,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def _besov_of_power(grid, power, s):
+    """sum_j 2^(j s) ||P_j u||_L2 of the field whose power spectrum |u_hat|^2 is ``power``."""
+    weights = 2.0 ** (s * np.arange(grid.nbands))
+    return float(np.dot(weights, grid.band_l2_of_power(power)))
+
+
 def besov_norm(grid, u, s):
     """Dyadic Besov norm sum_j 2^(j s) ||P_j u||_L2 (l2 over components)."""
-    profile = grid.band_l2_profile(u)
-    weights = 2.0 ** (s * np.arange(grid.nbands))
-    return float(np.dot(weights, profile))
+    power = np.abs(grid.fft(u)) ** 2
+    return _besov_of_power(grid, power.sum(axis=tuple(range(power.ndim - grid.n))), s)
 
 
 def besov_sup(grid, u_ts, s):
@@ -34,8 +39,7 @@ def gradient_besov_norms(grid, Yh_ts, s):
     Per band ||P_j grad Y||^2 sums |d|^2 sum_a |Y_hat_a|^2; no Jacobian is formed.
     """
     power = (np.abs(Yh_ts) ** 2).sum(axis=1) * grid.dk2
-    weights = 2.0 ** (s * np.arange(grid.nbands))
-    return np.array([np.dot(weights, grid.band_l2_of_power(p)) for p in power])
+    return np.array([_besov_of_power(grid, p, s) for p in power])
 
 
 def gradient_besov_sup(grid, Yh_ts, s):
@@ -100,13 +104,11 @@ def two_variation_from_dists(d2):
     return float(np.sqrt(best[-1]))
 
 
-def two_variation(path, max_samples=None):
+def two_variation(path):
     """2-variation of a sampled path (first axis = time)."""
     path = np.asarray(path)
     if len(path) < 2:
         raise ValueError("a path needs at least 2 samples")
-    if max_samples is not None:
-        path = _subsample(path, max_samples)
     return two_variation_from_dists(pairwise_sq_dists(path))
 
 
@@ -223,9 +225,6 @@ def sweep_report(rows):
     if len(rows) < 3:
         raise ValueError("a sweep needs at least 3 amplitudes")
     rows = sorted(rows, key=lambda r: r.epsilon)
-    eps = [r.epsilon for r in rows]
-    if len(set(eps)) != len(eps):
-        raise ValueError("sweep amplitudes must be distinct")
     for i, r in enumerate(rows):
         r.monotone = all(
             rows[j].solution_norm <= r.solution_norm or not rows[j].converged

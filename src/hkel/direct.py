@@ -77,26 +77,26 @@ def solve_pressure(grid, Minv, lapY, velocity, p0h, tol, max_iter):
     is collocation noise outside the operator's range), and its norm is read
     from that spectrum by Parseval.  ``lapY`` is the Laplacian of the
     displacement and ``p0h`` the half spectrum of the warm start (or None).
-    Returns (p_hat, iterations); raises on stagnation with the observed
-    contraction factor.
+    Returns (p_hat, (grad X)^-T grad p, iterations); raises on stagnation
+    with the observed contraction factor.
     """
     gradL = grid.jacobian(lapY)
     W = _mat_mat(Minv, grid.jacobian(velocity))
     bh = grid.physical_spectrum(_trace_product(Minv, gradL) - _trace_product(W, W))
     bnorm = grid.spectral_l2(bh)
     if bnorm == 0.0:
-        return np.zeros(grid.spectral_shape, complex), 0
+        return np.zeros(grid.spectral_shape, complex), np.zeros((grid.n,) + grid.shape), 0
 
     ph = p0h.copy() if p0h is not None else np.zeros(grid.spectral_shape, complex)
     prev_res = None
     for it in range(1, max_iter + 1):
         u = _matT_vec(Minv, grid.ifft(ph * grid.idfreq))  # (grad X)^-T grad p
-        # grid.gradient(u)[b, a] = d_b u_a: the n^2 derivatives in one call each way
-        Ap = _trace_product(Minv, grid.gradient(u).swapaxes(0, 1))
+        # the n^2 derivatives d_b u_a in one call each way
+        Ap = _trace_product(Minv, grid.jacobian(u))
         rh = bh - grid.physical_spectrum(Ap)
         res = grid.spectral_l2(rh)
         if res <= tol * bnorm:
-            return ph, it
+            return ph, u, it
         if prev_res is not None and res >= prev_res:
             raise RuntimeError(
                 f"pressure iteration stagnated at step {it}: residual ratio "
@@ -110,30 +110,28 @@ def solve_pressure(grid, Minv, lapY, velocity, p0h, tol, max_iter):
     )
 
 
-def _acceleration(grid, state, tol, max_iter):
-    gradX = grid.jacobian(state.Y)
+def _acceleration(grid, Y, velocity, p0h, tol, max_iter):
+    """Leapfrog acceleration lap(Y) - (grad X)^-T grad p, from one transform of Y."""
+    Yh = grid.fft(Y)
+    gradX = grid.jacobian_of_spectrum(Yh)
     for a in range(grid.n):
         gradX[a, a] += 1.0
-    Minv = inverse_pointwise(gradX)
-    lapY = grid.laplacian(state.Y)
-    ph, iters = solve_pressure(grid, Minv, lapY, state.velocity, state.pressure, tol, max_iter)
-    return lapY - _matT_vec(Minv, grid.ifft(ph * grid.idfreq)), ph, iters
+    lapY = grid.ifft(Yh * (-grid.k2))
+    ph, MinvT_grad_p, iters = solve_pressure(
+        grid, inverse_pointwise(gradX), lapY, velocity, p0h, tol, max_iter)
+    return lapY - MinvT_grad_p, ph, iters
 
 
 def direct_step(grid, state, dt, tol=1e-10, max_iter=400):
     """One leapfrog step; the velocity estimate is second-order accurate."""
-    if state.Y_prev is None:
-        accel, ph, iters = _acceleration(grid, state, tol, max_iter)
-        Y_new = state.Y + dt * state.velocity + 0.5 * dt**2 * accel
-        new = DirectState(Y_new, None, state.Y.copy(), accel, ph)
+    first = state.Y_prev is None
+    vel = state.velocity if first else (state.Y - state.Y_prev) / dt + 0.5 * dt * state.accel
+    accel, ph, iters = _acceleration(grid, state.Y, vel, state.pressure, tol, max_iter)
+    if first:
+        Y_new, Y_prev = state.Y + dt * vel + 0.5 * dt**2 * accel, state.Y.copy()
     else:
-        vel = (state.Y - state.Y_prev) / dt + 0.5 * dt * state.accel
-        probe = DirectState(state.Y, vel, None, None, state.pressure)
-        accel, ph, iters = _acceleration(grid, probe, tol, max_iter)
-        Y_new = 2.0 * state.Y - state.Y_prev + dt**2 * accel
-        new = DirectState(Y_new, None, state.Y, accel, ph)
-    new.iterations = iters
-    return new
+        Y_new, Y_prev = 2.0 * state.Y - state.Y_prev + dt**2 * accel, state.Y
+    return DirectState(Y_new, None, Y_prev, accel, ph, iters)
 
 
 def run_direct(grid, data, cfg):

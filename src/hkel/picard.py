@@ -18,7 +18,6 @@ a physical trajectory.
 """
 
 import math
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -64,7 +63,6 @@ class PicardResult:
     converged: bool
     ratios: list = field(default_factory=list)
     deltas: list = field(default_factory=list)
-    wall_clock: float = 0.0
     reason: str = ""  # why the iteration stopped early, "" otherwise
 
 
@@ -128,7 +126,6 @@ def picard_solve(grid, data, cfg, check_compatibility=True):
     set: the iterates are diverging.
     """
     cfg.require_grid(grid)
-    started = time.perf_counter()
     if check_compatibility:
         r1, r2 = compatibility_residuals(grid, data)
         if not compatible(r1, r2):
@@ -169,7 +166,6 @@ def picard_solve(grid, data, cfg, check_compatibility=True):
         converged=converged,
         ratios=ratios,
         deltas=deltas,
-        wall_clock=time.perf_counter() - started,
         reason=reason,
     )
 

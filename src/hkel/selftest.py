@@ -36,7 +36,7 @@ def check_spectral(seeds=(75, 25)):
                 np.abs(acc + u).max() / scale,
                 np.abs(grid.leray_project(pv) - pv).max() / np.abs(v).max(),
                 np.abs(grid.divergence(pv)).max() / grid.l2(v),
-                np.abs(grid.leray_project(grid.gradient(phi))).max() / np.abs(phi).max(),
+                np.abs(grid.leray_project(grid.jacobian(phi))).max() / np.abs(phi).max(),
                 np.abs(parts - u).max() / scale,
             )
     return worst <= 1e-12, f"max error {worst:.2e}"

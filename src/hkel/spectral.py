@@ -26,7 +26,6 @@ coarse spectrum reaches; numpy transforms each line alone, so the result is
 bitwise that of irfftn/rfftn.
 """
 
-import hashlib
 import math
 from itertools import product
 
@@ -158,26 +157,17 @@ class Grid:
 
     # -- first-order calculus ---------------------------------------------
 
-    def gradient(self, u):
-        """Stack of all partial derivatives along a new leading axis."""
-        uh = self.fft(u)
-        lead = (1,) * (uh.ndim - self.n)
-        return self.ifft(uh * self.idfreq.reshape((self.n,) + lead + self.spectral_shape))
-
     def jacobian(self, v):
         """Jacobian G[a, b] = d_b v_a of a vector field (component axis just before space).
 
-        Leading axes broadcast: a trajectory of shape (M, n) + shape gives
-        (M, n, n) + shape.
+        Leading axes broadcast: a trajectory (M, n) + shape gives (M, n, n) + shape,
+        and a scalar field gives its gradient, (n,) + shape.
         """
         return self.jacobian_of_spectrum(self.fft(v))
 
     def jacobian_of_spectrum(self, vh):
-        """``jacobian`` of the vector field whose half spectrum is vh."""
-        out = np.empty(vh.shape[: -self.n] + (self.n,) + self.shape)
-        for b, k in enumerate(self.dfreq):
-            out[(Ellipsis, b) + (slice(None),) * self.n] = self.ifft(vh * (1j * k))
-        return out
+        """``jacobian`` of the field whose half spectrum is vh: one transform of i dfreq_b vh_a."""
+        return self.ifft(np.expand_dims(vh, -self.n - 1) * self.idfreq)
 
     def divergence(self, v):
         """Divergence of a vector field (component axis just before space)."""
@@ -186,9 +176,6 @@ class Grid:
         for a in range(1, self.n):
             acc = acc + vh[a] * (1j * self.dfreq[a])
         return self.ifft(acc)
-
-    def laplacian(self, u):
-        return self.ifft(self.fft(u) * (-self.k2))
 
     def riesz(self, u, i):
         """Riesz-type operator with multiplier i*xi_i/|xi|, zero mode 0."""
@@ -224,16 +211,6 @@ class Grid:
         if not 0 <= j < self.nbands:
             raise ValueError(f"band index must be in 0..{self.nbands - 1}, got {j}")
         return self.ifft(self.fft(u) * (self.band_of == j))
-
-    def band_l2_profile(self, u):
-        """Per-band L2 norms ||P_j u||, l2 over leading component axes.
-
-        Computed in frequency space via Parseval; returns shape (nbands,).
-        """
-        power = np.abs(self.fft(u)) ** 2
-        if power.ndim > self.n:
-            power = power.sum(axis=tuple(range(power.ndim - self.n)))
-        return self.band_l2_of_power(power)
 
     def band_l2_of_power(self, power):
         """Per-band L2 norms from a power spectrum |u_hat|^2 on ``spectral_shape``.
@@ -311,11 +288,6 @@ def _leading_passes(grid, a, big, transform, order):
             transform(view, axis=k - n, out=view)
 
 
-def pad_factor(degree):
-    """Integer padding multiple for an alias-free product of ``degree`` factors."""
-    return (degree + 2) // 2
-
-
 def pad_to_fine(grid, u, pad):
     """Trigonometric interpolation of real u onto the pad-times finer lattice."""
     return spectrum_to_fine(grid, grid.fft(u), pad)
@@ -386,27 +358,20 @@ def fine_to_spectrum(grid, u_fine, pad):
     return uh / (big / grid.size) ** n
 
 
-def _canonical_order(arrays):
-    keys = [hashlib.sha256(np.ascontiguousarray(a).tobytes()).digest() for a in arrays]
-    return [arrays[i] for i in sorted(range(len(arrays)), key=keys.__getitem__)]
-
-
 def dealiased_product(grid, factors):
-    """Alias-free pointwise product of band-limited fields.
+    """Alias-free pointwise product of band-limited fields, in argument order.
 
-    The factors are interpolated onto a lattice refined by
-    ``pad_factor(len(factors))``, multiplied there, and truncated back.
-    Factors are multiplied in a canonical content-derived order, so the
-    result is bitwise independent of the argument order.
+    The factors are interpolated onto a lattice refined by the smallest
+    integer pad >= (d + 1) / 2 for d factors, multiplied there, and
+    truncated back.
     """
     factors = list(factors)
     if not factors:
         raise ValueError("dealiased_product needs at least one factor")
     if len(factors) == 1:
         return np.asarray(factors[0], dtype=float).copy()
-    pad = pad_factor(len(factors))
-    fine = _canonical_order([pad_to_fine(grid, f, pad) for f in factors])
-    prod = fine[0]
-    for f in fine[1:]:
-        prod = prod * f
+    pad = (len(factors) + 2) // 2
+    prod = pad_to_fine(grid, factors[0], pad)
+    for f in factors[1:]:
+        prod = prod * pad_to_fine(grid, f, pad)
     return truncate_from_fine(grid, prod, pad)

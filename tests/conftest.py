@@ -142,10 +142,6 @@ class ComplexGrid:
     def deriv(self, u, axis):
         return self.ifft(self.fft(u) * (1j * self.dfreq[axis]))
 
-    def gradient(self, u):
-        uh = self.fft(u)
-        return np.stack([self.ifft(uh * (1j * k)) for k in self.dfreq])
-
     def jacobian(self, v):
         vh = self.fft(v)
         n = self.grid.n
@@ -223,7 +219,7 @@ def physical_run_direct(grid, data, cfg):
         Y[m] = state.Y
     dY = time_derivative(tg, Y)
     dY[0] = data.g
-    return Y, dY, second_time_derivative(tg, Y) - grid.laplacian(Y)
+    return Y, dY, second_time_derivative(tg, Y) - grid.ifft(grid.fft(Y) * (-grid.k2))
 
 
 def physical_diagnostics(grid, tg, Y, dY, boxY, every=1):

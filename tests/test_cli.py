@@ -322,6 +322,26 @@ def test_sweep_small(tmp_path):
         assert parse_config((out / f"eps_{eps}" / "config.txt").read_text()).epsilon == float(eps)
 
 
+def test_sweep_rejects_repeated_amplitudes_before_any_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, SMALL.format(eps=0.01, solver="picard", out=out))
+    assert main(["sweep", cfg, "--epsilons", "1e-3,1e-3,1e-2"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: sweep amplitudes must be distinct\n"
+    assert not out.exists()
+
+
+def test_sweep_close_amplitudes_get_their_own_directories(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, SMALL.format(eps=0.01, solver="picard", out=out))
+    assert main(["sweep", cfg, "--epsilons", "1e-3,1.0000001e-3,1e-2"]) == 0
+    dirs = sorted(p.name for p in out.iterdir() if p.is_dir())
+    assert dirs == ["eps_0.001", "eps_0.0010000001", "eps_0.01"]
+    for name in dirs:
+        eps = parse_config((out / name / "config.txt").read_text()).epsilon
+        assert name == f"eps_{eps!r}"
+
+
 def test_sweep_direct_pressure_failure_exits_two(tmp_path, capsys):
     out = tmp_path / "out"
     body = SMALL.format(eps=0.01, solver="direct", out=out) + "pressure_max_iter = 2\n"

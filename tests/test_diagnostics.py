@@ -5,6 +5,7 @@ import pytest
 
 from hkel.diagnostics import (
     SweepRow,
+    _subsample,
     besov_norm,
     besov_sup,
     data_norm,
@@ -136,9 +137,12 @@ def test_two_variation_unitary_invariance(rng):
 
 
 def test_two_variation_subsampling_cap(rng):
+    # the stride path: every stride-th sample, and the last one always
     path = rng.standard_normal((1000, 2))
-    capped = two_variation(path, max_samples=100)
-    assert capped > 0.0  # smoke: the stride path is exercised
+    capped = _subsample(path, 100)
+    assert len(capped) <= 101
+    assert np.array_equal(capped[0], path[0]) and np.array_equal(capped[-1], path[-1])
+    assert two_variation(capped) > 0.0
 
 
 # -- s surrogate --------------------------------------------------------------------

@@ -196,7 +196,7 @@ def test_null_form_bracket_diagonal_vanishes(grid2, rng):
 
 def test_compatibility_zero_displacement(grid2, rng):
     psi = random_mean_free(grid2, rng, band=4)
-    dpsi = grid2.gradient(psi)
+    dpsi = grid2.jacobian(psi)
     g = np.stack([dpsi[1], -dpsi[0]])
     data = InitialData(np.zeros((2,) + grid2.shape), g)
     r1, r2 = compatibility_residuals(grid2, data)
@@ -278,7 +278,7 @@ def test_pressure_zero_forcing(grid2, rng):
 
 def test_pressure_gradient_case(grid2, rng):
     phi = random_mean_free(grid2, rng, band=4)
-    boxYh = grid2.fft(grid2.gradient(phi))[None]
+    boxYh = grid2.fft(grid2.jacobian(phi))[None]
     res = recover_pressure(grid2, np.zeros_like(boxYh), boxYh)
     assert res[0] <= 1e-12
 

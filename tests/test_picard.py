@@ -30,7 +30,7 @@ def physical_box(grid, tg, u):
     ddu[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / tg.dt**2
     ddu[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / tg.dt**2
     ddu[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / tg.dt**2
-    return ddu - grid.laplacian(u)
+    return ddu - grid.ifft(grid.fft(u) * (-grid.k2))
 
 
 def physical_duhamel(grid, tg, F):
