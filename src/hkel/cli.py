@@ -35,23 +35,21 @@ from .elastic import (
 from .picard import COMPATIBILITY_TOL, compatible, free_wave_state, picard_solve
 from .selftest import run_selftest
 from .snapshots import read_snapshot, write_snapshot
-from .spectral import Grid
+from .spectral import CHUNK_BYTES, Grid
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_CONVERGED = 2
 
 
-# Trajectory-sized arrays alive at a run's peak: the slope of own-process peak
-# RSS against the trajectory size between two 2D N=64 horizons (dt = 0.01),
-# rounded up.  Picard reads 7.9 at 300/600 steps: the solve's spectral
-# iterates and Duhamel temporaries.  The leapfrog reads 2.3 at 300/600 steps
-# and 3.1 at 600/900, where run_direct returns: it holds the physical and
-# spectral Y, the velocity's spectrum and the box with its difference
-# temporaries.  The 3D slope depends on the horizons (Picard at N=16: 6.1 at
-# 30/90 steps, 2.7 at 90/150), because a run's chunk-lattice temporaries do
-# not grow with the horizon, so it is not a count of arrays.
-PEAK_TRAJECTORY_ARRAYS = {"picard": 8, "direct": 4}
+# Peak bytes of a run: a per-solver count of half-spectrum Y trajectories
+# (the slope of own-process peak RSS against their size between two horizons,
+# dt = 0.01, rounded up), the interpreter, numpy and data, and chunks of G on
+# the product lattice.  Picard reads 9.7 in 2D N=64 (300/600 steps) and 3D
+# N=16 (90/150).  The leapfrog reads 5.0 (150/300) to 5.9 (900/1200) in 2D
+# N=64, and a 150-step run needs 7.1 above the fixed term.
+TRAJECTORY_ARRAYS = {"picard": 10, "direct": 8}
+BASELINE_BYTES, CHUNK_LATTICES = 40 * 2**20, 6
 
 # In-memory products of one simulation, reused by sweep analytics.
 SimArtifacts = namedtuple("SimArtifacts", "grid data tg Yh dYh report")
@@ -210,9 +208,11 @@ def run_one(cfg, subdir=None):
 
 
 def memory_estimate(cfg):
-    """Peak bytes of one run: its solver's count of (steps+1) n^2 N^n float64 arrays."""
-    trajectory = (cfg.steps + 1) * cfg.dimension**2 * cfg.grid_n**cfg.dimension * 8
-    return PEAK_TRAJECTORY_ARRAYS[cfg.solver] * trajectory
+    """Peak bytes of one run: (steps+1) n N^(n-1) (N/2+1) complex trajectories and a fixed term."""
+    n, size = cfg.dimension, cfg.grid_n
+    trajectory = (cfg.steps + 1) * n * size ** (n - 1) * (size // 2 + 1) * 16
+    chunk = max(CHUNK_BYTES, 8 * n**2 * (2 * size) ** n)  # a chunk is at least one sample
+    return TRAJECTORY_ARRAYS[cfg.solver] * trajectory + BASELINE_BYTES + CHUNK_LATTICES * chunk
 
 
 def physical_memory():

@@ -149,11 +149,12 @@ def s_surrogate(grid, tg, Yh_ts, dYh_ts, s=None, max_samples=VARIATION_MAX_SAMPL
     flat_band = grid.band_of.ravel()
     flat_paired = np.broadcast_to(grid.parseval_weight == 2.0, grid.spectral_shape).ravel()
     absd = np.sqrt(grid.dk2).ravel()
+    absd_inv_absk = absd * grid.inv_absk.ravel()
 
-    Yh = Yh_ts[idx].reshape(len(idx), grid.n, -1)  # copies: idx is an index array
-    Wh = dYh_ts[idx].reshape(Yh.shape)
-    Yh *= absd
-    Wh *= absd * grid.inv_absk.ravel()
+    # views of the spectra, copies of the sampled times only when they are fewer
+    Y, W = (u.reshape(tg.nsamples, grid.n, -1) for u in (Yh_ts, dYh_ts))
+    if len(idx) < tg.nsamples:
+        Y, W = Y[idx], W[idx]
 
     # On the full lattice the sign-+ path at -xi is the conjugate of the
     # sign-- path at xi, so each sign's variation runs over its own path on
@@ -164,16 +165,19 @@ def s_surrogate(grid, tg, Yh_ts, dYh_ts, s=None, max_samples=VARIATION_MAX_SAMPL
         sel = np.nonzero(flat_band == j)[0]
         if len(sel) == 0:
             continue
+        Yj, Wj = Y[:, :, sel] * absd[sel], W[:, :, sel] * absd_inv_absk[sel]
         plus, minus = (
-            (Yh[:, :, sel] + sign * 1j * Wh[:, :, sel])
+            (Yj + sign * 1j * Wj)
             * np.exp(sign * 1j * times[:, None] * flat_absk[sel])[:, None, :]
             for sign in (+1.0, -1.0)
         )
+        del Yj, Wj
         paired = flat_paired[sel]
         vj = 0.0
         for own, other in ((plus, minus), (minus, plus)):
             w = np.concatenate([own, other[:, :, paired]], axis=2)
-            vj += two_variation(w * coeff_scale)
+            w *= coeff_scale
+            vj += two_variation(w)
         variation += 2.0 ** (j * s) * vj
     return variation + gradient_besov_sup(grid, Yh_ts, s), variation
 

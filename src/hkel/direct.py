@@ -38,6 +38,10 @@ class DirectState:
     accel: np.ndarray = None
     pressure: np.ndarray = None  # half spectrum, the next pressure solve's warm start
     iterations: int = 0
+    # Y's half spectrum and Jacobian from run_direct: the next step reads
+    # them instead of transforming Y again, and adds I to G in place
+    Yh: np.ndarray = field(default=None, init=False, repr=False)
+    G: np.ndarray = field(default=None, init=False, repr=False)
 
 
 @dataclass
@@ -110,11 +114,11 @@ def solve_pressure(grid, Minv, lapY, velocity, p0h, tol, max_iter):
     )
 
 
-def _acceleration(grid, Y, velocity, p0h, tol, max_iter):
+def _acceleration(grid, state, velocity, p0h, tol, max_iter):
     """Leapfrog acceleration lap(Y) - (grad X)^-T grad p, from one transform of Y."""
-    Yh = grid.fft(Y)
-    gradX = grid.jacobian_of_spectrum(Yh)
-    for a in range(grid.n):
+    Yh = grid.fft(state.Y) if state.Yh is None else state.Yh
+    gradX = grid.jacobian_of_spectrum(Yh) if state.G is None else state.G
+    for a in range(grid.n):  # in place: grad X = I + G, the values det_residual formed
         gradX[a, a] += 1.0
     lapY = grid.ifft(Yh * (-grid.k2))
     ph, MinvT_grad_p, iters = solve_pressure(
@@ -126,7 +130,7 @@ def direct_step(grid, state, dt, tol=1e-10, max_iter=400):
     """One leapfrog step; the velocity estimate is second-order accurate."""
     first = state.Y_prev is None
     vel = state.velocity if first else (state.Y - state.Y_prev) / dt + 0.5 * dt * state.accel
-    accel, ph, iters = _acceleration(grid, state.Y, vel, state.pressure, tol, max_iter)
+    accel, ph, iters = _acceleration(grid, state, vel, state.pressure, tol, max_iter)
     if first:
         Y_new, Y_prev = state.Y + dt * vel + 0.5 * dt**2 * accel, state.Y.copy()
     else:
@@ -152,8 +156,9 @@ def run_direct(grid, data, cfg):
             state = direct_step(grid, state, tg.dt, cfg.pressure_tol, cfg.pressure_max_iter)
             iters.append(state.iterations)
         Y_ts[m] = state.Y
-        Yh[m] = grid.fft(state.Y)
-        drifts.append(det_residual(grid.jacobian_of_spectrum(Yh[m])))
+        Yh[m] = state.Yh = grid.fft(state.Y)
+        state.G = grid.jacobian_of_spectrum(Yh[m])
+        drifts.append(det_residual(state.G))
     dY = time_derivative(tg, Y_ts)
     dY[0] = data.g
     dYh = grid.fft(dY)

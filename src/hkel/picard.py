@@ -26,7 +26,7 @@ import numpy as np
 from .diagnostics import gradient_besov_sup
 from .elastic import compatibility_residuals, curl_free_displacement, minor_sum_total, null_form
 from .spectral import Grid, jacobian_on_fine
-from .waves import TimeGrid, box_trajectory, duhamel_trajectory, free_wave, time_derivative
+from .waves import TimeGrid, _duhamel, free_wave, second_time_derivative, time_derivative
 
 COMPATIBILITY_TOL = 1e-8
 DIVERGING_RATIOS = 3  # successive contraction ratios above 1 that end the iteration
@@ -45,7 +45,7 @@ class PicardState:
     tg: TimeGrid
     Yh: np.ndarray  # (steps+1, n) + grid.spectral_shape
     dYh: np.ndarray  # spectrum of d_t Y, same shape
-    boxYh: np.ndarray  # spectrum of box Y, same shape
+    boxYh: np.ndarray  # spectrum of box Y, same shape; None on the free seed, where it is 0
 
     @cached_property
     def G(self):
@@ -70,20 +70,22 @@ def free_wave_state(grid, tg, data):
     """Free-wave displacement trajectory seeded from Leray-projected data.
 
     Y(t) per mode is cos(t|k|) P f + sin(t|k|)/|k| P g, and dY is the exact
-    propagator derivative; box Y vanishes identically.
+    propagator derivative; box Y vanishes identically and is not stored.
     """
     grid.require_mean_free(data.f, "initial displacement")
     grid.require_mean_free(data.g, "initial velocity")
     Pf, Pg = grid.leray_project(data.f), grid.leray_project(data.g)
     Yh, dYh = free_wave(grid, Pf, Pg, tg.times, derivative=True)
-    return PicardState(grid, tg, Yh, dYh, np.zeros_like(Yh))
+    return PicardState(grid, tg, Yh, dYh, None)
 
 
 def picard_map(grid, state, free):
     """One application of the fixed-point map to a trajectory state.
 
     ``free`` is the precomputed free-wave seed (the data-dependent term of
-    the map, identical at every iteration).
+    the map, identical at every iteration).  The chunks write Z_hat into the
+    new Y_hat and W_hat into the new box Y_hat; then each row of the first
+    spectral axis adds the free seed, the box of Z and Duhamel's integral of W.
     """
     if free.tg != state.tg:
         raise ValueError("state and free seed live on different time grids")
@@ -91,27 +93,32 @@ def picard_map(grid, state, free):
     # one lattice for the null form and the minors: products of degree n
     # (the top minor) are alias-free at pad (n + 1) / 2, the 3/2 rule in 2D
     pad = (grid.n + 1) / 2
-    Wh = np.empty_like(state.Yh)
-    Zh = np.empty_like(state.Yh)
+    Yh, dYh, boxYh = (np.empty_like(state.Yh) for _ in range(3))
     chunk = grid.samples_per_chunk()
-    forced = state is not free  # the free seed's box Y, so its forcing W, is 0
+    forced = state.boxYh is not None  # the free seed's box Y, so its forcing W, is 0
     for m0 in range(0, tg.nsamples, chunk):
         c = slice(m0, min(m0 + chunk, tg.nsamples))
         Gf = jacobian_on_fine(grid, state.Yh[c], pad)
         if forced:  # H = grad box Y is a temporary, freed before the minors accumulate
-            Wh[c] = np.moveaxis(
+            boxYh[c] = np.moveaxis(
                 null_form(grid, Gf, jacobian_on_fine(grid, state.boxYh[c], pad)), 0, 1)
-        Zh[c] = np.moveaxis(curl_free_displacement(grid, Gf), 0, 1)
+        Yh[c] = np.moveaxis(curl_free_displacement(grid, Gf), 0, 1)
 
-    Yh = free.Yh + Zh
-    dYh = free.dYh + time_derivative(tg, Zh)
-    boxYh = box_trajectory(grid, tg, Zh)
-    if forced:
-        boxYh += Wh
-        for a in range(grid.n):
-            duh, dduh = duhamel_trajectory(grid, tg, Wh[:, a], derivative=True)
-            Yh[:, a] += duh
-            dYh[:, a] += dduh
+    for i in range(grid.spectral_shape[0]):
+        row = (slice(None), slice(None), i)
+        Zh = Yh[row]
+        box = second_time_derivative(tg, Zh)
+        box += grid.k2[i] * Zh
+        dYh[row] = time_derivative(tg, Zh) + free.dYh[row]
+        Zh += free.Yh[row]
+        if forced:
+            Wh = boxYh[row]
+            duh, dduh = _duhamel(tg, Wh, grid.absk[i], grid.inv_absk[i])
+            Wh += box
+            Zh += duh
+            dYh[row] += dduh
+        else:
+            boxYh[row] = box
     return PicardState(grid, tg, Yh, dYh, boxYh)
 
 

@@ -32,6 +32,8 @@ from itertools import product
 import numpy as np
 
 MEAN_FREE_RTOL = 1e-10
+# bytes of one chunk of G on the product lattice: about one core's L2 cache
+CHUNK_BYTES = 2**21
 
 
 class Grid:
@@ -142,8 +144,8 @@ class Grid:
         return uh
 
     def samples_per_chunk(self):
-        """Time samples per batch of Jacobian work: 2**18 / (4 N^n), 16 at N^n = 4096."""
-        return max(1, 2**18 // (4 * self.npoints))
+        """Time samples whose G, n^2 float64 fields on (2 N)^n points, fit ``CHUNK_BYTES``, >= 1."""
+        return max(1, CHUNK_BYTES // (8 * self.n**2 * 2**self.n * self.npoints))
 
     def require_mean_free(self, u, what="field"):
         u = np.asarray(u)

@@ -72,21 +72,29 @@ def duhamel_trajectory(grid, tg, Fh, derivative=False):
     derivative replaces the kernel by cos((t-s)|k|), per the same
     quadrature.
     """
+    out, dout = _duhamel(tg, Fh, grid.absk, grid.inv_absk)
+    return (out, dout) if derivative else out
+
+
+def _duhamel(tg, Fh, absk, inv_absk):
+    """``duhamel_trajectory`` and its d/dt at the modes |k| = ``absk``, Fh's trailing axes.
+
+    The sums run along time one mode at a time: any block of modes that
+    starts at the zero mode or leaves it out gets the whole spectrum's bits.
+    """
     times = tg.times.reshape((-1,) + (1,) * (Fh.ndim - 1))
-    cosk = np.cos(times * grid.absk)
-    sink = np.sin(times * grid.absk)
+    cosk = np.cos(times * absk)
+    sink = np.sin(times * absk)
     C = _cumtrapz(cosk * Fh, tg.dt)
     S = _cumtrapz(sink * Fh, tg.dt)
-    out = (sink * C - cosk * S) * grid.inv_absk  # inv_absk is 0 at the zero mode
-    # zero mode, kernel (t - s): t * cumtrapz(F) - cumtrapz(s F)
-    zero = (Ellipsis,) + (0,) * grid.n
-    times0 = tg.times.reshape((-1,) + (1,) * (Fh.ndim - 1 - grid.n))
-    T0 = _cumtrapz(Fh[zero], tg.dt)
-    out[zero] = times0 * T0 - _cumtrapz(times0 * Fh[zero], tg.dt)
-    if not derivative:
-        return out
+    out = (sink * C - cosk * S) * inv_absk  # inv_absk is 0 at the zero mode
     dout = cosk * C + sink * S
-    dout[zero] = T0
+    if absk.flat[0] == 0.0:  # the zero mode, kernel (t - s): t * cumtrapz(F) - cumtrapz(s F)
+        zero = (Ellipsis,) + (0,) * absk.ndim
+        times0 = tg.times.reshape((-1,) + (1,) * (Fh[zero].ndim - 1))
+        T0 = _cumtrapz(Fh[zero], tg.dt)
+        out[zero] = times0 * T0 - _cumtrapz(times0 * Fh[zero], tg.dt)
+        dout[zero] = T0
     return out, dout
 
 

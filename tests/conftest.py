@@ -3,9 +3,23 @@ import pytest
 
 from hkel.diagnostics import gradient_besov_norms, s_surrogate
 from hkel.direct import DirectState, direct_step
-from hkel.elastic import _accumulate_terms, _minor_terms, det_residual
-from hkel.spectral import Grid, _fine_size, _placements, pad_to_fine, truncate_from_fine
-from hkel.waves import second_time_derivative, time_derivative
+from hkel.elastic import (
+    _accumulate_terms,
+    _minor_terms,
+    curl_free_displacement,
+    det_residual,
+    null_form,
+)
+from hkel.picard import PicardState
+from hkel.spectral import (
+    Grid,
+    _fine_size,
+    _placements,
+    jacobian_on_fine,
+    pad_to_fine,
+    truncate_from_fine,
+)
+from hkel.waves import _cumtrapz, box_trajectory, second_time_derivative, time_derivative
 
 
 @pytest.fixture(scope="session")
@@ -239,3 +253,47 @@ def physical_diagnostics(grid, tg, Y, dY, boxY, every=1):
     total, _ = s_surrogate(grid, tg, np.stack([grid.fft(u) for u in Y]),
                            np.stack([grid.fft(u) for u in dY]))
     return np.array(rows), total
+
+
+# -- the whole-trajectory Picard assembly that the in-place one replaced, as an oracle --
+
+
+def whole_trajectory_duhamel(grid, tg, Fh):
+    """Duhamel's integral of Fh and its d/dt, with cos/sin tables over the whole spectrum."""
+    times = tg.times.reshape((-1,) + (1,) * (Fh.ndim - 1))
+    cosk = np.cos(times * grid.absk)
+    sink = np.sin(times * grid.absk)
+    C = _cumtrapz(cosk * Fh, tg.dt)
+    S = _cumtrapz(sink * Fh, tg.dt)
+    out = (sink * C - cosk * S) * grid.inv_absk
+    zero = (Ellipsis,) + (0,) * grid.n
+    times0 = tg.times.reshape((-1,) + (1,) * (Fh.ndim - 1 - grid.n))
+    T0 = _cumtrapz(Fh[zero], tg.dt)
+    out[zero] = times0 * T0 - _cumtrapz(times0 * Fh[zero], tg.dt)
+    dout = cosk * C + sink * S
+    dout[zero] = T0
+    return out, dout
+
+
+def whole_trajectory_picard_map(grid, state, free):
+    """``picard.picard_map`` with W_hat and Z_hat kept whole, all samples in one chunk.
+
+    The new state is free + Z, its box the box of Z plus W, and Duhamel's
+    integral of each component of W is added last; a state without a box
+    (the free seed) has no forcing.
+    """
+    tg, pad = state.tg, (grid.n + 1) / 2
+    Gf = jacobian_on_fine(grid, state.Yh, pad)
+    Zh = np.moveaxis(curl_free_displacement(grid, Gf), 0, 1)
+    Yh = free.Yh + Zh
+    dYh = free.dYh + time_derivative(tg, Zh)
+    boxYh = box_trajectory(grid, tg, Zh)
+    if state.boxYh is not None:
+        Hf = jacobian_on_fine(grid, state.boxYh, pad)
+        Wh = np.moveaxis(null_form(grid, Gf, Hf), 0, 1)
+        boxYh += Wh
+        for a in range(grid.n):
+            duh, dduh = whole_trajectory_duhamel(grid, tg, Wh[:, a])
+            Yh[:, a] += duh
+            dYh[:, a] += dduh
+    return PicardState(grid, tg, Yh, dYh, boxYh)

@@ -117,16 +117,19 @@ def test_diagnostics_bytes_independent_of_chunk_size(tmp_path, monkeypatch, solv
     from hkel.spectral import Grid
 
     default = Grid.samples_per_chunk
-    outputs = []
-    for name, chunk in (("one", lambda grid: 1), ("default", default)):
-        monkeypatch.setattr(Grid, "samples_per_chunk", chunk)
-        out = tmp_path / name
-        body = SMALL.format(eps=0.01, solver=solver, out=out) + "diagnostics_every = 3\n"
-        assert main(["simulate", write_cfg(tmp_path, body, f"{name}.cfg")]) == 0
-        outputs.append((out / "diagnostics.csv").read_bytes())
+    chunks = (("one", lambda grid: 1), ("four", lambda grid: 4), ("default", default))
+    for n, eps in ((2, 0.01), (3, 5e-3)):  # the default is 64 samples in 2D, 1 in 3D
+        outputs = []
+        for name, chunk in chunks:
+            monkeypatch.setattr(Grid, "samples_per_chunk", chunk)
+            out = tmp_path / f"{name}{n}"
+            body = SMALL.format(eps=eps, solver=solver, out=out) + "diagnostics_every = 3\n"
+            body = body.replace("dimension = 2", f"dimension = {n}")
+            assert main(["simulate", write_cfg(tmp_path, body, f"{name}{n}.cfg")]) == 0
+            outputs.append((out / "diagnostics.csv").read_bytes())
+        assert outputs[0] == outputs[1] == outputs[2], n
+        assert len(outputs[0].splitlines()) == 1 + 3  # t = 0, 3 dt, 6 dt of 9 samples
     assert Grid(2, 16).samples_per_chunk() > 3  # the default batches several samples
-    assert outputs[0] == outputs[1]
-    assert len(outputs[0].splitlines()) == 1 + 3  # t = 0, 3 dt, 6 dt of 9 samples
 
 
 # Largest move of each diagnostics.csv column (and of report.txt's s_surrogate)
@@ -212,7 +215,10 @@ def test_simulate_refuses_run_larger_than_memory(tmp_path, capsys, monkeypatch):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, SMALL.format(eps=0.01, solver="picard", out=out))
     need = cli.memory_estimate(parse_config((tmp_path / "run.cfg").read_text()))
-    assert need == cli.PEAK_TRAJECTORY_ARRAYS["picard"] * 9 * 2**2 * 16**2 * 8  # 9 samples
+    # 9 samples of 2 half spectra of 16 x 9 modes; G on 32^2 points is below the chunk budget
+    trajectory = 9 * 2 * 16 * 9 * 16
+    fixed = cli.BASELINE_BYTES + cli.CHUNK_LATTICES * cli.CHUNK_BYTES
+    assert need == cli.TRAJECTORY_ARRAYS["picard"] * trajectory + fixed
     monkeypatch.setattr(cli, "physical_memory", lambda: need - 1)
     assert main(["simulate", cfg]) == 1
     err = capsys.readouterr().err
@@ -221,6 +227,46 @@ def test_simulate_refuses_run_larger_than_memory(tmp_path, capsys, monkeypatch):
     assert not out.exists()
     monkeypatch.setattr(cli, "physical_memory", lambda: need)
     assert main(["simulate", cfg]) == 0
+
+
+def test_memory_estimate_admits_3d_n32_to_t5():
+    # the guard once counted n^2 N^n float64 arrays and refused this run at 9.46 GB
+    from hkel.config import RunConfig
+
+    cfg = RunConfig(dimension=3, grid_n=32, t_end=5.0, dt=0.01, epsilon=5e-3)
+    assert 4e9 < cli.memory_estimate(cfg) < 4.5e9
+
+
+MEASURED_RUN = """
+import resource, sys
+from hkel import cli
+from hkel.config import parse_config
+cfg = parse_config(open(sys.argv[1]).read())
+assert cli.run_one(cfg)[0] == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024, cli.memory_estimate(cfg))
+"""
+# ru_maxrss keeps the high-water mark of the memory a process replaces at exec,
+# which a child of pytest copies from pytest, so the run starts from a small launcher
+LAUNCH = "import subprocess, sys; subprocess.run([sys.executable, *sys.argv[1:]], check=True)"
+
+
+@pytest.mark.parametrize("n, size, t_end, eps", [(2, 64, 0.5, 1e-2), (3, 16, 0.3, 5e-3)])
+def test_memory_estimate_bounds_measured_peak(tmp_path, n, size, t_end, eps):
+    # own-process peak RSS (ru_maxrss, KiB on Linux) of a fresh interpreter
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    body = SMALL.format(eps=eps, solver="picard", out=tmp_path / "out")
+    body = body.replace("dimension = 2\ngrid_n = 16", f"dimension = {n}\ngrid_n = {size}")
+    body = body.replace("t_end = 0.25\ndt = 0.03125", f"t_end = {t_end}\ndt = 0.01")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    cmd = [sys.executable, "-c", LAUNCH, "-c", MEASURED_RUN, write_cfg(tmp_path, body)]
+    out = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60, check=True)
+    peak, need = map(int, out.stdout.split())
+    assert need / 2 < peak < need
 
 
 @pytest.mark.parametrize("command", ["simulate", "check-data"])

@@ -167,6 +167,26 @@ def test_run_direct_spectra_transform_the_physical_trajectories_bitwise():
         assert uh.tobytes() == np.stack([grid.fft(um) for um in u]).tobytes()
 
 
+def test_run_direct_transforms_each_sample_once(monkeypatch):
+    # run_direct hands Y's spectrum and Jacobian, formed for the det drift,
+    # to the next step, which used to transform the same Y again
+    seen, repeats = set(), []
+    fft = Grid.fft
+
+    def recording(grid, u):
+        key = np.asarray(u).tobytes()
+        if key in seen:
+            repeats.append(key)
+        seen.add(key)
+        return fft(grid, u)
+
+    monkeypatch.setattr(Grid, "fft", recording)
+    grid = Grid(2, 32)
+    data = make_shear_data(grid, 1e-2, seed=10, band=1)
+    run_direct(grid, data, small_config(grid_n=32, t_end=0.25))
+    assert len(seen) > 100 and repeats == []
+
+
 def test_direct_energy_drift_second_order():
     grid = Grid(2, 16)
     data = make_shear_data(grid, 1e-2, seed=11, band=1)

@@ -21,7 +21,7 @@ from hkel.picard import (
 from hkel.spectral import Grid, pad_to_fine, spectrum_to_fine, truncate_from_fine
 from hkel.waves import duhamel_trajectory, free_wave, time_derivative
 
-from conftest import loglog_slope
+from conftest import loglog_slope, whole_trajectory_picard_map
 
 
 def physical_box(grid, tg, u):
@@ -104,7 +104,9 @@ def test_free_wave_state_solves_wave_equation(grid2):
     for steps in (16, 32):
         cfg = small_config(grid_n=32, dt=0.5 / steps)
         tg = cfg.time_grid()
-        free = free_wave_state(grid2, tg, data)
+        seed = free_wave_state(grid2, tg, data)
+        zero = PicardState(grid2, tg, *(np.zeros_like(seed.Yh) for _ in range(3)))
+        free = picard_map(grid2, zero, seed)  # the free wave with its box formed
         assert np.abs(free.boxYh).max() == 0.0
         box = physical_box(grid2, tg, free.G)[1:-1]
         errs.append(float(np.abs(box).max()))
@@ -282,11 +284,11 @@ def test_first_map_skips_zero_forcing_bitwise(monkeypatch, n, size):
     grid = Grid(n, size)
     cfg = small_config(dimension=n, grid_n=size, t_end=0.25)
     free = free_wave_state(grid, cfg.time_grid(), make_shear_data(grid, 1e-2, seed=3))
-    forced_seed = PicardState(grid, free.tg, free.Yh, free.dYh, free.boxYh)
+    forced_seed = PicardState(grid, free.tg, free.Yh, free.dYh, np.zeros_like(free.Yh))
     want = picard_map(grid, forced_seed, free)
     calls = []
     monkeypatch.setattr("hkel.picard.null_form", lambda *a: calls.append("null_form"))
-    monkeypatch.setattr("hkel.picard.duhamel_trajectory", lambda *a, **k: calls.append("duhamel"))
+    monkeypatch.setattr("hkel.picard._duhamel", lambda *a: calls.append("duhamel"))
     got = picard_map(grid, free, free)
     assert calls == []
     for name in ("Yh", "dYh", "boxYh"):
@@ -400,7 +402,7 @@ def test_spectral_map_matches_physical_map(n, size):
     tg = small_config(dimension=n, grid_n=size).time_grid()
     free = free_wave_state(grid, tg, make_shear_data(grid, 1e-2, seed=7, band=1))
     state = picard_map(grid, picard_map(grid, free, free), free)
-    seed = tuple(grid.ifft(uh) for uh in (free.Yh, free.dYh, free.boxYh))
+    seed = tuple(grid.ifft(uh) for uh in (free.Yh, free.dYh, np.zeros_like(free.Yh)))
     oracle = physical_picard_map(grid, tg, physical_picard_map(grid, tg, seed, seed), seed)
     # boxY measured 6.6e-12 (2D) and 2.2e-12 (3D): rounding amplified by the 1/dt^2 difference
     got = (state.Yh, state.dYh, state.boxYh)
@@ -414,3 +416,22 @@ def test_state_gradients_are_per_sample_jacobians(grid2):
     state = picard_map(grid2, free, free)
     for uh, grad in ((state.Yh, state.G), (state.dYh, grid2.jacobian_of_spectrum(state.dYh))):
         assert grad.tobytes() == np.stack([grid2.jacobian_of_spectrum(u) for u in uh]).tobytes()
+
+
+@pytest.mark.parametrize("n, size", [(2, 32), (3, 8), (3, 16)])
+@pytest.mark.parametrize("chunk", ["one", "default"])
+def test_picard_map_matches_whole_trajectory_assembly_bitwise(monkeypatch, n, size, chunk):
+    # the in-place, row-by-row assembly adds the same operands in the same
+    # order per mode as whole-trajectory arrays do, on forced and unforced maps
+    if chunk == "one":
+        monkeypatch.setattr(Grid, "samples_per_chunk", lambda grid: 1)
+    grid = Grid(n, size)
+    tg = small_config(dimension=n, grid_n=size).time_grid()
+    free = free_wave_state(grid, tg, make_shear_data(grid, 1e-2, seed=7, band=1))
+    state = free
+    for _ in range(2):  # the unforced first map, then a forced one
+        got = picard_map(grid, state, free)
+        want = whole_trajectory_picard_map(grid, state, free)
+        for name in ("Yh", "dYh", "boxYh"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        state = got

@@ -3,9 +3,11 @@ import pytest
 
 from hkel.bandlimited import TrigPoly, random_scalar
 from hkel.spectral import (
+    CHUNK_BYTES,
     Grid,
     dealiased_product,
     fine_to_spectrum,
+    jacobian_on_fine,
     pad_to_fine,
     random_mean_free,
     spectrum_to_fine,
@@ -370,6 +372,18 @@ def test_pruned_transforms_match_oracle_on_noncontiguous_input_bitwise(rng, n, s
     v = np.moveaxis(rng.standard_normal(fine + (3,)), -1, 0)[::2]
     got = fine_to_spectrum(grid, v, pad)
     assert got.tobytes() == full_fine_to_spectrum(grid, v, pad).tobytes()
+
+
+@pytest.mark.parametrize("n, size, want", [(2, 16, 64), (2, 64, 4), (2, 128, 1), (3, 8, 7),
+                                           (3, 16, 1)])
+def test_chunk_of_g_on_product_lattice_fits_budget(n, size, want):
+    # the map's G on its own lattice, pad (n + 1) / 2: one chunk fits the
+    # byte budget, unless a single sample is already larger
+    grid = Grid(n, size)
+    chunk = grid.samples_per_chunk()
+    assert chunk == want
+    Gf = jacobian_on_fine(grid, np.zeros((chunk, n) + grid.spectral_shape, complex), (n + 1) / 2)
+    assert Gf.nbytes <= CHUNK_BYTES or chunk == 1
 
 
 @pytest.mark.parametrize("pad", [1.0625, 1.3, 0.5])  # 17 (odd), 20.8, 8 < N points
