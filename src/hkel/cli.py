@@ -5,15 +5,14 @@ import os
 import sys
 import time
 from collections import namedtuple
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, format_config, parse_config
+from .config import ConfigError, format_config, parse_amplitudes, parse_config
 from .diagnostics import (
-    VARIATION_MAX_SAMPLES,
     DiagnosticsReport,
     SweepRow,
     data_norm,
@@ -23,6 +22,7 @@ from .diagnostics import (
     s_surrogate,
     solution_norm,
     sweep_report,
+    variation_stride,
 )
 from .direct import run_direct
 from .elastic import (
@@ -35,7 +35,7 @@ from .elastic import (
 from .picard import COMPATIBILITY_TOL, compatible, free_wave_state, picard_solve
 from .selftest import run_selftest
 from .snapshots import read_snapshot, write_snapshot
-from .spectral import CHUNK_BYTES, Grid
+from .spectral import CHUNK_BYTES, Grid, fine_sample_bytes
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -97,9 +97,7 @@ def main(argv=None):
         if args.command == "check-data":
             return cmd_check_data(cfg)
         if args.command == "sweep":
-            epsilons = cfg.sweep_epsilons
-            if getattr(args, "epsilons", None):
-                epsilons = tuple(float(x) for x in args.epsilons.split(",") if x.strip())
+            epsilons = parse_amplitudes(args.epsilons) if args.epsilons else cfg.sweep_epsilons
             return cmd_sweep(cfg, epsilons)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -172,10 +170,7 @@ def run_one(cfg, subdir=None):
 
     # G = grad Y exists one chunk of the sampled times at a time, for det_residual
     s = grid.n / 2.0
-    every = cfg.diagnostics_every
-    span = every * grid.samples_per_chunk()
-    for m0 in range(0, tg.nsamples, span):
-        batch = slice(m0, min(m0 + span, tg.nsamples), every)
+    for batch in grid.chunks(tg.nsamples, cfg.diagnostics_every):
         Yb, dYb = Yh[batch], dYh[batch]
         rows = zip(tg.times[batch], gradient_besov_norms(grid, Yb, s),
                    gradient_besov_norms(grid, dYb, s - 1.0), energy(grid, Yb, dYb),
@@ -185,7 +180,6 @@ def run_one(cfg, subdir=None):
     total, variation = s_surrogate(grid, tg, Yh, dYh)
     report.s_surrogate = total
     report.s_variation_part = variation
-    report.variation_stride = max(1, -(-tg.nsamples // VARIATION_MAX_SAMPLES))
     report.wall_clock = time.perf_counter() - started
 
     write_csv(outdir / "diagnostics.csv", DiagnosticsReport.CSV_COLUMNS, report.rows)
@@ -211,7 +205,7 @@ def memory_estimate(cfg):
     """Peak bytes of one run: (steps+1) n N^(n-1) (N/2+1) complex trajectories and a fixed term."""
     n, size = cfg.dimension, cfg.grid_n
     trajectory = (cfg.steps + 1) * n * size ** (n - 1) * (size // 2 + 1) * 16
-    chunk = max(CHUNK_BYTES, 8 * n**2 * (2 * size) ** n)  # a chunk is at least one sample
+    chunk = max(CHUNK_BYTES, fine_sample_bytes(n, size))  # a chunk is at least one sample
     return TRAJECTORY_ARRAYS[cfg.solver] * trajectory + BASELINE_BYTES + CHUNK_LATTICES * chunk
 
 
@@ -220,10 +214,12 @@ def physical_memory():
 
 
 def write_csv(path, columns, rows):
+    """A header and one line per row: a float as %.16e, an int or bool as str(int(x))."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(f"{x:.16e}" for x in row) + "\n")
+            fh.write(",".join(f"{x:.16e}" if isinstance(x, float) else str(int(x))
+                              for x in row) + "\n")
 
 
 def write_run_summary(path, cfg, report, r1, r2):
@@ -236,7 +232,7 @@ def write_run_summary(path, cfg, report, r1, r2):
         f"picard_ratios = {' '.join(f'{r:.16e}' for r in report.ratios)}",
         f"s_surrogate = {report.s_surrogate:.16e}",
         f"s_variation_part = {report.s_variation_part:.16e}",
-        f"variation_stride = {report.variation_stride}",
+        f"variation_stride = {variation_stride(cfg.steps + 1)}",
         f"rng = philox (counter-based), seed = {cfg.seed}",
         f"wall_clock_s = {report.wall_clock:.3f}",
     ]
@@ -244,19 +240,6 @@ def write_run_summary(path, cfg, report, r1, r2):
 
 
 # -- sweep ---------------------------------------------------------------------
-
-
-SWEEP_COLUMNS = (
-    "epsilon",
-    "data_norm",
-    "solution_norm",
-    "ratio",
-    "first_picard_ratio",
-    "iterations",
-    "converged",
-    "free_deviation",
-    "monotone",
-)
 
 
 def cmd_sweep(cfg, epsilons):
@@ -269,7 +252,6 @@ def cmd_sweep(cfg, epsilons):
     runs = [replace(cfg, epsilon=eps) for eps in epsilons]  # validates each before any run
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    grid = Grid(cfg.dimension, cfg.grid_n)
     rows = []
     all_ok = True
     for run in runs:
@@ -277,26 +259,20 @@ def cmd_sweep(cfg, epsilons):
         if art is None:  # run_one has printed why
             return code
         all_ok = all_ok and code == EXIT_OK
-        rows.append(_sweep_row(grid, run.epsilon, art))
-    rows = sweep_report(rows)
-    with open(outdir / "sweep.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(SWEEP_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(
-                f"{r.epsilon:.16e},{r.data_norm:.16e},{r.solution_norm:.16e},"
-                f"{r.ratio:.16e},{r.first_picard_ratio:.16e},{r.iterations},"
-                f"{int(r.converged)},{r.free_deviation:.16e},{int(r.monotone)}\n"
-            )
+        rows.append(_sweep_row(run.epsilon, art))
+    columns = [f.name for f in fields(SweepRow)]
+    write_csv(outdir / "sweep.csv", columns, map(astuple, sweep_report(rows)))
     return EXIT_OK if all_ok else EXIT_NOT_CONVERGED
 
 
-def _sweep_row(grid, eps, art):
+def _sweep_row(eps, art):
     """Sweep analytics from one run's artifacts."""
+    grid = art.grid
     free = free_wave_state(grid, art.tg, art.data)
     dn = data_norm(grid, art.data)
     sn = solution_norm(grid, art.Yh, art.dYh)
     return SweepRow(
-        epsilon=eps,
+        epsilon=float(eps),  # an int amplitude from the library still writes as a float
         data_norm=dn,
         solution_norm=sn,
         ratio=sn / dn if dn > 0 else 0.0,

@@ -54,8 +54,14 @@ class RunConfig:
 
 _REQUIRED = ("dimension", "grid_n", "epsilon", "t_end", "dt")
 
+
+def parse_amplitudes(text):
+    """Comma-separated amplitudes: the sweep_epsilons value and ``hkel sweep --epsilons``."""
+    return tuple(float(x) for x in text.split(",") if x.strip())
+
+
 _PARSERS = {f.name: f.type for f in fields(RunConfig)}
-_PARSERS["sweep_epsilons"] = lambda v: tuple(float(x) for x in v.split(",") if x.strip())
+_PARSERS["sweep_epsilons"] = parse_amplitudes
 
 
 def parse_config(text):

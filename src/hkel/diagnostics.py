@@ -36,10 +36,10 @@ def besov_sup(grid, u_ts, s):
 def gradient_besov_norms(grid, Yh_ts, s):
     """Besov norm of grad Y per sample of the leading (time) axis, from the half spectra of Y.
 
-    Per band ||P_j grad Y||^2 sums |d|^2 sum_a |Y_hat_a|^2; no Jacobian is formed.
+    Per band ||P_j grad Y||^2 sums |d|^2 sum_a |Y_hat_a|^2, a sample at a time; no G is formed.
     """
-    power = (np.abs(Yh_ts) ** 2).sum(axis=1) * grid.dk2
-    return np.array([_besov_of_power(grid, p, s) for p in power])
+    return np.array([_besov_of_power(grid, (np.abs(Yh) ** 2).sum(axis=0) * grid.dk2, s)
+                     for Yh in Yh_ts])
 
 
 def gradient_besov_sup(grid, Yh_ts, s):
@@ -112,23 +112,23 @@ def two_variation(path):
     return two_variation_from_dists(pairwise_sq_dists(path))
 
 
-def _subsample(path, max_samples):
-    m = len(path)
-    if m <= max_samples:
-        return path
-    stride = -(-m // max_samples)  # ceil
-    idx = list(range(0, m, stride))
-    if idx[-1] != m - 1:
-        idx.append(m - 1)
-    return path[idx]
-
-
 # -- propagator-twisted surrogate ---------------------------------------------
 
 VARIATION_MAX_SAMPLES = 256
 
 
-def s_surrogate(grid, tg, Yh_ts, dYh_ts, s=None, max_samples=VARIATION_MAX_SAMPLES):
+def variation_stride(nsamples):
+    """Stride of the samples ``s_surrogate`` reads: at most VARIATION_MAX_SAMPLES, and the last."""
+    return -(-nsamples // VARIATION_MAX_SAMPLES)  # ceil
+
+
+def _subsample(nsamples):
+    """Indices of every ``variation_stride``-th sample and of the last one."""
+    idx = np.arange(0, nsamples, variation_stride(nsamples))
+    return idx if idx[-1] == nsamples - 1 else np.append(idx, nsamples - 1)
+
+
+def s_surrogate(grid, tg, Yh_ts, dYh_ts):
     """Iteration-space surrogate of G = grad Y: twisted per-band 2-variation plus sup-Besov.
 
     Per band j and sign, the path w(t) = exp(+-i t |k|)(G +- i |k|^-1 d_t G)
@@ -137,12 +137,11 @@ def s_surrogate(grid, tg, Yh_ts, dYh_ts, s=None, max_samples=VARIATION_MAX_SAMPL
     |k|^-1 are scalars per mode, so the distances between samples of w are
     those of the path of Y_hat and d_t Y_hat weighted by |d|: the path runs
     over the n components of Y, not the n^2 of G.  Bands are combined with
-    the weight 2^(j s) and the sup-in-time Besov norm of G is added.
+    the weight 2^(j s), s = n/2, and the sup-in-time Besov norm of G is added.
     ``Yh_ts`` and ``dYh_ts`` are the half spectra of Y and d_t Y, time first.
     """
-    if s is None:
-        s = grid.n / 2.0
-    idx = _subsample(np.arange(tg.nsamples), max_samples)
+    s = grid.n / 2.0
+    idx = _subsample(tg.nsamples)
     times = tg.times[idx]
     coeff_scale = np.sqrt(grid.cell_volume) / np.sqrt(grid.npoints)
     flat_absk = grid.absk.ravel()
@@ -163,8 +162,6 @@ def s_surrogate(grid, tg, Yh_ts, dYh_ts, s=None, max_samples=VARIATION_MAX_SAMPL
     variation = 0.0
     for j in range(grid.nbands):
         sel = np.nonzero(flat_band == j)[0]
-        if len(sel) == 0:
-            continue
         Yj, Wj = Y[:, :, sel] * absd[sel], W[:, :, sel] * absd_inv_absk[sel]
         plus, minus = (
             (Yj + sign * 1j * Wj)
@@ -199,7 +196,6 @@ class DiagnosticsReport:
     ratios: list = field(default_factory=list)
     s_surrogate: float = 0.0
     s_variation_part: float = 0.0
-    variation_stride: int = 1
     converged: bool = True
     iterations: int = 0
     wall_clock: float = 0.0
@@ -226,8 +222,6 @@ def sweep_report(rows):
 
     Flags (never raises): non-monotone solution norms and non-converged runs.
     """
-    if len(rows) < 3:
-        raise ValueError("a sweep needs at least 3 amplitudes")
     rows = sorted(rows, key=lambda r: r.epsilon)
     for i, r in enumerate(rows):
         r.monotone = all(

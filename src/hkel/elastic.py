@@ -224,11 +224,11 @@ def compatibility_residuals(grid, data):
 # -- volume-preserving data generators ----------------------------------------
 
 
-def make_shear_data(grid, amplitude, seed, band=2, nshears=None):
+def make_shear_data(grid, amplitude, seed, band=2):
     """Compatible initial data from composed coordinate shears.
 
-    Each shear displaces one coordinate by a band-limited function of the
-    others, so its Jacobian is unit-triangular and the composition has
+    Each of n shears displaces one coordinate by a band-limited function of
+    the others, so its Jacobian is unit-triangular and the composition has
     det(I + grad f) = 1 exactly.  The velocity is g(y) = v(y + f(y)) with
     div v = 0, which zeroes the velocity compatibility residual exactly in
     the continuum and to interpolation accuracy on the lattice.
@@ -236,12 +236,9 @@ def make_shear_data(grid, amplitude, seed, band=2, nshears=None):
     if amplitude < 0:
         raise ValueError("amplitude must be nonnegative")
     n = grid.n
-    if nshears is None:
-        nshears = n
     rng = np.random.Generator(np.random.Philox(key=seed))
     points = grid.coords.copy()
-    for s in range(nshears):
-        axis = s % n
+    for axis in range(n):
         phi = random_scalar(rng, n, band, exclude_axis=axis)
         points[axis] = points[axis] + amplitude * phi(points)
     f = points - grid.coords

@@ -26,7 +26,7 @@ import numpy as np
 from .diagnostics import gradient_besov_sup
 from .elastic import compatibility_residuals, curl_free_displacement, minor_sum_total, null_form
 from .spectral import Grid, jacobian_on_fine
-from .waves import TimeGrid, _duhamel, free_wave, second_time_derivative, time_derivative
+from .waves import TimeGrid, _duhamel, box_trajectory, free_wave, time_derivative
 
 COMPATIBILITY_TOL = 1e-8
 DIVERGING_RATIOS = 3  # successive contraction ratios above 1 that end the iteration
@@ -75,8 +75,7 @@ def free_wave_state(grid, tg, data):
     grid.require_mean_free(data.f, "initial displacement")
     grid.require_mean_free(data.g, "initial velocity")
     Pf, Pg = grid.leray_project(data.f), grid.leray_project(data.g)
-    Yh, dYh = free_wave(grid, Pf, Pg, tg.times, derivative=True)
-    return PicardState(grid, tg, Yh, dYh, None)
+    return PicardState(grid, tg, *free_wave(grid, Pf, Pg, tg.times), None)
 
 
 def picard_map(grid, state, free):
@@ -94,10 +93,8 @@ def picard_map(grid, state, free):
     # (the top minor) are alias-free at pad (n + 1) / 2, the 3/2 rule in 2D
     pad = (grid.n + 1) / 2
     Yh, dYh, boxYh = (np.empty_like(state.Yh) for _ in range(3))
-    chunk = grid.samples_per_chunk()
     forced = state.boxYh is not None  # the free seed's box Y, so its forcing W, is 0
-    for m0 in range(0, tg.nsamples, chunk):
-        c = slice(m0, min(m0 + chunk, tg.nsamples))
+    for c in grid.chunks(tg.nsamples):
         Gf = jacobian_on_fine(grid, state.Yh[c], pad)
         if forced:  # H = grad box Y is a temporary, freed before the minors accumulate
             boxYh[c] = np.moveaxis(
@@ -107,8 +104,7 @@ def picard_map(grid, state, free):
     for i in range(grid.spectral_shape[0]):
         row = (slice(None), slice(None), i)
         Zh = Yh[row]
-        box = second_time_derivative(tg, Zh)
-        box += grid.k2[i] * Zh
+        box = box_trajectory(tg, Zh, grid.k2[i])
         dYh[row] = time_derivative(tg, Zh) + free.dYh[row]
         Zh += free.Yh[row]
         if forced:
@@ -150,7 +146,9 @@ def picard_solve(grid, data, cfg, check_compatibility=True):
     iterations = 0
     for iterations in range(1, cfg.picard_max_iter + 1):
         new = picard_map(grid, state, free)
-        delta = gradient_besov_sup(grid, new.Yh - state.Yh, s)
+        # the difference exists one chunk at a time; np.max keeps a NaN
+        delta = float(np.max([gradient_besov_sup(grid, new.Yh[c] - state.Yh[c], s)
+                              for c in grid.chunks(tg.nsamples)]))
         if deltas:
             ratios.append(delta / deltas[-1] if deltas[-1] > 0 else 0.0)
         deltas.append(delta)
@@ -159,7 +157,7 @@ def picard_solve(grid, data, cfg, check_compatibility=True):
         if not (math.isfinite(delta) and math.isfinite(scale)):
             reason = f"non-finite Picard delta {delta} (scale {scale}) at iteration {iterations}"
             break
-        if delta <= cfg.picard_tol * max(scale, 1e-300) or (delta == 0.0 and scale == 0.0):
+        if delta <= cfg.picard_tol * max(scale, 1e-300):
             converged = True
             break
         recent = ratios[-DIVERGING_RATIOS:]

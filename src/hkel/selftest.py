@@ -1,8 +1,8 @@
 """Invariant checks shared by ``hkel selftest`` and the acceptance suite.
 
-Each check takes only its counts or sizes and returns (ok, detail).  Seeds
-and random streams are fixed, so the self-test's smaller run repeats the
-start of the acceptance run.
+Each check returns (ok, detail), and the two that ``hkel selftest`` runs
+smaller take their seed counts.  Seeds and random streams are fixed, so the
+self-test's smaller run repeats the start of the acceptance run.
 """
 
 from functools import partial
@@ -50,13 +50,13 @@ def cofactor_det(A):
     return sum((-1) ** c * A[0, c] * cofactor_det(B) for c, B in enumerate(minors))
 
 
-def check_minors(count=100):
+def check_minors():
     """1 + tr A + sum_k E_k(A) against det(I + A) and brute-force minors, per n in (2, 3)."""
     worst = 0.0
     rng = np.random.default_rng(7)
     for n in (2, 3):
         grid = Grid(n, 8)
-        for _ in range(count):
+        for _ in range(100):
             A = rng.normal(size=(n, n))
             field = A.reshape((n, n) + (1,) * n) * np.ones(grid.shape)
             expansion = 1.0 + np.trace(A) + float(minor_sum_total(grid, field).reshape(-1)[0])
@@ -68,31 +68,31 @@ def check_minors(count=100):
     return worst <= 1e-12, f"max rel error {worst:.2e}"
 
 
-def check_propagators(steps=(64, 128), box_steps=(32, 64)):
+def check_propagators():
     """Free-wave closed forms, and the orders of Duhamel quadrature and of the box."""
     grid = Grid(2, 32)
     x = grid.coords
     zero = np.zeros(grid.shape)
-    wave = grid.ifft(free_wave(grid, np.cos(2 * x[0]), zero, np.pi / 2))
+    wave = grid.ifft(free_wave(grid, np.cos(2 * x[0]), zero, np.pi / 2)[0])
     e_free = np.abs(wave + np.cos(2 * x[0])).max()
-    e_free = max(e_free, np.abs(grid.ifft(free_wave(grid, zero, np.cos(x[1]), np.pi))).max())
+    e_free = max(e_free, np.abs(grid.ifft(free_wave(grid, zero, np.cos(x[1]), np.pi)[0])).max())
 
     g = np.cos(x[0])
     errs = []
-    for n in steps:
+    for n in (64, 128):
         tg = TimeGrid(np.pi / n, n)
         F = np.broadcast_to(g, (tg.nsamples,) + grid.shape)
-        duh = grid.ifft(duhamel_trajectory(grid, tg, grid.fft(F)))
+        duh = grid.ifft(duhamel_trajectory(grid, tg, grid.fft(F))[0])
         errs.append(float(np.abs(duh[n] - 2.0 * g).max()))
     duh_order = float(np.log2(errs[0] / errs[1]))
 
     rng = np.random.default_rng(3)
     F_poly = random_mean_free(grid, rng, band=4)
     errs_box = []
-    for n in box_steps:
+    for n in (32, 64):
         tg = TimeGrid(1.0 / n, n)
         F = np.cos(tg.times).reshape(-1, 1, 1) * F_poly
-        box = grid.ifft(box_trajectory(grid, tg, duhamel_trajectory(grid, tg, grid.fft(F))))
+        box = grid.ifft(box_trajectory(tg, duhamel_trajectory(grid, tg, grid.fft(F))[0], grid.k2))
         errs_box.append(float(np.abs(box[n // 2] - F[n // 2]).max()))
     box_order = float(np.log2(errs_box[0] / errs_box[1]))
 
@@ -114,11 +114,11 @@ def check_compatibility(seeds=50):
     return ok, f"worst residuals ({worst1:.2e}, {worst2:.2e})"
 
 
-def check_variation(paths=100):
+def check_variation():
     """The dynamic-programming 2-variation equals the brute-force maximum, exactly."""
     rng = np.random.default_rng(55)
     exact = True
-    for _ in range(paths):
+    for _ in range(100):
         m = int(rng.integers(2, 13))
         d2 = pairwise_sq_dists(rng.standard_normal((m, 3)))
         chains = ([0, *s, m - 1] for r in range(m - 1) for s in combinations(range(1, m - 1), r))

@@ -36,6 +36,11 @@ MEAN_FREE_RTOL = 1e-10
 CHUNK_BYTES = 2**21
 
 
+def fine_sample_bytes(n, size):
+    """Bytes of one time sample of G, n^2 float64 fields, on the (2 N)^n product lattice."""
+    return 8 * n**2 * (2 * size) ** n
+
+
 class Grid:
     """Uniform periodic lattice on the n-torus with frequency bookkeeping.
 
@@ -120,9 +125,6 @@ class Grid:
         """Real field of a half spectrum (the inverse of ``fft``)."""
         return np.fft.irfftn(uh, s=self.shape, axes=self.axes)
 
-    def mean(self, u):
-        return np.asarray(u).mean(axis=self.axes)
-
     def l2(self, u):
         """L2 norm over the torus, l2 over any leading component axes."""
         u = np.asarray(u)
@@ -144,12 +146,18 @@ class Grid:
         return uh
 
     def samples_per_chunk(self):
-        """Time samples whose G, n^2 float64 fields on (2 N)^n points, fit ``CHUNK_BYTES``, >= 1."""
-        return max(1, CHUNK_BYTES // (8 * self.n**2 * 2**self.n * self.npoints))
+        """Time samples whose G on the product lattice fits ``CHUNK_BYTES``, at least 1."""
+        return max(1, CHUNK_BYTES // fine_sample_bytes(self.n, self.size))
+
+    def chunks(self, nsamples, every=1):
+        """Slices of the samples 0, every, 2 every, ... < nsamples, ``samples_per_chunk`` each."""
+        span = every * self.samples_per_chunk()
+        for m0 in range(0, nsamples, span):
+            yield slice(m0, min(m0 + span, nsamples), every)
 
     def require_mean_free(self, u, what="field"):
         u = np.asarray(u)
-        m = np.abs(self.mean(u))
+        m = np.abs(u.mean(axis=self.axes))
         scale = np.sqrt(np.mean(u * u, axis=self.axes))
         if np.any(m > MEAN_FREE_RTOL * np.maximum(scale, 1e-300)):
             raise ValueError(
@@ -172,12 +180,8 @@ class Grid:
         return self.ifft(np.expand_dims(vh, -self.n - 1) * self.idfreq)
 
     def divergence(self, v):
-        """Divergence of a vector field (component axis just before space)."""
-        vh = np.moveaxis(self.fft(v), -self.n - 1, 0)
-        acc = vh[0] * (1j * self.dfreq[0])
-        for a in range(1, self.n):
-            acc = acc + vh[a] * (1j * self.dfreq[a])
-        return self.ifft(acc)
+        """Divergence, the trace of ``jacobian`` (component axis just before space)."""
+        return np.trace(self.jacobian(v), axis1=-self.n - 2, axis2=-self.n - 1)
 
     def riesz(self, u, i):
         """Riesz-type operator with multiplier i*xi_i/|xi|, zero mode 0."""

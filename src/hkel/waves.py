@@ -32,22 +32,18 @@ class TimeGrid:
         return self.steps + 1
 
     @property
-    def horizon(self):
-        return self.dt * self.steps
-
-    @property
     def times(self):
         return self.dt * np.arange(self.steps + 1)
 
 
-def free_wave(grid, f, g, t, derivative=False):
-    """Half spectrum of the homogeneous wave solution cos(t|k|) f + sin(t|k|)/|k| g.
+def free_wave(grid, f, g, t):
+    """Half spectra of the homogeneous wave solution cos(t|k|) f + sin(t|k|)/|k| g and its d/dt.
 
     f and g are real fields.  ``t`` is one time or a vector of times, which
-    becomes the leading output axis.  With ``derivative`` the spectrum of
-    the exact time derivative -|k| sin(t|k|) f + cos(t|k|) g is returned
-    too.  The zero mode of f propagates as a constant; g must be mean-free,
-    since its zero mode would grow linearly.
+    becomes the leading output axis.  The second spectrum is the exact time
+    derivative -|k| sin(t|k|) f + cos(t|k|) g.  The zero mode of f
+    propagates as a constant; g must be mean-free, since its zero mode would
+    grow linearly.
     """
     grid.require_mean_free(g, "free_wave velocity")
     fh = grid.fft(f)
@@ -56,14 +52,11 @@ def free_wave(grid, f, g, t, derivative=False):
     cosk = np.cos(t * grid.absk)
     sink = np.sin(t * grid.absk)
     sinc = np.where(grid.absk > 0, sink * grid.inv_absk, t)
-    uh = cosk * fh + sinc * gh
-    if not derivative:
-        return uh
-    return uh, -grid.absk * sink * fh + cosk * gh
+    return cosk * fh + sinc * gh, -grid.absk * sink * fh + cosk * gh
 
 
-def duhamel_trajectory(grid, tg, Fh, derivative=False):
-    """Half spectra of all samples of the Duhamel integral (and optionally its d/dt).
+def duhamel_trajectory(grid, tg, Fh):
+    """Half spectra of all samples of the Duhamel integral and of its d/dt.
 
     ``Fh`` is the half spectrum of the forcing, time first.  Splitting
     sin((t-s)|k|) = sin(t|k|)cos(s|k|) - cos(t|k|)sin(s|k|) reduces the
@@ -72,12 +65,11 @@ def duhamel_trajectory(grid, tg, Fh, derivative=False):
     derivative replaces the kernel by cos((t-s)|k|), per the same
     quadrature.
     """
-    out, dout = _duhamel(tg, Fh, grid.absk, grid.inv_absk)
-    return (out, dout) if derivative else out
+    return _duhamel(tg, Fh, grid.absk, grid.inv_absk)
 
 
 def _duhamel(tg, Fh, absk, inv_absk):
-    """``duhamel_trajectory`` and its d/dt at the modes |k| = ``absk``, Fh's trailing axes.
+    """``duhamel_trajectory`` at the modes |k| = ``absk``, Fh's trailing axes.
 
     The sums run along time one mode at a time: any block of modes that
     starts at the zero mode or leaves it out gets the whole spectrum's bits.
@@ -124,8 +116,11 @@ def second_time_derivative(tg, u):
     return ddu
 
 
-def box_trajectory(grid, tg, uh):
-    """Half spectra of the finite-difference box of every sample: D_tt u_hat + |xi|^2 u_hat."""
+def box_trajectory(tg, uh, k2):
+    """Half spectra of the finite-difference box of every sample: D_tt u_hat + k2 u_hat.
+
+    ``k2`` is |xi|^2 at uh's modes: ``grid.k2``, or the block of it that uh holds.
+    """
     ddu = second_time_derivative(tg, uh)
-    ddu += grid.k2 * uh
+    ddu += k2 * uh
     return ddu

@@ -287,7 +287,7 @@ def whole_trajectory_picard_map(grid, state, free):
     Zh = np.moveaxis(curl_free_displacement(grid, Gf), 0, 1)
     Yh = free.Yh + Zh
     dYh = free.dYh + time_derivative(tg, Zh)
-    boxYh = box_trajectory(grid, tg, Zh)
+    boxYh = box_trajectory(tg, Zh, grid.k2)
     if state.boxYh is not None:
         Hf = jacobian_on_fine(grid, state.boxYh, pad)
         Wh = np.moveaxis(null_form(grid, Gf, Hf), 0, 1)

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hkel import cli
 from hkel.cli import main
 from hkel.config import parse_config
+from hkel.diagnostics import SweepRow
 from hkel.snapshots import read_snapshot, write_snapshot
 
 from conftest import physical_diagnostics, physical_run_direct
@@ -360,8 +363,13 @@ def test_sweep_small(tmp_path):
     cfg = write_cfg(tmp_path, SMALL.format(eps=0.01, solver="picard", out=out))
     assert main(["sweep", cfg, "--epsilons", "1e-3,3e-3,1e-2"]) == 0
     lines = (out / "sweep.csv").read_text().splitlines()
-    assert lines[0].startswith("epsilon,data_norm,solution_norm,ratio")
+    columns = [f.name for f in dataclasses.fields(SweepRow)]
+    assert lines[0].split(",") == columns
     assert len(lines) == 4
+    for line in lines[1:]:
+        cells = dict(zip(columns, line.split(",")))
+        for name in ("iterations", "converged", "monotone"):
+            assert cells[name] == str(int(cells[name])), (name, cells[name])
     for eps in ("0.001", "0.003", "0.01"):
         assert (out / f"eps_{eps}" / "diagnostics.csv").exists()
         # each run's config.txt records the amplitude that run used

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hkel.diagnostics import (
+    VARIATION_MAX_SAMPLES,
     SweepRow,
     _subsample,
     besov_norm,
@@ -139,8 +140,8 @@ def test_two_variation_unitary_invariance(rng):
 def test_two_variation_subsampling_cap(rng):
     # the stride path: every stride-th sample, and the last one always
     path = rng.standard_normal((1000, 2))
-    capped = _subsample(path, 100)
-    assert len(capped) <= 101
+    capped = path[_subsample(len(path))]
+    assert len(capped) <= VARIATION_MAX_SAMPLES + 1 < len(path)
     assert np.array_equal(capped[0], path[0]) and np.array_equal(capped[-1], path[-1])
     assert two_variation(capped) > 0.0
 
@@ -261,11 +262,6 @@ def _row(eps, sol=0.0, conv=True):
 def test_sweep_all_zero_rows():
     rows = sweep_report([_row(1e-3), _row(1e-2), _row(1e-1)])
     assert all(r.solution_norm == 0.0 and r.monotone for r in rows)
-
-
-def test_sweep_needs_three():
-    with pytest.raises(ValueError):
-        sweep_report([_row(1e-3), _row(1e-2)])
 
 
 def test_sweep_flags_non_monotone():

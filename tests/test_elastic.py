@@ -236,15 +236,8 @@ def test_shear_data_zero_amplitude(grid2):
     assert r1 <= 1e-14 and r2 <= 1e-14
 
 
-def test_shear_data_single_shear(grid2):
-    data = make_shear_data(grid2, 1e-2, seed=2, nshears=1)
-    r1, r2 = compatibility_residuals(grid2, data)
-    assert r1 <= 1e-12
-    assert r2 <= 1e-10
-
-
 def test_shear_data_composition_n3(grid3):
-    data = make_shear_data(grid3, 1e-2, seed=3, band=1, nshears=3)
+    data = make_shear_data(grid3, 1e-2, seed=3, band=1)
     r1, r2 = compatibility_residuals(grid3, data)
     assert r1 <= 1e-10
     assert r2 <= 1e-9

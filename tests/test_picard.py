@@ -35,7 +35,7 @@ def physical_box(grid, tg, u):
 
 def physical_duhamel(grid, tg, F):
     """Y and d_t Y of the Duhamel integral of a sampled physical forcing."""
-    return map(grid.ifft, duhamel_trajectory(grid, tg, grid.fft(F), derivative=True))
+    return map(grid.ifft, duhamel_trajectory(grid, tg, grid.fft(F)))
 
 
 def small_config(**overrides):
@@ -312,7 +312,7 @@ def gradient_free_wave_state(grid, tg, data):
     dG = np.empty_like(G)
     for a in range(grid.n):
         for b in range(grid.n):
-            Gh, dGh = free_wave(grid, Af[a, b], Ag[a, b], tg.times, True)
+            Gh, dGh = free_wave(grid, Af[a, b], Ag[a, b], tg.times)
             G[:, a, b], dG[:, a, b] = grid.ifft(Gh), grid.ifft(dGh)
     return G, np.zeros_like(G), dG
 
@@ -435,3 +435,17 @@ def test_picard_map_matches_whole_trajectory_assembly_bitwise(monkeypatch, n, si
         for name in ("Yh", "dYh", "boxYh"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         state = got
+
+
+def test_picard_solve_deltas_independent_of_chunk_size_bitwise(monkeypatch):
+    # the stopping rule forms the difference of successive iterates one chunk
+    # at a time; each sample's norm is computed alone, so the deltas keep their bits
+    grid = Grid(2, 16)
+    cfg = small_config()
+    data = make_shear_data(grid, 1e-2, seed=7, band=1)
+    assert grid.samples_per_chunk() >= cfg.time_grid().nsamples  # the default is one chunk
+    default = picard_solve(grid, data, cfg)
+    monkeypatch.setattr(Grid, "samples_per_chunk", lambda grid: 1)
+    one = picard_solve(grid, data, cfg)
+    assert default.converged and len(default.deltas) > 2
+    assert np.array(one.deltas).tobytes() == np.array(default.deltas).tobytes()

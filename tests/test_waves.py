@@ -33,19 +33,19 @@ def box_fd(grid, tg, uh, m):
 
 
 def physical_wave(grid, f, g, t, derivative=False):
-    """free_wave's spectra transformed back to the lattice."""
-    out = free_wave(grid, f, g, t, derivative)
-    return tuple(map(grid.ifft, out)) if derivative else grid.ifft(out)
+    """free_wave's solution (and with ``derivative`` its d/dt) transformed back to the lattice."""
+    out = tuple(map(grid.ifft, free_wave(grid, f, g, t)))
+    return out if derivative else out[0]
 
 
 def physical_duhamel(grid, tg, F, derivative=False):
-    """duhamel_trajectory of a sampled physical forcing, transformed back to the lattice."""
-    out = duhamel_trajectory(grid, tg, grid.fft(F), derivative)
-    return tuple(map(grid.ifft, out)) if derivative else grid.ifft(out)
+    """duhamel_trajectory of a sampled physical forcing (and with ``derivative`` its d/dt)."""
+    out = tuple(map(grid.ifft, duhamel_trajectory(grid, tg, grid.fft(F))))
+    return out if derivative else out[0]
 
 
 def physical_box(grid, tg, u):
-    return grid.ifft(box_trajectory(grid, tg, grid.fft(u)))
+    return grid.ifft(box_trajectory(tg, grid.fft(u), grid.k2))
 
 
 def test_time_grid_validation():
@@ -99,7 +99,7 @@ def test_propagator_group_law(grid2, rng):
 def test_free_wave_energy_constant(grid2, rng):
     f = random_mean_free(grid2, rng, band=6)
     g = random_mean_free(grid2, rng, band=6)
-    uh, duh = free_wave(grid2, f, g, np.array([0.0, 0.5, 1.3, 4.0]), derivative=True)
+    uh, duh = free_wave(grid2, f, g, np.array([0.0, 0.5, 1.3, 4.0]))
     values = energy(grid2, uh, duh)
     assert np.abs(values - values[0]).max() <= 1e-12 * values[0]
 
@@ -212,7 +212,7 @@ def test_box_trajectory_interior_matches_box_fd_bitwise(grid_name, request, rng)
     grid = request.getfixturevalue(grid_name)
     tg = TimeGrid(0.1, 6)
     uh = grid.fft(rng.standard_normal((tg.nsamples, 2) + grid.shape))
-    box = box_trajectory(grid, tg, uh)
+    box = box_trajectory(tg, uh, grid.k2)
     for m in range(1, tg.steps):
         assert box[m].tobytes() == box_fd(grid, tg, uh, m).tobytes()
 
@@ -252,7 +252,7 @@ def test_duhamel_zero_mode_kernel(grid2):
     tg = TimeGrid(1 / 64, 64)
     F = np.full((tg.nsamples,) + grid2.shape, 3.0)
     got = duhamel(grid2, tg, F, 64)
-    expected = 3.0 * tg.horizon**2 / 2.0
+    expected = 3.0 * tg.times[-1] ** 2 / 2.0
     assert np.abs(got - expected).max() <= 1e-10
     traj = physical_duhamel(grid2, tg, F)
     assert np.abs(traj[64] - expected).max() <= 1e-10

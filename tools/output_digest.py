@@ -6,11 +6,13 @@ Run from anywhere in a checkout:
 
 For each workload of perfbench/spec.py it runs cli.run_one on that
 workload's configuration and data seed, in a temporary directory, and
-prints one line ``workload exit_code sha256``.  The digest covers every
-output file in sorted order, with the two lines that differ between
-identical runs left out: ``wall_clock_s`` in report.txt and ``output_dir``
-in config.txt.  ``--files`` adds one ``name sha256`` line per file.  Two
-checkouts whose lines agree wrote the same bytes.
+prints one line ``workload exit_code sha256``.  Two more lines, sweep_picard
+and sweep_direct, cover ``hkel sweep`` (cli.cmd_sweep) with each solver on
+2D N=16 data at three amplitudes, sweep.csv and every run's files.  The
+digest covers every output file in sorted order, with the two lines that
+differ between identical runs left out: ``wall_clock_s`` in report.txt and
+``output_dir`` in config.txt.  ``--files`` adds one ``name sha256`` line
+per file.  Two checkouts whose lines agree wrote the same bytes.
 """
 
 import argparse
@@ -22,6 +24,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 VOLATILE = {"report.txt": b"wall_clock_s", "config.txt": b"output_dir"}
+SWEEP = {"dimension": 2, "grid_n": 16, "t_end": 0.25, "dt": 1 / 32}
+SWEEP_EPSILONS = (1e-3, 3e-3, 1e-2)
 
 
 def load_spec():
@@ -39,9 +43,9 @@ def file_digests(outdir):
     for path in sorted(p for p in outdir.rglob("*") if p.is_file()):
         name = path.relative_to(outdir).as_posix()
         data = path.read_bytes()
-        if name in VOLATILE:
+        if path.name in VOLATILE:
             lines = data.splitlines(keepends=True)
-            data = b"".join(ln for ln in lines if not ln.startswith(VOLATILE[name]))
+            data = b"".join(ln for ln in lines if not ln.startswith(VOLATILE[path.name]))
         out.append((name, hashlib.sha256(data).hexdigest()))
     return out
 
@@ -57,10 +61,19 @@ def main(argv=None):
     from hkel import cli
     from hkel.config import RunConfig
 
-    for name, workload in spec.WORKLOADS.items():
+    def simulate(cfg):
+        return cli.run_one(cfg)[0]
+
+    def sweep(cfg):
+        return cli.cmd_sweep(cfg, SWEEP_EPSILONS)
+
+    runs = [(name, dict(spec.COMMON, **workload["config"]), simulate)
+            for name, workload in spec.WORKLOADS.items()]
+    runs += [(f"sweep_{solver}", dict(SWEEP, solver=solver), sweep)
+             for solver in ("picard", "direct")]
+    for name, config, command in runs:
         with tempfile.TemporaryDirectory() as tmp:
-            config = dict(spec.COMMON, **workload["config"])
-            code, _ = cli.run_one(RunConfig(seed=args.seed, output_dir=tmp, **config))
+            code = command(RunConfig(seed=args.seed, output_dir=tmp, **config))
             digests = file_digests(Path(tmp))
         total = hashlib.sha256()
         for fname, digest in digests:
