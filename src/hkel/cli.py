@@ -46,9 +46,10 @@ EXIT_NOT_CONVERGED = 2
 # (the slope of own-process peak RSS against their size between two horizons,
 # dt = 0.01, rounded up), the interpreter, numpy and data, and chunks of G on
 # the product lattice.  Picard reads 9.7 in 2D N=64 (300/600 steps) and 3D
-# N=16 (90/150).  The leapfrog reads 5.0 (150/300) to 5.9 (900/1200) in 2D
-# N=64, and a 150-step run needs 7.1 above the fixed term.
-TRAJECTORY_ARRAYS = {"picard": 10, "direct": 8}
+# N=16 (90/150).  The leapfrog reads 3.0 (150/300) to 3.7 (300/600) in 2D
+# N=64, but a 150-step run needs 5.5 above the fixed term, which is too small
+# for the leapfrog's own baseline; 7 keeps 900 steps within 1.7x of its peak.
+TRAJECTORY_ARRAYS = {"picard": 10, "direct": 7}
 BASELINE_BYTES, CHUNK_LATTICES = 40 * 2**20, 6
 
 # In-memory products of one simulation, reused by sweep analytics.
@@ -167,6 +168,10 @@ def run_one(cfg, subdir=None):
             return EXIT_NOT_CONVERGED, None
         report.iterations = int(np.max(traj.pressure_iterations))
     Yh, dYh = traj.Yh, traj.dYh  # both solvers hand over half spectra, time first
+    # before the loop: freeing the surrogate's large band paths raises glibc's
+    # dynamic mmap threshold, so the loop's chunk temporaries then reuse heap
+    # pages (run after the loop, direct2d took 56k minor page faults, not 9k)
+    report.s_surrogate, report.s_variation_part = s_surrogate(grid, tg, Yh, dYh)
 
     # G = grad Y exists one chunk of the sampled times at a time, for det_residual
     s = grid.n / 2.0
@@ -177,9 +182,6 @@ def run_one(cfg, subdir=None):
                    map(det_residual, grid.jacobian_of_spectrum(Yb)),
                    recover_pressure(grid, Yb, traj.boxYh[batch]))
         report.rows.extend(tuple(map(float, row)) for row in rows)
-    total, variation = s_surrogate(grid, tg, Yh, dYh)
-    report.s_surrogate = total
-    report.s_variation_part = variation
     report.wall_clock = time.perf_counter() - started
 
     write_csv(outdir / "diagnostics.csv", DiagnosticsReport.CSV_COLUMNS, report.rows)

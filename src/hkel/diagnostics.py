@@ -83,7 +83,11 @@ def pairwise_sq_dists(path):
     cancellation then happens at the fluctuation scale, so nearly constant
     paths come out near zero instead of at the sqrt(eps ||w||^2) floor.
     """
-    X = np.ascontiguousarray(path).reshape(len(path), -1).copy()
+    return _centred_sq_dists(np.ascontiguousarray(path).reshape(len(path), -1).copy())
+
+
+def _centred_sq_dists(X):
+    """``pairwise_sq_dists`` of the rows of a fresh 2D array, which it centres in place."""
     X -= X.mean(axis=0)
     gram = (X @ X.conj().T).real
     q = np.diag(gram)
@@ -150,10 +154,9 @@ def s_surrogate(grid, tg, Yh_ts, dYh_ts):
     absd = np.sqrt(grid.dk2).ravel()
     absd_inv_absk = absd * grid.inv_absk.ravel()
 
-    # views of the spectra, copies of the sampled times only when they are fewer
+    # each band copies only its own sampled times and modes
     Y, W = (u.reshape(tg.nsamples, grid.n, -1) for u in (Yh_ts, dYh_ts))
-    if len(idx) < tg.nsamples:
-        Y, W = Y[idx], W[idx]
+    samples, components = idx[:, None, None], np.arange(grid.n)[:, None]
 
     # On the full lattice the sign-+ path at -xi is the conjugate of the
     # sign-- path at xi, so each sign's variation runs over its own path on
@@ -162,7 +165,9 @@ def s_surrogate(grid, tg, Yh_ts, dYh_ts):
     variation = 0.0
     for j in range(grid.nbands):
         sel = np.nonzero(flat_band == j)[0]
-        Yj, Wj = Y[:, :, sel] * absd[sel], W[:, :, sel] * absd_inv_absk[sel]
+        Yj, Wj = Y[samples, components, sel], W[samples, components, sel]
+        Yj *= absd[sel]
+        Wj *= absd_inv_absk[sel]
         plus, minus = (
             (Yj + sign * 1j * Wj)
             * np.exp(sign * 1j * times[:, None] * flat_absk[sel])[:, None, :]
@@ -174,7 +179,8 @@ def s_surrogate(grid, tg, Yh_ts, dYh_ts):
         for own, other in ((plus, minus), (minus, plus)):
             w = np.concatenate([own, other[:, :, paired]], axis=2)
             w *= coeff_scale
-            vj += two_variation(w)
+            vj += two_variation_from_dists(_centred_sq_dists(w.reshape(len(w), -1)))
+            del w  # before the next path is allocated
         variation += 2.0 ** (j * s) * vj
     return variation + gradient_besov_sup(grid, Yh_ts, s), variation
 

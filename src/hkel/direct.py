@@ -25,7 +25,7 @@ import numpy as np
 
 from .elastic import det_residual, inverse_pointwise
 from .picard import picard_solve
-from .waves import second_time_derivative, time_derivative
+from .waves import _central_velocity, _end_second_difference, _last_velocity, _second_difference
 
 
 @dataclass
@@ -38,10 +38,13 @@ class DirectState:
     accel: np.ndarray = None
     pressure: np.ndarray = None  # half spectrum, the next pressure solve's warm start
     iterations: int = 0
-    # Y's half spectrum and Jacobian from run_direct: the next step reads
-    # them instead of transforming Y again, and adds I to G in place
+    # Y's half spectrum, Jacobian and Laplacian from run_direct, and on the
+    # initial state the velocity's half spectrum: the next step reads them
+    # instead of transforming again, and adds I to G in place
     Yh: np.ndarray = field(default=None, init=False, repr=False)
     G: np.ndarray = field(default=None, init=False, repr=False)
+    lapY: np.ndarray = field(default=None, init=False, repr=False)
+    velocity_h: np.ndarray = field(default=None, init=False, repr=False)
 
 
 @dataclass
@@ -71,7 +74,7 @@ def _mat_mat(A, B):
                      for a in range(n)])
 
 
-def solve_pressure(grid, Minv, lapY, velocity, p0h, tol, max_iter):
+def solve_pressure(grid, Minv, lapY, vh, p0h, tol, max_iter):
     """Mean-zero pressure from the constraint's second time derivative.
 
     Richardson iteration p_hat <- p_hat - |xi|^-2 r_hat on the half spectrum
@@ -80,12 +83,13 @@ def solve_pressure(grid, Minv, lapY, velocity, p0h, tol, max_iter):
     mean vanishes by the Piola identity, and unpaired Nyquist-plane content
     is collocation noise outside the operator's range), and its norm is read
     from that spectrum by Parseval.  ``lapY`` is the Laplacian of the
-    displacement and ``p0h`` the half spectrum of the warm start (or None).
+    displacement, ``vh`` the half spectrum of the velocity and ``p0h`` that
+    of the warm start (or None).
     Returns (p_hat, (grad X)^-T grad p, iterations); raises on stagnation
     with the observed contraction factor.
     """
     gradL = grid.jacobian(lapY)
-    W = _mat_mat(Minv, grid.jacobian(velocity))
+    W = _mat_mat(Minv, grid.jacobian_of_spectrum(vh))
     bh = grid.physical_spectrum(_trace_product(Minv, gradL) - _trace_product(W, W))
     bnorm = grid.spectral_l2(bh)
     if bnorm == 0.0:
@@ -120,13 +124,14 @@ def _acceleration(grid, state, velocity, p0h, tol, max_iter):
     gradX = grid.jacobian_of_spectrum(Yh) if state.G is None else state.G
     for a in range(grid.n):  # in place: grad X = I + G, the values det_residual formed
         gradX[a, a] += 1.0
-    lapY = grid.ifft(Yh * (-grid.k2))
+    lapY = grid.ifft(Yh * (-grid.k2)) if state.lapY is None else state.lapY
+    vh = grid.fft(velocity) if state.velocity_h is None else state.velocity_h
     ph, MinvT_grad_p, iters = solve_pressure(
-        grid, inverse_pointwise(gradX), lapY, velocity, p0h, tol, max_iter)
+        grid, inverse_pointwise(gradX), lapY, vh, p0h, tol, max_iter)
     return lapY - MinvT_grad_p, ph, iters
 
 
-def direct_step(grid, state, dt, tol=1e-10, max_iter=400):
+def direct_step(grid, state, dt, tol, max_iter):
     """One leapfrog step; the velocity estimate is second-order accurate."""
     first = state.Y_prev is None
     vel = state.velocity if first else (state.Y - state.Y_prev) / dt + 0.5 * dt * state.accel
@@ -142,52 +147,49 @@ def run_direct(grid, data, cfg):
     """Integrate to t_end; returns the half spectra of Y, d_t Y and box Y and the det drift.
 
     Velocity and box are differenced on the physical samples before any
-    transform, whose rounding the box's 1/dt^2 would amplify; each physical
-    trajectory is dropped once it is transformed.
+    transform, whose rounding the box's 1/dt^2 would amplify.  They stream:
+    as each step lands, the sample before it gets its central differences
+    from the last few physical samples, which are all the run keeps of Y,
+    and each spectrum is written once into the preallocated outputs.
     """
     cfg.require_grid(grid)
     tg = cfg.time_grid()
-    Y_ts = np.empty((tg.nsamples, grid.n) + grid.shape)
-    Yh = np.empty((tg.nsamples, grid.n) + grid.spectral_shape, dtype=complex)
+    Yh, dYh, boxYh = (np.empty((tg.nsamples, grid.n) + grid.spectral_shape, dtype=complex)
+                      for _ in range(3))
     state = DirectState(data.f.copy(), data.g.copy(), None, None, None)
+    dYh[0] = state.velocity_h = grid.fft(data.g)
+    Y, lapY = [], []  # the last four samples and their Laplacians
     iters, drifts = [], []
     for m in range(tg.nsamples):
         if m:
             state = direct_step(grid, state, tg.dt, cfg.pressure_tol, cfg.pressure_max_iter)
             iters.append(state.iterations)
-        Y_ts[m] = state.Y
         Yh[m] = state.Yh = grid.fft(state.Y)
         state.G = grid.jacobian_of_spectrum(Yh[m])
+        state.lapY = grid.ifft(Yh[m] * (-grid.k2))
         drifts.append(det_residual(state.G))
-    dY = time_derivative(tg, Y_ts)
-    dY[0] = data.g
-    dYh = grid.fft(dY)
-    del dY
-    box = second_time_derivative(tg, Y_ts)
-    del Y_ts
-    box -= grid.ifft(Yh * (-grid.k2))
-    return DirectRun(Yh, dYh, grid.fft(box), iters, max(drifts))
-
-
-@dataclass
-class CrossValidation:
-    rel_difference: float
-    sup_difference: float
-    scale: float
-    picard: object
-    direct: DirectRun
+        Y, lapY = Y[-3:] + [state.Y], lapY[-3:] + [state.lapY]
+        if m >= 2:
+            dYh[m - 1] = grid.fft(_central_velocity(tg.dt, Y[-3], Y[-1]))
+            boxYh[m - 1] = grid.fft(
+                _second_difference(tg.dt, Y[-3], Y[-2], Y[-1]) - lapY[-2])
+        if m == 3:
+            boxYh[0] = grid.fft(_end_second_difference(tg.dt, *Y) - lapY[0])
+    dYh[-1] = grid.fft(_last_velocity(tg.dt, Y[-1], Y[-2], Y[-3]))
+    boxYh[-1] = grid.fft(_end_second_difference(tg.dt, *Y[::-1]) - lapY[-1])
+    return DirectRun(Yh, dYh, boxYh, iters, max(drifts))
 
 
 def cross_validate(grid, data, cfg):
     """Compare the fixed-point and leapfrog solvers on the same data.
 
-    Reports the sup-over-time L2 difference of grad Y, relative to the
-    sup-over-time L2 size of the direct trajectory.
+    Returns the sup-over-time L2 difference of grad Y, relative to the
+    sup-over-time L2 size of the direct trajectory.  Only the Picard Y
+    spectra stay alive while the leapfrog runs.
     """
-    result = picard_solve(grid, data, cfg)
-    direct = run_direct(grid, data, cfg)
+    picard_Yh = picard_solve(grid, data, cfg).state.Yh
+    direct_Yh = run_direct(grid, data, cfg).Yh
     # ||grad Y|| by Parseval: a mode of grad Y carries |d|^2 |Y_hat|^2
-    scale = math.sqrt(grid.sample_sq_l2(direct.Yh, grid.dk2).max())
-    sup = math.sqrt(grid.sample_sq_l2(result.state.Yh - direct.Yh, grid.dk2).max())
-    rel = sup / scale if scale > 0 else 0.0
-    return CrossValidation(rel, sup, scale, result, direct)
+    scale = math.sqrt(grid.sample_sq_l2(direct_Yh, grid.dk2).max())
+    sup = math.sqrt(grid.sample_sq_l2(picard_Yh - direct_Yh, grid.dk2).max())
+    return sup / scale if scale > 0 else 0.0

@@ -100,20 +100,40 @@ def _cumtrapz(y, dt):
 def time_derivative(tg, u):
     """Second-order time derivative of a sampled trajectory or its spectra (all samples)."""
     du = np.empty_like(u)
-    du[1:-1] = (u[2:] - u[:-2]) / (2.0 * tg.dt)
+    du[1:-1] = _central_velocity(tg.dt, u[:-2], u[2:])
     du[0] = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * tg.dt)
-    du[-1] = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * tg.dt)
+    du[-1] = _last_velocity(tg.dt, u[-1], u[-2], u[-3])
     return du
 
 
 def second_time_derivative(tg, u):
     """Second difference in time of a trajectory or its spectra (one-sided at the endpoints)."""
     ddu = np.empty_like(u)
-    dt2 = tg.dt**2
-    ddu[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dt2
-    ddu[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / dt2
-    ddu[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / dt2
+    ddu[1:-1] = _second_difference(tg.dt, u[:-2], u[1:-1], u[2:])
+    ddu[0] = _end_second_difference(tg.dt, u[0], u[1], u[2], u[3])
+    ddu[-1] = _end_second_difference(tg.dt, u[-1], u[-2], u[-3], u[-4])
     return ddu
+
+
+# The stencils per sample or slice of samples; the leapfrog forms each
+# sample's velocity and box with them as its steps land.
+
+
+def _central_velocity(dt, before, after):
+    return (after - before) / (2.0 * dt)
+
+
+def _last_velocity(dt, last, before, before2):
+    return (3.0 * last - 4.0 * before + before2) / (2.0 * dt)
+
+
+def _second_difference(dt, before, u, after):
+    return (after - 2.0 * u + before) / dt**2
+
+
+def _end_second_difference(dt, end, u1, u2, u3):
+    """One-sided second difference at an endpoint; u1..u3 step inward from it."""
+    return (2.0 * end - 5.0 * u1 + 4.0 * u2 - u3) / dt**2
 
 
 def box_trajectory(tg, uh, k2):

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from hkel.diagnostics import gradient_besov_norms, s_surrogate
+from hkel.diagnostics import (
+    _subsample,
+    gradient_besov_norms,
+    gradient_besov_sup,
+    s_surrogate,
+    two_variation,
+)
 from hkel.direct import DirectState, direct_step
 from hkel.elastic import (
     _accumulate_terms,
@@ -253,6 +259,44 @@ def physical_diagnostics(grid, tg, Y, dY, boxY, every=1):
     total, _ = s_surrogate(grid, tg, np.stack([grid.fft(u) for u in Y]),
                            np.stack([grid.fft(u) for u in dY]))
     return np.array(rows), total
+
+
+# -- the surrogate that copied the sampled trajectories whole, as an oracle ----------
+
+
+def whole_copy_s_surrogate(grid, tg, Yh_ts, dYh_ts):
+    """``diagnostics.s_surrogate`` with the sampled times of Y_hat and d_t Y_hat copied whole.
+
+    Every band path then goes through the public ``two_variation``, which
+    copies it once more.
+    """
+    s = grid.n / 2.0
+    idx = _subsample(tg.nsamples)
+    times = tg.times[idx]
+    coeff_scale = np.sqrt(grid.cell_volume) / np.sqrt(grid.npoints)
+    flat_absk = grid.absk.ravel()
+    flat_band = grid.band_of.ravel()
+    flat_paired = np.broadcast_to(grid.parseval_weight == 2.0, grid.spectral_shape).ravel()
+    absd = np.sqrt(grid.dk2).ravel()
+    absd_inv_absk = absd * grid.inv_absk.ravel()
+    Y, W = (u.reshape(tg.nsamples, grid.n, -1)[idx] for u in (Yh_ts, dYh_ts))
+    variation = 0.0
+    for j in range(grid.nbands):
+        sel = np.nonzero(flat_band == j)[0]
+        Yj, Wj = Y[:, :, sel] * absd[sel], W[:, :, sel] * absd_inv_absk[sel]
+        plus, minus = (
+            (Yj + sign * 1j * Wj)
+            * np.exp(sign * 1j * times[:, None] * flat_absk[sel])[:, None, :]
+            for sign in (+1.0, -1.0)
+        )
+        paired = flat_paired[sel]
+        vj = 0.0
+        for own, other in ((plus, minus), (minus, plus)):
+            w = np.concatenate([own, other[:, :, paired]], axis=2)
+            w *= coeff_scale
+            vj += two_variation(w)
+        variation += 2.0 ** (j * s) * vj
+    return variation + gradient_besov_sup(grid, Yh_ts, s), variation
 
 
 # -- the whole-trajectory Picard assembly that the in-place one replaced, as an oracle --

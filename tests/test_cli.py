@@ -253,15 +253,19 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024, cli.memory_esti
 LAUNCH = "import subprocess, sys; subprocess.run([sys.executable, *sys.argv[1:]], check=True)"
 
 
-@pytest.mark.parametrize("n, size, t_end, eps", [(2, 64, 0.5, 1e-2), (3, 16, 0.3, 5e-3)])
-def test_memory_estimate_bounds_measured_peak(tmp_path, n, size, t_end, eps):
+@pytest.mark.parametrize(
+    "n, size, t_end, eps, solver",
+    [(2, 64, 0.5, 1e-2, "picard"), (3, 16, 0.3, 5e-3, "picard"), (2, 64, 1.5, 1e-2, "direct")],
+    ids=["2-64-0.5-0.01", "3-16-0.3-0.005", "direct-2-64-1.5-0.01"],
+)
+def test_memory_estimate_bounds_measured_peak(tmp_path, n, size, t_end, eps, solver):
     # own-process peak RSS (ru_maxrss, KiB on Linux) of a fresh interpreter
     import os
     import subprocess
     import sys
     from pathlib import Path
 
-    body = SMALL.format(eps=eps, solver="picard", out=tmp_path / "out")
+    body = SMALL.format(eps=eps, solver=solver, out=tmp_path / "out")
     body = body.replace("dimension = 2\ngrid_n = 16", f"dimension = {n}\ngrid_n = {size}")
     body = body.replace("t_end = 0.25\ndt = 0.03125", f"t_end = {t_end}\ndt = 0.01")
     src = str(Path(cli.__file__).resolve().parents[1])

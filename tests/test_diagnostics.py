@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -25,7 +26,7 @@ from hkel.picard import free_wave_state
 from hkel.spectral import Grid, random_mean_free
 from hkel.waves import TimeGrid
 
-from conftest import ComplexGrid, loglog_slope, physical_energy
+from conftest import ComplexGrid, loglog_slope, physical_energy, whole_copy_s_surrogate
 
 
 def brute_force_variation(d2):
@@ -123,6 +124,15 @@ def test_two_variation_equals_brute_force(rng):
         assert two_variation_from_dists(d2) == brute_force_variation(d2)
 
 
+def test_pairwise_sq_dists_leaves_its_argument_unchanged(rng):
+    # s_surrogate centres its own band paths in place; the public function copies
+    for path in (rng.standard_normal((7, 3, 4)),
+                 rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))):
+        before = path.copy()
+        pairwise_sq_dists(path)
+        assert path.tobytes() == before.tobytes()
+
+
 def test_two_variation_time_reversal(rng):
     path = rng.standard_normal((20, 5))
     fwd = two_variation(path)
@@ -200,6 +210,33 @@ def test_s_surrogate_matches_full_spectrum(rng, n, size):
         grid, tg, grid.jacobian(Y_ts), grid.jacobian(dY_ts), n / 2.0
     )
     assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+def random_spectra(rng, grid, tg):
+    shape = (tg.nsamples, grid.n) + grid.spectral_shape
+    return [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2)]
+
+
+@pytest.mark.parametrize("n, size, steps", [(2, 16, 40), (2, 16, 300), (3, 8, 300)])
+def test_s_surrogate_matches_whole_copy_oracle_bitwise(rng, n, size, steps):
+    # each band copies only its own sampled times and modes; 300 steps subsample
+    grid, tg = Grid(n, size), TimeGrid(0.01, steps)
+    Yh, dYh = random_spectra(rng, grid, tg)
+    assert s_surrogate(grid, tg, Yh, dYh) == whole_copy_s_surrogate(grid, tg, Yh, dYh)
+
+
+def test_s_surrogate_peak_memory_is_per_band(rng):
+    # each band path is copied from the spectra, not from whole copies of
+    # their sampled times (every third sample here)
+    grid, tg = Grid(2, 32), TimeGrid(0.01, 600)
+    Yh, dYh = random_spectra(rng, grid, tg)
+    tracemalloc.start()
+    try:
+        s_surrogate(grid, tg, Yh, dYh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * Yh.nbytes  # 1.18 here, 2.22 with the whole copies
 
 
 @pytest.mark.parametrize("n, size", [(2, 16), (3, 8)])
