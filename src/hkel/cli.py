@@ -44,13 +44,13 @@ EXIT_NOT_CONVERGED = 2
 
 # Peak bytes of a run: a per-solver count of half-spectrum Y trajectories
 # (the slope of own-process peak RSS against their size between two horizons,
-# dt = 0.01, rounded up), the interpreter, numpy and data, and chunks of G on
-# the product lattice.  Picard reads 9.7 in 2D N=64 (300/600 steps) and 3D
-# N=16 (90/150).  The leapfrog reads 3.0 (150/300) to 3.7 (300/600) in 2D
-# N=64, but a 150-step run needs 5.5 above the fixed term, which is too small
-# for the leapfrog's own baseline; 7 keeps 900 steps within 1.7x of its peak.
-TRAJECTORY_ARRAYS = {"picard": 10, "direct": 7}
-BASELINE_BYTES, CHUNK_LATTICES = 40 * 2**20, 6
+# dt = 0.01, rounded up), a per-solver fixed term (the interpreter, numpy, the
+# data and the solver's working set) and chunks of G on the product lattice.
+# Picard reads 9.7 in 2D N=64 (300/600 steps) and 3D N=16 (90/150).  The
+# leapfrog reads 3.0 (150/300), 3.7 (300/600) and 3.3 (600/1200) in 2D N=64,
+# over an intercept of about 76 MiB, where its estimate is 1.2-1.26x its peak.
+TRAJECTORY_ARRAYS = {"picard": 10, "direct": 4}
+BASELINE_BYTES, CHUNK_LATTICES = {"picard": 40 * 2**20, "direct": 80 * 2**20}, 6
 
 # In-memory products of one simulation, reused by sweep analytics.
 SimArtifacts = namedtuple("SimArtifacts", "grid data tg Yh dYh report")
@@ -144,7 +144,10 @@ def run_one(cfg, subdir=None):
     data = load_initial_data(grid, cfg)
     r1, r2 = compatibility_residuals(grid, data)
     if not compatible(r1, r2):
-        print(f"error: incompatible initial data: residuals ({r1:.2e}, {r2:.2e})",
+        # generated data is compatible in the continuum: its residual is lattice truncation
+        hint = (f"; the composed shears are under-resolved at grid_n = {cfg.grid_n}, "
+                f"try grid_n = {2 * cfg.grid_n}") if cfg.init == "shear_composition" else ""
+        print(f"error: incompatible initial data: residuals ({r1:.2e}, {r2:.2e}){hint}",
               file=sys.stderr)
         return EXIT_ERROR, None
 
@@ -208,7 +211,8 @@ def memory_estimate(cfg):
     n, size = cfg.dimension, cfg.grid_n
     trajectory = (cfg.steps + 1) * n * size ** (n - 1) * (size // 2 + 1) * 16
     chunk = max(CHUNK_BYTES, fine_sample_bytes(n, size))  # a chunk is at least one sample
-    return TRAJECTORY_ARRAYS[cfg.solver] * trajectory + BASELINE_BYTES + CHUNK_LATTICES * chunk
+    return (TRAJECTORY_ARRAYS[cfg.solver] * trajectory + BASELINE_BYTES[cfg.solver]
+            + CHUNK_LATTICES * chunk)
 
 
 def physical_memory():

@@ -6,16 +6,16 @@ log det(grad X) to vanish:
 
     tr(Minv grad a) = tr((Minv grad dY)^2),   Minv = (grad X)^-1.
 
-The variable-coefficient pressure problem is solved by Richardson
-iteration preconditioned with the constant-coefficient inverse Laplacian,
-which contracts geometrically while the deformation stays small.  The
-iterate is the half spectrum of p, and so is the pressure a step keeps for
-the next one's warm start; an iteration makes one transform call for
-grad p, one each way for all n^2 derivatives of (grad X)^-T grad p, and one
-for the residual spectrum, whose norm Parseval gives.  Products
-here are plain collocation products: the coefficients are rational in
-grad Y, so exact dealiasing does not apply, and the oracle's error budget
-is O(dt^2) plus spectral tails either way.
+The Piola identity sum_a d_a cof(grad X)[b, a] = 0 puts the pressure
+equation, times det(grad X), in divergence form div(K grad p) with the
+symmetric K = det Minv Minv^T, formed once per step.  Richardson iteration
+preconditioned with the constant-coefficient inverse Laplacian solves it,
+contracting geometrically while the deformation stays small.  The iterate
+is the half spectrum of p, which a step keeps as the next one's warm start;
+an iteration transforms grad p back and K grad p forward, n fields each.
+Products here are plain collocation products: the coefficients are
+rational in grad Y, so exact dealiasing does not apply, and the oracle's
+error budget is O(dt^2) plus spectral tails either way.
 """
 
 import math
@@ -74,37 +74,45 @@ def _mat_mat(A, B):
                      for a in range(n)])
 
 
-def solve_pressure(grid, Minv, lapY, vh, p0h, tol, max_iter):
+def solve_pressure(grid, gradX, lapY, vh, p0h, tol, max_iter):
     """Mean-zero pressure from the constraint's second time derivative.
 
-    Richardson iteration p_hat <- p_hat - |xi|^-2 r_hat on the half spectrum
-    of p, with r = b - A p and A p = tr(Minv grad((grad X)^-T grad p)).  The
-    residual is projected onto the mean-free physical frequency window (its
-    mean vanishes by the Piola identity, and unpaired Nyquist-plane content
-    is collocation noise outside the operator's range), and its norm is read
-    from that spectrum by Parseval.  ``lapY`` is the Laplacian of the
-    displacement, ``vh`` the half spectrum of the velocity and ``p0h`` that
-    of the warm start (or None).
-    Returns (p_hat, (grad X)^-T grad p, iterations); raises on stagnation
+    The constraint tr(Minv grad a) = tr(W^2), W = Minv grad v, times det is
+    div(K grad p) = det b, with K = det Minv Minv^T and, by the Piola
+    identity, det b = div(cof^T lap Y) - det tr(W^2).  Richardson iteration
+    p_hat <- p_hat - |xi|^-2 r_hat runs on the half spectrum of p, with r_hat
+    that of det b - div(K grad p) on the mean-free physical frequency window
+    (unpaired Nyquist-plane content is collocation noise outside the
+    operator's range), its norm by Parseval.  ``gradX`` is grad X, ``lapY``
+    the Laplacian of the displacement, ``vh`` the half spectrum of the
+    velocity and ``p0h`` that of the warm start (or None).
+    Returns (p_hat, Minv^T grad p, iterations); raises on stagnation
     with the observed contraction factor.
     """
-    gradL = grid.jacobian(lapY)
+    n = grid.n
+    Minv, cof, det = inverse_pointwise(gradX)
     W = _mat_mat(Minv, grid.jacobian_of_spectrum(vh))
-    bh = grid.physical_spectrum(_trace_product(Minv, gradL) - _trace_product(W, W))
+    div = grid.idfreq * grid.phys_mask  # i d_a on the physical window
+    Fh = grid.fft(np.concatenate([_matT_vec(cof, lapY), (det * _trace_product(W, W))[None]]))
+    bh = (Fh[:n] * div).sum(axis=0) - Fh[n] * grid.phys_mask
+    bh[(0,) * n] = 0.0
     bnorm = grid.spectral_l2(bh)
     if bnorm == 0.0:
-        return np.zeros(grid.spectral_shape, complex), np.zeros((grid.n,) + grid.shape), 0
+        return np.zeros(grid.spectral_shape, complex), np.zeros((n,) + grid.shape), 0
+    K = [[None] * n for _ in range(n)]  # K[a][c] and K[c][a] are one field
+    for a in range(n):
+        for c in range(a, n):
+            K[a][c] = K[c][a] = det * sum(Minv[a, b] * Minv[c, b] for b in range(n))
 
     ph = p0h.copy() if p0h is not None else np.zeros(grid.spectral_shape, complex)
     prev_res = None
     for it in range(1, max_iter + 1):
-        u = _matT_vec(Minv, grid.ifft(ph * grid.idfreq))  # (grad X)^-T grad p
-        # the n^2 derivatives d_b u_a in one call each way
-        Ap = _trace_product(Minv, grid.jacobian(u))
-        rh = bh - grid.physical_spectrum(Ap)
+        gradp = grid.ifft(ph * grid.idfreq)
+        fluxh = grid.fft(np.stack([sum(K[a][c] * gradp[c] for c in range(n)) for a in range(n)]))
+        rh = bh - (fluxh * div).sum(axis=0)
         res = grid.spectral_l2(rh)
         if res <= tol * bnorm:
-            return ph, u, it
+            return ph, _matT_vec(Minv, gradp), it
         if prev_res is not None and res >= prev_res:
             raise RuntimeError(
                 f"pressure iteration stagnated at step {it}: residual ratio "
@@ -126,8 +134,7 @@ def _acceleration(grid, state, velocity, p0h, tol, max_iter):
         gradX[a, a] += 1.0
     lapY = grid.ifft(Yh * (-grid.k2)) if state.lapY is None else state.lapY
     vh = grid.fft(velocity) if state.velocity_h is None else state.velocity_h
-    ph, MinvT_grad_p, iters = solve_pressure(
-        grid, inverse_pointwise(gradX), lapY, vh, p0h, tol, max_iter)
+    ph, MinvT_grad_p, iters = solve_pressure(grid, gradX, lapY, vh, p0h, tol, max_iter)
     return lapY - MinvT_grad_p, ph, iters
 
 

@@ -153,10 +153,10 @@ INVERSE_DET_TOL = 0.5
 
 
 def inverse_pointwise(M):
-    """Pointwise inverse by cofactors; valid only near det = 1.
+    """Pointwise inverse by cofactors, returned with them and det: (M^-1, cof(M), det(M)).
 
-    Raises if the determinant strays from 1 by more than ``INVERSE_DET_TOL``
-    at any grid point (large deformation, outside the small-data regime).
+    Valid only near det = 1: raises if the determinant strays from 1 by more
+    than ``INVERSE_DET_TOL`` at any grid point (outside the small-data regime).
     """
     M = np.asarray(M)
     cof = cofactor_pointwise(M)
@@ -168,7 +168,7 @@ def inverse_pointwise(M):
             f"pointwise Jacobian determinant {det[loc]:.4f} at grid point {loc} "
             f"is farther than {INVERSE_DET_TOL} from 1"
         )
-    return np.swapaxes(cof, 0, 1) / det
+    return np.swapaxes(cof, 0, 1) / det, cof, det
 
 
 def det_residual(G):

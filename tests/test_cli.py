@@ -220,7 +220,7 @@ def test_simulate_refuses_run_larger_than_memory(tmp_path, capsys, monkeypatch):
     need = cli.memory_estimate(parse_config((tmp_path / "run.cfg").read_text()))
     # 9 samples of 2 half spectra of 16 x 9 modes; G on 32^2 points is below the chunk budget
     trajectory = 9 * 2 * 16 * 9 * 16
-    fixed = cli.BASELINE_BYTES + cli.CHUNK_LATTICES * cli.CHUNK_BYTES
+    fixed = cli.BASELINE_BYTES["picard"] + cli.CHUNK_LATTICES * cli.CHUNK_BYTES
     assert need == cli.TRAJECTORY_ARRAYS["picard"] * trajectory + fixed
     monkeypatch.setattr(cli, "physical_memory", lambda: need - 1)
     assert main(["simulate", cfg]) == 1
@@ -332,6 +332,21 @@ def test_simulate_rejects_snapshot_with_nan(tmp_path, capsys, grid2):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "incompatible initial data: residuals (nan, nan)" in err
+
+
+def test_simulate_refuses_under_resolved_shear_data_and_suggests_a_grid(tmp_path, capsys):
+    # 3D N=16 shear data at amplitude 1e-2, seed 6, miss the velocity residual
+    # bound by truncation of the composed shears; at N=32 the same seed passes
+    body = SMALL.format(eps=0.01, solver="picard", out=tmp_path / "out")
+    body = body.replace("dimension = 2", "dimension = 3").replace("seed = 5", "seed = 6")
+    assert main(["simulate", write_cfg(tmp_path, body)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: incompatible initial data: residuals (")
+    assert err.rstrip().endswith(
+        "the composed shears are under-resolved at grid_n = 16, try grid_n = 32")
+    body = body.replace("grid_n = 16", "grid_n = 32")
+    assert main(["check-data", write_cfg(tmp_path, body)]) == 0
 
 
 def test_simulate_from_snapshot_file(tmp_path, grid2):

@@ -36,11 +36,20 @@ def small_config(**overrides):
     return RunConfig(**base)
 
 
-def identity_minv(grid):
+def identity_field(grid):
     M = np.zeros((grid.n, grid.n) + grid.shape)
     for a in range(grid.n):
         M[a, a] = 1.0
     return M
+
+
+def pressure_problem(grid, rng, band=None):
+    """Band-limited grad X near I, displacement Laplacian and velocity, as a step sees them."""
+    gradX = random_jacobian(grid, rng, scale=0.01, band=2)
+    for a in range(grid.n):
+        gradX[a, a] += 1.0
+    Y, velocity = random_vector(grid, rng, band=band), random_vector(grid, rng, band=band)
+    return gradX, grid.ifft(grid.fft(Y) * (-grid.k2)), velocity
 
 
 def test_pressure_zero_state_single_mode(grid2):
@@ -51,7 +60,7 @@ def test_pressure_zero_state_single_mode(grid2):
     g = np.stack([dpsi[1], -dpsi[0]])
     Y = np.zeros((2,) + grid2.shape)
     lapY = grid2.ifft(grid2.fft(Y) * (-grid2.k2))
-    ph, _, iters = solve_pressure(grid2, identity_minv(grid2), lapY, grid2.fft(g), None, 1e-11, 50)
+    ph, _, iters = solve_pressure(grid2, identity_field(grid2), lapY, grid2.fft(g), None, 1e-11, 50)
     assert np.abs(grid2.ifft(ph)).max() <= 1e-11
     state = DirectState(Y, g)
     new = direct_step(grid2, state, 0.01, tol=1e-11, max_iter=400)
@@ -65,7 +74,7 @@ def test_pressure_manufactured_solution(grid2, rng):
     # velocity whose quadratic term reproduces lap(p_true) is awkward to
     # manufacture; instead check the operator directly via one Richardson
     # pass from the exact right-hand side
-    Minv = identity_minv(grid2)
+    Minv = identity_field(grid2)
     u = _matT_vec(Minv, grid2.jacobian(p_true))
     b = _trace_product(Minv, grid2.jacobian(u))
     lap = grid2.ifft(grid2.fft(p_true) * (-grid2.k2))
@@ -74,17 +83,13 @@ def test_pressure_manufactured_solution(grid2, rng):
 
 @pytest.mark.parametrize("n, size", [(2, 32), (3, 16)])
 def test_pressure_residual_by_parseval_matches_physical_norm(rng, n, size):
-    # solve_pressure reads ||project_physical(b - A p)|| from the masked
-    # half spectrum; the physical-space route is the oracle
+    # the norm of project_physical(b - A p), read from the masked half
+    # spectrum by Parseval; the physical-space route is the oracle
     grid = Grid(n, size)
-    gradX = random_jacobian(grid, rng, scale=0.01, band=2)
-    for a in range(n):
-        gradX[a, a] += 1.0
-    Minv = inverse_pointwise(gradX)
-    Y, velocity = random_vector(grid, rng), random_vector(grid, rng)
+    gradX, lapY, velocity = pressure_problem(grid, rng)
+    Minv = inverse_pointwise(gradX)[0]
     p = random_mean_free(grid, rng)
     W = _mat_mat(Minv, grid.jacobian(velocity))
-    lapY = grid.ifft(grid.fft(Y) * (-grid.k2))
     b = _trace_product(Minv, grid.jacobian(lapY)) - _trace_product(W, W)
     Ap = _trace_product(Minv, grid.jacobian(_matT_vec(Minv, grid.jacobian(p))))
     expected = grid.l2(ComplexGrid(grid).project_physical(b - Ap))
@@ -96,15 +101,60 @@ def test_pressure_residual_by_parseval_matches_physical_norm(rng, n, size):
 def test_solve_pressure_returns_the_pressure_force_of_its_iterate_bitwise(rng, n, size):
     # the leapfrog subtracts the returned (grad X)^-T grad p from lap Y
     grid = Grid(n, size)
-    gradX = random_jacobian(grid, rng, scale=0.01, band=2)
-    for a in range(n):
-        gradX[a, a] += 1.0
-    Minv = inverse_pointwise(gradX)
-    Y, velocity = random_vector(grid, rng, band=2), random_vector(grid, rng, band=2)
-    lapY = grid.ifft(grid.fft(Y) * (-grid.k2))
-    ph, force, iters = solve_pressure(grid, Minv, lapY, grid.fft(velocity), None, 1e-10, 100)
+    gradX, lapY, velocity = pressure_problem(grid, rng, band=2)
+    Minv = inverse_pointwise(gradX)[0]
+    ph, force, iters = solve_pressure(grid, gradX, lapY, grid.fft(velocity), None, 1e-10, 100)
     assert iters > 1
     assert force.tobytes() == _matT_vec(Minv, grid.ifft(ph * grid.idfreq)).tobytes()
+
+
+@pytest.mark.parametrize("n, size, bound", [(2, 32, 1e-13), (3, 16, 2e-7)])
+def test_divergence_form_residual_is_det_times_trace_form_residual(rng, monkeypatch, n, size, bound):
+    # the Piola identity sum_a d_a cof[b, a] = 0 gives det tr(Minv grad w) = div(cof^T w),
+    # on the lattice up to the aliasing of collocation products: K = det Minv Minv^T is
+    # rational in grad X, so its spectrum has a geometric tail (ratio about the
+    # deformation's size), and K grad p folds the part past the window back into it.
+    # At N = 16 that part is large: 3.5-5.5e-8 over eleven 3D draws, 1-3e-8 in 2D,
+    # while 3D at N = 32 reads 5e-14.  The right-hand side's factors are
+    # band-limited, so there the identity holds to rounding
+    grid = Grid(n, size)
+    gradX, lapY, velocity = pressure_problem(grid, rng, band=2)
+    Minv, _, det = inverse_pointwise(gradX)
+    p = random_mean_free(grid, rng, band=1)
+    W = _mat_mat(Minv, grid.jacobian(velocity))
+    b = _trace_product(Minv, grid.jacobian(lapY)) - _trace_product(W, W)
+    Ap = _trace_product(Minv, grid.jacobian(_matT_vec(Minv, grid.jacobian(p))))
+    seen, l2 = [], grid.spectral_l2  # the solve reads the norm of det b, then of the residual
+    monkeypatch.setattr(grid, "spectral_l2", lambda uh: seen.append(uh.copy()) or l2(uh))
+    solve_pressure(grid, gradX, lapY, grid.fft(velocity), grid.fft(p), np.inf, 1)
+    bh, rh = seen
+    want = grid.physical_spectrum(det * b)
+    assert l2(bh - want) <= 1e-13 * l2(want)
+    want = grid.physical_spectrum(det * (b - Ap))
+    assert l2(rh - want) <= bound * l2(want)
+
+
+@pytest.mark.parametrize("n, size", [(2, 16), (3, 8)])
+def test_solve_pressure_transforms_n_fields_each_way_per_iteration(rng, monkeypatch, n, size):
+    # set-up: the velocity's n^2 derivatives, then (cof^T lap Y, det tr(W^2)) forward;
+    # an iteration: grad p back and K grad p forward (the trace form made four calls)
+    calls = []
+
+    def counting(name, method):
+        def transform(grid, u):
+            calls.append((name, np.shape(u)[: -grid.n]))
+            return method(grid, u)
+        return transform
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(Grid, name, counting(name, getattr(Grid, name)))
+    grid = Grid(n, size)
+    gradX, lapY, velocity = pressure_problem(grid, rng, band=2)
+    vh = grid.fft(velocity)
+    calls.clear()
+    _, _, iters = solve_pressure(grid, gradX, lapY, vh, None, 1e-10, 100)
+    assert iters > 1
+    assert calls == [("ifft", (n, n)), ("fft", (n + 1,))] + [("ifft", (n,)), ("fft", (n,))] * iters
 
 
 @pytest.mark.parametrize(
@@ -200,8 +250,13 @@ def test_run_direct_transforms_each_sample_once(monkeypatch):
     monkeypatch.setattr(Grid, "fft", recording)
     grid = Grid(2, 32)
     data = make_shear_data(grid, 1e-2, seed=10, band=1)
-    run_direct(grid, data, small_config(grid_n=32, t_end=0.25))
-    assert len(seen) > 100 and repeats == []
+    run = run_direct(grid, data, small_config(grid_n=32, t_end=0.25))
+    # the three spectra of each sample once; each step after the first
+    # transforms its velocity (the first reads the initial one's spectrum),
+    # and each pressure solve its right-hand side and one field per iteration
+    samples = len(run.Yh)
+    calls = 3 * samples + (samples - 2) + (samples - 1) + sum(run.pressure_iterations)
+    assert len(seen) == calls and repeats == []
 
 
 def test_direct_energy_drift_second_order():

@@ -335,7 +335,7 @@ def test_inverse_pointwise_identity_plus_small(grid2, rng):
     M = G.copy()
     for a in range(2):
         M[a, a] += 1.0
-    Minv = inverse_pointwise(M)
+    Minv = inverse_pointwise(M)[0]
     prod = np.einsum("ab...,bc...->ac...", M, Minv)
     eye = np.eye(2).reshape(2, 2, 1, 1)
     assert np.abs(prod - eye).max() <= 1e-12
@@ -404,4 +404,7 @@ def test_inverse_pointwise_bitwise_with_cofactors_built_once(grid_name, request,
     grid = request.getfixturevalue(grid_name)
     n = grid.n
     M = 0.05 * rng.standard_normal((n, n) + grid.shape) + np.eye(n).reshape((n, n) + (1,) * n)
-    assert inverse_pointwise(M).tobytes() == parent_inverse(M).tobytes()
+    Minv, cof, det = inverse_pointwise(M)
+    assert Minv.tobytes() == parent_inverse(M).tobytes()
+    assert cof.tobytes() == cofactor_pointwise(M).tobytes()
+    assert det.tobytes() == det_pointwise(M).tobytes()
