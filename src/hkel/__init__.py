@@ -26,6 +26,7 @@ from .elastic import (
 from .picard import (
     PicardResult,
     PicardState,
+    free_seed,
     free_wave_state,
     picard_map,
     picard_solve,
@@ -50,6 +51,7 @@ __all__ = [
     "recover_pressure",
     "free_wave",
     "duhamel_trajectory",
+    "free_seed",
     "free_wave_state",
     "picard_map",
     "picard_solve",

@@ -26,7 +26,14 @@ import numpy as np
 from .diagnostics import gradient_besov_sup
 from .elastic import compatibility_residuals, curl_free_displacement, minor_sum_total, null_form
 from .spectral import Grid, jacobian_on_fine
-from .waves import TimeGrid, _duhamel, box_trajectory, free_wave, time_derivative
+from .waves import (
+    TimeGrid,
+    _duhamel,
+    _free_wave,
+    _trig_tables,
+    box_trajectory,
+    time_derivative,
+)
 
 COMPATIBILITY_TOL = 1e-8
 DIVERGING_RATIOS = 3  # successive contraction ratios above 1 that end the iteration
@@ -45,7 +52,7 @@ class PicardState:
     tg: TimeGrid
     Yh: np.ndarray  # (steps+1, n) + grid.spectral_shape
     dYh: np.ndarray  # spectrum of d_t Y, same shape
-    boxYh: np.ndarray  # spectrum of box Y, same shape; None on the free seed, where it is 0
+    boxYh: np.ndarray  # spectrum of box Y, same shape; None on the free wave, where it is 0
 
     @cached_property
     def G(self):
@@ -66,34 +73,72 @@ class PicardResult:
     reason: str = ""  # why the iteration stopped early, "" otherwise
 
 
+def projected_data(grid, data):
+    """The Leray-projected data P f and P g that seed the free wave; both must be mean-free."""
+    grid.require_mean_free(data.f, "initial displacement")
+    grid.require_mean_free(data.g, "initial velocity")
+    return grid.leray_project(data.f), grid.leray_project(data.g)
+
+
+def free_seed(grid, data):
+    """Half spectra of P f and P g: the free wave that ``picard_map`` adds, row by row."""
+    return [grid.fft(u) for u in projected_data(grid, data)]
+
+
 def free_wave_state(grid, tg, data):
     """Free-wave displacement trajectory seeded from Leray-projected data.
 
     Y(t) per mode is cos(t|k|) P f + sin(t|k|)/|k| P g, and dY is the exact
     propagator derivative; box Y vanishes identically and is not stored.
     """
-    grid.require_mean_free(data.f, "initial displacement")
-    grid.require_mean_free(data.g, "initial velocity")
-    Pf, Pg = grid.leray_project(data.f), grid.leray_project(data.g)
-    return PicardState(grid, tg, *free_wave(grid, Pf, Pg, tg.times), None)
+    return _free_wave_state(grid, tg, free_seed(grid, data))
 
 
-def picard_map(grid, state, free):
+def _free_wave_state(grid, tg, seed):
+    """``free_wave_state`` from the ``free_seed`` spectra, formed a row of modes at a time."""
+    Yh = np.empty((tg.nsamples,) + seed[0].shape, complex)
+    dYh = np.empty_like(Yh)
+    for i, (_, _, rows) in enumerate(_free_wave_rows(grid, tg, seed)):
+        Yh[:, :, i], dYh[:, :, i] = rows
+    return PicardState(grid, tg, Yh, dYh, None)
+
+
+def _free_wave_rows(grid, tg, seed):
+    """Per row of the first spectral axis: cos(t|k|), sin(t|k|) and the free wave's two rows.
+
+    The rows of Y_hat and d_t Y_hat are ``free_wave``'s, bitwise, from the
+    ``free_seed`` spectra; no trajectory-sized temporary is formed.
+    """
+    fh, gh = seed
+    times = tg.times.reshape((-1,) + (1,) * grid.n)  # against a row's (n,) + modes
+    for i in range(grid.spectral_shape[0]):
+        absk, inv_absk = grid.absk[i], grid.inv_absk[i]
+        cosk, sink = _trig_tables(times, absk)
+        yield cosk, sink, _free_wave(fh[:, i], gh[:, i], times, cosk, sink, absk, inv_absk)
+
+
+def picard_map(grid, state, seed, out=None):
     """One application of the fixed-point map to a trajectory state.
 
-    ``free`` is the precomputed free-wave seed (the data-dependent term of
-    the map, identical at every iteration).  The chunks write Z_hat into the
-    new Y_hat and W_hat into the new box Y_hat; then each row of the first
-    spectral axis adds the free seed, the box of Z and Duhamel's integral of W.
+    ``seed`` is ``free_seed``'s pair of spectra; each row of the free wave is
+    formed from it as the row is assembled.  The map consumes ``state``: the
+    new d_t Y_hat, which reads nothing of the old one, lands in
+    ``state.dYh``, and the new box Y_hat in ``state.boxYh``, chunk by chunk
+    once each chunk has read its H.  The new Y_hat lands in ``out``, an
+    array shaped like ``state.Yh`` that nothing else reads, or in a new one,
+    as box Y_hat does when ``state`` is the free wave (``boxYh`` None).  The
+    chunks write Z_hat into the new Y_hat and W_hat into the new box Y_hat;
+    then each row of the first spectral axis adds the free wave, the box of
+    Z and Duhamel's integral of W.
     """
-    if free.tg != state.tg:
-        raise ValueError("state and free seed live on different time grids")
     tg = state.tg
     # one lattice for the null form and the minors: products of degree n
     # (the top minor) are alias-free at pad (n + 1) / 2, the 3/2 rule in 2D
     pad = (grid.n + 1) / 2
-    Yh, dYh, boxYh = (np.empty_like(state.Yh) for _ in range(3))
-    forced = state.boxYh is not None  # the free seed's box Y, so its forcing W, is 0
+    forced = state.boxYh is not None  # the free wave's box Y, so its forcing W, is 0
+    Yh = np.empty_like(state.Yh) if out is None else out
+    dYh = state.dYh
+    boxYh = state.boxYh if forced else np.empty_like(state.Yh)
     for c in grid.chunks(tg.nsamples):
         Gf = jacobian_on_fine(grid, state.Yh[c], pad)
         if forced:  # H = grad box Y is a temporary, freed before the minors accumulate
@@ -101,15 +146,15 @@ def picard_map(grid, state, free):
                 null_form(grid, Gf, jacobian_on_fine(grid, state.boxYh[c], pad)), 0, 1)
         Yh[c] = np.moveaxis(curl_free_displacement(grid, Gf), 0, 1)
 
-    for i in range(grid.spectral_shape[0]):
+    for i, (cosk, sink, (free_Yh, free_dYh)) in enumerate(_free_wave_rows(grid, tg, seed)):
         row = (slice(None), slice(None), i)
         Zh = Yh[row]
         box = box_trajectory(tg, Zh, grid.k2[i])
-        dYh[row] = time_derivative(tg, Zh) + free.dYh[row]
-        Zh += free.Yh[row]
+        dYh[row] = time_derivative(tg, Zh) + free_dYh
+        Zh += free_Yh
         if forced:
             Wh = boxYh[row]
-            duh, dduh = _duhamel(tg, Wh, grid.absk[i], grid.inv_absk[i])
+            duh, dduh = _duhamel(tg, Wh, cosk, sink, grid.inv_absk[i])
             Wh += box
             Zh += duh
             dYh[row] += dduh
@@ -120,7 +165,7 @@ def picard_map(grid, state, free):
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence is reported as ``reason``
 def picard_solve(grid, data, cfg, check_compatibility=True):
-    """Iterate the fixed-point map from the free-wave seed until contraction.
+    """Iterate the fixed-point map from the free wave until contraction.
 
     Non-convergence within ``picard_max_iter`` is reported on the result,
     not raised: probing the breakdown amplitude is a supported experiment.
@@ -137,22 +182,24 @@ def picard_solve(grid, data, cfg, check_compatibility=True):
             )
     tg = cfg.time_grid()
     s = grid.n / 2.0
-    free = free_wave_state(grid, tg, data)
-    state = free
+    seed = free_seed(grid, data)
+    # the free wave is the first state; each map consumes its state's d_t Y
+    # and box Y, and the next one writes into its Y, which the delta has read
+    state, spare = _free_wave_state(grid, tg, seed), None
     ratios = []
     deltas = []
     converged = False
     reason = ""
     iterations = 0
     for iterations in range(1, cfg.picard_max_iter + 1):
-        new = picard_map(grid, state, free)
+        new = picard_map(grid, state, seed, spare)
         # the difference exists one chunk at a time; np.max keeps a NaN
         delta = float(np.max([gradient_besov_sup(grid, new.Yh[c] - state.Yh[c], s)
                               for c in grid.chunks(tg.nsamples)]))
         if deltas:
             ratios.append(delta / deltas[-1] if deltas[-1] > 0 else 0.0)
         deltas.append(delta)
-        state = new
+        state, spare = new, state.Yh
         scale = gradient_besov_sup(grid, state.Yh, s)
         if not (math.isfinite(delta) and math.isfinite(scale)):
             reason = f"non-finite Picard delta {delta} (scale {scale}) at iteration {iterations}"
@@ -184,7 +231,9 @@ def trace_constraint_residual(grid, G):
 __all__ = [
     "PicardState",
     "PicardResult",
+    "free_seed",
     "free_wave_state",
+    "projected_data",
     "picard_map",
     "picard_solve",
     "compatible",

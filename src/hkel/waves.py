@@ -46,13 +46,23 @@ def free_wave(grid, f, g, t):
     grow linearly.
     """
     grid.require_mean_free(g, "free_wave velocity")
-    fh = grid.fft(f)
-    gh = grid.fft(g)
     t = np.reshape(t, np.shape(t) + (1,) * np.ndim(f))
-    cosk = np.cos(t * grid.absk)
-    sink = np.sin(t * grid.absk)
-    sinc = np.where(grid.absk > 0, sink * grid.inv_absk, t)
-    return cosk * fh + sinc * gh, -grid.absk * sink * fh + cosk * gh
+    cosk, sink = _trig_tables(t, grid.absk)
+    return _free_wave(grid.fft(f), grid.fft(g), t, cosk, sink, grid.absk, grid.inv_absk)
+
+
+def _trig_tables(times, absk):
+    """cos(t|k|) and sin(t|k|) at the times and modes, which broadcast against each other."""
+    return np.cos(times * absk), np.sin(times * absk)
+
+
+def _free_wave(fh, gh, times, cosk, sink, absk, inv_absk):
+    """``free_wave`` of the half spectra fh, gh at the modes |k| = ``absk``, any block of them.
+
+    ``cosk`` and ``sink`` are ``_trig_tables(times, absk)``.
+    """
+    sinc = np.where(absk > 0, sink * inv_absk, times)
+    return cosk * fh + sinc * gh, -absk * sink * fh + cosk * gh
 
 
 def duhamel_trajectory(grid, tg, Fh):
@@ -65,24 +75,23 @@ def duhamel_trajectory(grid, tg, Fh):
     derivative replaces the kernel by cos((t-s)|k|), per the same
     quadrature.
     """
-    return _duhamel(tg, Fh, grid.absk, grid.inv_absk)
-
-
-def _duhamel(tg, Fh, absk, inv_absk):
-    """``duhamel_trajectory`` at the modes |k| = ``absk``, Fh's trailing axes.
-
-    The sums run along time one mode at a time: any block of modes that
-    starts at the zero mode or leaves it out gets the whole spectrum's bits.
-    """
     times = tg.times.reshape((-1,) + (1,) * (Fh.ndim - 1))
-    cosk = np.cos(times * absk)
-    sink = np.sin(times * absk)
+    return _duhamel(tg, Fh, *_trig_tables(times, grid.absk), grid.inv_absk)
+
+
+def _duhamel(tg, Fh, cosk, sink, inv_absk):
+    """``duhamel_trajectory`` at the modes of Fh's trailing axes, given their trig tables.
+
+    ``cosk`` and ``sink`` are ``_trig_tables`` of the sample times at those
+    modes.  The sums run along time one mode at a time: any block of modes
+    that starts at the zero mode or leaves it out gets the whole spectrum's bits.
+    """
     C = _cumtrapz(cosk * Fh, tg.dt)
     S = _cumtrapz(sink * Fh, tg.dt)
-    out = (sink * C - cosk * S) * inv_absk  # inv_absk is 0 at the zero mode
+    out = (sink * C - cosk * S) * inv_absk  # inv_absk is 0 at the zero mode, and only there
     dout = cosk * C + sink * S
-    if absk.flat[0] == 0.0:  # the zero mode, kernel (t - s): t * cumtrapz(F) - cumtrapz(s F)
-        zero = (Ellipsis,) + (0,) * absk.ndim
+    if inv_absk.flat[0] == 0.0:  # the zero mode, kernel (t - s): t * cumtrapz(F) - cumtrapz(s F)
+        zero = (Ellipsis,) + (0,) * inv_absk.ndim
         times0 = tg.times.reshape((-1,) + (1,) * (Fh[zero].ndim - 1))
         T0 = _cumtrapz(Fh[zero], tg.dt)
         out[zero] = times0 * T0 - _cumtrapz(times0 * Fh[zero], tg.dt)

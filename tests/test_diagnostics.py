@@ -236,7 +236,22 @@ def test_s_surrogate_peak_memory_is_per_band(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * Yh.nbytes  # 1.18 here, 2.22 with the whole copies
+    assert peak < 1.5 * Yh.nbytes  # 0.80 here, 2.22 with the whole copies
+
+
+def test_s_surrogate_peak_memory_3d_is_one_path_and_its_conjugate(rng):
+    # each sign's path [own | other on the paired columns] is built straight
+    # into one buffer from the spectra; the Gram matrix conjugates it whole,
+    # so the peak is about two paths of the largest band (3D, every sample read)
+    grid, tg = Grid(3, 16), TimeGrid(0.01, 30)
+    Yh, dYh = random_spectra(rng, grid, tg)
+    tracemalloc.start()
+    try:
+        s_surrogate(grid, tg, Yh, dYh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * Yh.nbytes  # 1.93 here, 3.59 with both whole signed paths
 
 
 @pytest.mark.parametrize("n, size", [(2, 16), (3, 8)])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from hkel.elastic import (
 from hkel.picard import (
     PicardState,
     compatible,
+    free_seed,
     free_wave_state,
     picard_map,
     picard_solve,
@@ -36,6 +39,12 @@ def physical_box(grid, tg, u):
 def physical_duhamel(grid, tg, F):
     """Y and d_t Y of the Duhamel integral of a sampled physical forcing."""
     return map(grid.ifft, duhamel_trajectory(grid, tg, grid.fft(F)))
+
+
+def consumable(state):
+    """``state`` with copies of the buffers that ``picard_map`` consumes, leaving ``state`` intact."""
+    box = None if state.boxYh is None else state.boxYh.copy()
+    return PicardState(state.grid, state.tg, state.Yh, state.dYh.copy(), box)
 
 
 def small_config(**overrides):
@@ -78,7 +87,7 @@ def test_map_of_zero_state_is_free_wave(grid2):
     zero = PicardState(
         grid2, tg, np.zeros_like(free.Yh), np.zeros_like(free.Yh), np.zeros_like(free.Yh)
     )
-    out = picard_map(grid2, zero, free)
+    out = picard_map(grid2, zero, free_seed(grid2, data))
     assert np.array_equal(out.G, free.G)
     assert np.abs(out.boxYh).max() == 0.0
 
@@ -88,11 +97,11 @@ def test_free_seed_square_amplitude_scaling(grid2):
     cfg = small_config(grid_n=32)
     tg = cfg.time_grid()
     zero_data = InitialData(np.zeros((2,) + grid2.shape), np.zeros((2,) + grid2.shape))
-    free_zero = free_wave_state(grid2, tg, zero_data)
+    zero_seed = free_seed(grid2, zero_data)
     norms = {}
     for eps in (1e-3, 1e-2):
         seed_state = free_wave_state(grid2, tg, make_shear_data(grid2, eps, seed=2, band=2))
-        out = picard_map(grid2, seed_state, free_zero)
+        out = picard_map(grid2, seed_state, zero_seed)
         norms[eps] = besov_sup(grid2, out.G, 1.0)
     slope = loglog_slope(list(norms), list(norms.values()))
     assert abs(slope - 2.0) <= 0.2
@@ -104,9 +113,9 @@ def test_free_wave_state_solves_wave_equation(grid2):
     for steps in (16, 32):
         cfg = small_config(grid_n=32, dt=0.5 / steps)
         tg = cfg.time_grid()
-        seed = free_wave_state(grid2, tg, data)
-        zero = PicardState(grid2, tg, *(np.zeros_like(seed.Yh) for _ in range(3)))
-        free = picard_map(grid2, zero, seed)  # the free wave with its box formed
+        shape = (tg.nsamples, 2) + grid2.spectral_shape
+        zero = PicardState(grid2, tg, *(np.zeros(shape, complex) for _ in range(3)))
+        free = picard_map(grid2, zero, free_seed(grid2, data))  # the free wave with its box formed
         assert np.abs(free.boxYh).max() == 0.0
         box = physical_box(grid2, tg, free.G)[1:-1]
         errs.append(float(np.abs(box).max()))
@@ -149,11 +158,11 @@ def test_det_deviation_decreases_along_iterates():
     data = make_shear_data(grid, 1e-2, seed=6, band=1)
     cfg = small_config()
     tg = cfg.time_grid()
-    free = free_wave_state(grid, tg, data)
-    state = free
+    seed = free_seed(grid, data)
+    state = free_wave_state(grid, tg, data)
     devs = []
     for _ in range(4):
-        state = picard_map(grid, state, free)
+        state = picard_map(grid, state, seed)
         devs.append(max(det_residual(Gm) for Gm in state.G))
     assert all(devs[i + 1] <= devs[i] * (1 + 1e-9) for i in range(1, len(devs) - 1))
     assert devs[-1] <= 10 * cfg.picard_tol
@@ -271,7 +280,7 @@ def test_picard_map_product_lattice(monkeypatch, n, size, fine_shape):
     cfg = small_config(dimension=n, grid_n=size, t_end=0.125)
     data = make_shear_data(grid, 1e-2, seed=7, band=1)
     free = free_wave_state(grid, cfg.time_grid(), data)
-    picard_map(grid, free, free)
+    picard_map(grid, free, free_seed(grid, data))
     assert shapes and set(shapes) == {fine_shape}
 
 
@@ -283,13 +292,14 @@ def test_first_map_skips_zero_forcing_bitwise(monkeypatch, n, size):
     # increment, which turns a -0.0 of the seed's Nyquist corner into +0.0)
     grid = Grid(n, size)
     cfg = small_config(dimension=n, grid_n=size, t_end=0.25)
-    free = free_wave_state(grid, cfg.time_grid(), make_shear_data(grid, 1e-2, seed=3))
-    forced_seed = PicardState(grid, free.tg, free.Yh, free.dYh, np.zeros_like(free.Yh))
-    want = picard_map(grid, forced_seed, free)
+    data = make_shear_data(grid, 1e-2, seed=3)
+    free, seed = free_wave_state(grid, cfg.time_grid(), data), free_seed(grid, data)
+    forced_free = PicardState(grid, free.tg, free.Yh, free.dYh.copy(), np.zeros_like(free.Yh))
+    want = picard_map(grid, forced_free, seed)
     calls = []
     monkeypatch.setattr("hkel.picard.null_form", lambda *a: calls.append("null_form"))
     monkeypatch.setattr("hkel.picard._duhamel", lambda *a: calls.append("duhamel"))
-    got = picard_map(grid, free, free)
+    got = picard_map(grid, free, seed)
     assert calls == []
     for name in ("Yh", "dYh", "boxYh"):
         assert (getattr(got, name) + 0.0).tobytes() == (getattr(want, name) + 0.0).tobytes(), name
@@ -364,8 +374,8 @@ def test_displacement_map_matches_gradient_map(n, size):
     cfg = small_config(dimension=n, grid_n=size)
     tg = cfg.time_grid()
     data = make_shear_data(grid, 1e-2, seed=7, band=1)
-    free = free_wave_state(grid, tg, data)
-    state = picard_map(grid, picard_map(grid, free, free), free)
+    seed = free_seed(grid, data)
+    state = picard_map(grid, picard_map(grid, free_wave_state(grid, tg, data), seed), seed)
     oracle_free = gradient_free_wave_state(grid, tg, data)
     oracle = gradient_picard_map(grid, tg, oracle_free, oracle_free)
     oracle = gradient_picard_map(grid, tg, oracle, oracle_free)
@@ -400,10 +410,13 @@ def physical_picard_map(grid, tg, state, free):
 def test_spectral_map_matches_physical_map(n, size):
     grid = Grid(n, size)
     tg = small_config(dimension=n, grid_n=size).time_grid()
-    free = free_wave_state(grid, tg, make_shear_data(grid, 1e-2, seed=7, band=1))
-    state = picard_map(grid, picard_map(grid, free, free), free)
-    seed = tuple(grid.ifft(uh) for uh in (free.Yh, free.dYh, np.zeros_like(free.Yh)))
-    oracle = physical_picard_map(grid, tg, physical_picard_map(grid, tg, seed, seed), seed)
+    data = make_shear_data(grid, 1e-2, seed=7, band=1)
+    free = free_wave_state(grid, tg, data)
+    phys_free = tuple(grid.ifft(uh) for uh in (free.Yh, free.dYh, np.zeros_like(free.Yh)))
+    oracle = physical_picard_map(grid, tg, physical_picard_map(grid, tg, phys_free, phys_free),
+                                 phys_free)
+    seed = free_seed(grid, data)
+    state = picard_map(grid, picard_map(grid, free, seed), seed)
     # boxY measured 6.6e-12 (2D) and 2.2e-12 (3D): rounding amplified by the 1/dt^2 difference
     got = (state.Yh, state.dYh, state.boxYh)
     for uh, want, bound in zip(got, oracle, (1e-13, 1e-13, 2e-11)):
@@ -412,8 +425,8 @@ def test_spectral_map_matches_physical_map(n, size):
 
 def test_state_gradients_are_per_sample_jacobians(grid2):
     cfg = small_config(grid_n=32)
-    free = free_wave_state(grid2, cfg.time_grid(), make_shear_data(grid2, 1e-2, seed=7, band=1))
-    state = picard_map(grid2, free, free)
+    data = make_shear_data(grid2, 1e-2, seed=7, band=1)
+    state = picard_map(grid2, free_wave_state(grid2, cfg.time_grid(), data), free_seed(grid2, data))
     for uh, grad in ((state.Yh, state.G), (state.dYh, grid2.jacobian_of_spectrum(state.dYh))):
         assert grad.tobytes() == np.stack([grid2.jacobian_of_spectrum(u) for u in uh]).tobytes()
 
@@ -427,14 +440,58 @@ def test_picard_map_matches_whole_trajectory_assembly_bitwise(monkeypatch, n, si
         monkeypatch.setattr(Grid, "samples_per_chunk", lambda grid: 1)
     grid = Grid(n, size)
     tg = small_config(dimension=n, grid_n=size).time_grid()
-    free = free_wave_state(grid, tg, make_shear_data(grid, 1e-2, seed=7, band=1))
+    data = make_shear_data(grid, 1e-2, seed=7, band=1)
+    free, seed = free_wave_state(grid, tg, data), free_seed(grid, data)
     state = free
     for _ in range(2):  # the unforced first map, then a forced one
-        got = picard_map(grid, state, free)
+        # the map consumes its state's d_t Y and box Y, which the oracle (and free) keep
+        got = picard_map(grid, consumable(state), seed)
         want = whole_trajectory_picard_map(grid, state, free)
         for name in ("Yh", "dYh", "boxYh"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         state = got
+
+
+@pytest.mark.parametrize("n, size", [(2, 32), (3, 8)])
+def test_picard_map_writes_into_its_states_derivative_and_box(n, size):
+    # the new d_t Y and box Y land in the mapped state's buffers, and the new
+    # Y in ``out``; the old d_t Y is read by nothing, nor is ``out``: NaN
+    # there leaves every output's bytes alone
+    grid = Grid(n, size)
+    tg = small_config(dimension=n, grid_n=size).time_grid()
+    data = make_shear_data(grid, 1e-2, seed=7, band=1)
+    seed = free_seed(grid, data)
+    for forced in (False, True):  # the free wave, then a state with a box
+        state = free_wave_state(grid, tg, data)
+        if forced:
+            state = picard_map(grid, state, seed)
+        want = picard_map(grid, consumable(state), seed)
+        assert not np.shares_memory(want.Yh, state.Yh)
+        state.dYh[...] = np.nan
+        out = np.full_like(state.Yh, np.nan)
+        got = picard_map(grid, state, seed, out)
+        assert got.Yh is out and got.dYh is state.dYh
+        assert (got.boxYh is state.boxYh) == forced
+        for name in ("Yh", "dYh", "boxYh"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_picard_solve_holds_four_trajectories():
+    # tracemalloc peak in half-spectrum Y trajectories: the last state's Y,
+    # d_t Y and box Y and the new Y, with one chunk and one row of temporaries;
+    # holding both states' three spectra and the free wave's two read 8.21
+    grid = Grid(2, 64)
+    cfg = RunConfig(dimension=2, grid_n=64, epsilon=1e-2, t_end=3.0, dt=0.01)
+    data = make_shear_data(grid, 1e-2, seed=0)
+    trajectory = cfg.time_grid().nsamples * 2 * 64 * 33 * 16
+    tracemalloc.start()
+    try:
+        result = picard_solve(grid, data, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.converged
+    assert peak < 4.5 * trajectory  # 4.22 here
 
 
 def test_picard_solve_deltas_independent_of_chunk_size_bitwise(monkeypatch):
