@@ -175,6 +175,7 @@ def run_one(cfg, subdir=None):
             print(f"not converged: {exc}", file=sys.stderr)
             return EXIT_NOT_CONVERGED, None
         report.iterations = int(np.max(traj.pressure_iterations))
+        report.pressure_iterations_total = int(sum(traj.pressure_iterations))
     Yh, dYh = traj.Yh, traj.dYh  # both solvers hand over half spectra, time first
     # before the loop: freeing the surrogate's large band paths raises glibc's
     # dynamic mmap threshold, so the loop's chunk temporaries then reuse heap
@@ -247,6 +248,8 @@ def write_run_summary(path, cfg, report, r1, r2):
         f"rng = philox (counter-based), seed = {cfg.seed}",
         f"wall_clock_s = {report.wall_clock:.3f}",
     ]
+    if cfg.solver == "direct":  # the leapfrog's iterations is the most in one step
+        lines.append(f"pressure_iterations_total = {report.pressure_iterations_total}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

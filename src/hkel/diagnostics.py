@@ -215,6 +215,7 @@ class DiagnosticsReport:
     s_variation_part: float = 0.0
     converged: bool = True
     iterations: int = 0
+    pressure_iterations_total: int = 0  # the leapfrog's, over all steps
     wall_clock: float = 0.0
 
 

@@ -10,9 +10,10 @@ The Piola identity sum_a d_a cof(grad X)[b, a] = 0 puts the pressure
 equation, times det(grad X), in divergence form div(K grad p) with the
 symmetric K = det Minv Minv^T, formed once per step.  Richardson iteration
 preconditioned with the constant-coefficient inverse Laplacian solves it,
-contracting geometrically while the deformation stays small.  The iterate
-is the half spectrum of p, which a step keeps as the next one's warm start;
-an iteration transforms grad p back and K grad p forward, n fields each.
+contracting geometrically while the deformation stays small, from the
+polynomial through the last solves' half spectra of p, one step ahead; an
+iteration transforms grad p back and K grad p forward, n fields each.  grad v
+comes from the Jacobians of Y: the leapfrog's velocity is a difference of Y.
 Products here are plain collocation products: the coefficients are
 rational in grad Y, so exact dealiasing does not apply, and the oracle's
 error budget is O(dt^2) plus spectral tails either way.
@@ -28,23 +29,27 @@ from .picard import picard_solve
 from .waves import _central_velocity, _end_second_difference, _last_velocity, _second_difference
 
 
+# Points of the pressure warm start's extrapolation: direct2d's iterations
+# by points, 1 to 7, read 1423, 1175, 958, 781, 533, 562, 617.
+PRESSURE_HISTORY = 5
+
+
 @dataclass
 class DirectState:
     """Leapfrog state: current and previous displacement plus bookkeeping."""
 
     Y: np.ndarray
-    velocity: np.ndarray
+    velocity: np.ndarray  # the initial state's; later steps read grad v from the Jacobians
     Y_prev: np.ndarray = None
     accel: np.ndarray = None
-    pressure: np.ndarray = None  # half spectrum, the next pressure solve's warm start
+    pressures: tuple = None  # the last solves' half spectra, newest first: the warm start's points
     iterations: int = 0
-    # Y's half spectrum, Jacobian and Laplacian from run_direct, and on the
-    # initial state the velocity's half spectrum: the next step reads them
-    # instead of transforming again, and adds I to G in place
+    jacobians: tuple = ()  # G = grad Y of the last two samples before this one, newest first
+    grad_g: np.ndarray = None  # the initial velocity's Jacobian, which the first two steps read
+    # Y's half spectrum, Jacobian and Laplacian, which run_direct formed already
     Yh: np.ndarray = field(default=None, init=False, repr=False)
     G: np.ndarray = field(default=None, init=False, repr=False)
     lapY: np.ndarray = field(default=None, init=False, repr=False)
-    velocity_h: np.ndarray = field(default=None, init=False, repr=False)
 
 
 @dataclass
@@ -74,7 +79,13 @@ def _mat_mat(A, B):
                      for a in range(n)])
 
 
-def solve_pressure(grid, gradX, lapY, vh, p0h, tol, max_iter):
+def _extrapolate(spectra):
+    """The polynomial through ``spectra`` (newest first, a step apart), one step on; or None."""
+    k = len(spectra)
+    return sum((-1) ** j * math.comb(k, j + 1) * s for j, s in enumerate(spectra)) if k else None
+
+
+def solve_pressure(grid, gradX, lapY, gradv, p0h, tol, max_iter):
     """Mean-zero pressure from the constraint's second time derivative.
 
     The constraint tr(Minv grad a) = tr(W^2), W = Minv grad v, times det is
@@ -84,14 +95,14 @@ def solve_pressure(grid, gradX, lapY, vh, p0h, tol, max_iter):
     that of det b - div(K grad p) on the mean-free physical frequency window
     (unpaired Nyquist-plane content is collocation noise outside the
     operator's range), its norm by Parseval.  ``gradX`` is grad X, ``lapY``
-    the Laplacian of the displacement, ``vh`` the half spectrum of the
-    velocity and ``p0h`` that of the warm start (or None).
+    the Laplacian of the displacement, ``gradv`` the velocity's Jacobian
+    and ``p0h`` the warm start's half spectrum (or None).
     Returns (p_hat, Minv^T grad p, iterations); raises on stagnation
     with the observed contraction factor.
     """
     n = grid.n
     Minv, cof, det = inverse_pointwise(gradX)
-    W = _mat_mat(Minv, grid.jacobian_of_spectrum(vh))
+    W = _mat_mat(Minv, gradv)
     div = grid.idfreq * grid.phys_mask  # i d_a on the physical window
     Fh = grid.fft(np.concatenate([_matT_vec(cof, lapY), (det * _trace_product(W, W))[None]]))
     bh = (Fh[:n] * div).sum(axis=0) - Fh[n] * grid.phys_mask
@@ -126,28 +137,28 @@ def solve_pressure(grid, gradX, lapY, vh, p0h, tol, max_iter):
     )
 
 
-def _acceleration(grid, state, velocity, p0h, tol, max_iter):
-    """Leapfrog acceleration lap(Y) - (grad X)^-T grad p, from one transform of Y."""
-    Yh = grid.fft(state.Y) if state.Yh is None else state.Yh
-    gradX = grid.jacobian_of_spectrum(Yh) if state.G is None else state.G
-    for a in range(grid.n):  # in place: grad X = I + G, the values det_residual formed
-        gradX[a, a] += 1.0
-    lapY = grid.ifft(Yh * (-grid.k2)) if state.lapY is None else state.lapY
-    vh = grid.fft(velocity) if state.velocity_h is None else state.velocity_h
-    ph, MinvT_grad_p, iters = solve_pressure(grid, gradX, lapY, vh, p0h, tol, max_iter)
-    return lapY - MinvT_grad_p, ph, iters
-
-
 def direct_step(grid, state, dt, tol, max_iter):
-    """One leapfrog step; the velocity estimate is second-order accurate."""
-    first = state.Y_prev is None
-    vel = state.velocity if first else (state.Y - state.Y_prev) / dt + 0.5 * dt * state.accel
-    accel, ph, iters = _acceleration(grid, state, vel, state.pressure, tol, max_iter)
+    """One leapfrog step with acceleration lap(Y) - (grad X)^-T grad p."""
+    first, pressures, Gs = state.Y_prev is None, state.pressures or (), state.jacobians
+    Yh = grid.fft(state.Y) if state.Yh is None else state.Yh
+    G = grid.jacobian_of_spectrum(Yh) if state.G is None else state.G
+    lapY = grid.ifft(Yh * (-grid.k2)) if state.lapY is None else state.lapY
     if first:
-        Y_new, Y_prev = state.Y + dt * vel + 0.5 * dt**2 * accel, state.Y.copy()
+        gradv = grid.jacobian(state.velocity) if state.grad_g is None else state.grad_g
+    elif len(Gs) == 1:  # from Y_1 = Y_0 + dt g + dt^2 a_0 / 2
+        gradv = 2.0 * (G - Gs[0]) / dt - state.grad_g
+    else:  # from dt^2 a_m-1 = Y_m - 2 Y_m-1 + Y_m-2
+        gradv = (1.5 * G - 2.0 * Gs[0] + 0.5 * Gs[1]) / dt
+    gradX = G + np.eye(grid.n).reshape(G.shape[:2] + (1,) * grid.n)  # G stays for the next steps
+    ph, MinvT_grad_p, iters = solve_pressure(grid, gradX, lapY, gradv, _extrapolate(pressures),
+                                             tol, max_iter)
+    accel = lapY - MinvT_grad_p
+    if first:
+        Y_new, Y_prev = state.Y + dt * state.velocity + 0.5 * dt**2 * accel, state.Y.copy()
     else:
         Y_new, Y_prev = 2.0 * state.Y - state.Y_prev + dt**2 * accel, state.Y
-    return DirectState(Y_new, None, Y_prev, accel, ph, iters)
+    return DirectState(Y_new, None, Y_prev, accel, ((ph,) + pressures)[:PRESSURE_HISTORY],
+                       iters, (G,) + Gs[:1], gradv if first else None)
 
 
 def run_direct(grid, data, cfg):
@@ -163,8 +174,8 @@ def run_direct(grid, data, cfg):
     tg = cfg.time_grid()
     Yh, dYh, boxYh = (np.empty((tg.nsamples, grid.n) + grid.spectral_shape, dtype=complex)
                       for _ in range(3))
-    state = DirectState(data.f.copy(), data.g.copy(), None, None, None)
-    dYh[0] = state.velocity_h = grid.fft(data.g)
+    dYh[0] = grid.fft(data.g)
+    state = DirectState(data.f.copy(), data.g.copy(), grad_g=grid.jacobian_of_spectrum(dYh[0]))
     Y, lapY = [], []  # the last four samples and their Laplacians
     iters, drifts = [], []
     for m in range(tg.nsamples):

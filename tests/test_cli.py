@@ -7,6 +7,7 @@ from hkel import cli
 from hkel.cli import main
 from hkel.config import parse_config
 from hkel.diagnostics import SweepRow
+from hkel.direct import run_direct
 from hkel.snapshots import read_snapshot, write_snapshot
 
 from conftest import physical_diagnostics, physical_run_direct
@@ -94,6 +95,7 @@ def test_simulate_writes_snapshots_and_report(tmp_path):
     assert comps.shape == (4, 16, 16)
     report = (out / "report.txt").read_text()
     assert "converged = True" in report
+    assert "pressure_iterations_total" not in report  # a leapfrog line
     assert (out / "config.txt").exists()
 
 
@@ -104,6 +106,17 @@ def test_simulate_direct_solver(tmp_path):
     lines = (out / "diagnostics.csv").read_text().splitlines()
     det = [float(line.split(",")[4]) for line in lines[1:]]
     assert max(det) <= 1e-4
+    # iterations is the most in one step; the total line sums every step's
+    from hkel.elastic import make_shear_data
+    from hkel.spectral import Grid
+
+    cfg = parse_config(SMALL.format(eps=0.01, solver="direct", out=out))
+    grid = Grid(2, 16)
+    steps = run_direct(grid, make_shear_data(grid, cfg.epsilon, seed=cfg.seed), cfg)
+    lines = (out / "report.txt").read_text().splitlines()[1:]
+    report = dict(line.split(" = ", 1) for line in lines)
+    assert int(report["iterations"]) == max(steps.pressure_iterations)
+    assert int(report["pressure_iterations_total"]) == sum(steps.pressure_iterations)
 
 
 def test_simulate_deterministic_output(tmp_path):

@@ -1,12 +1,16 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from hkel import direct
 from hkel.config import RunConfig
 from hkel.diagnostics import energy
 from hkel.direct import (
+    PRESSURE_HISTORY,
     DirectState,
+    _extrapolate,
     _mat_mat,
     _matT_vec,
     _trace_product,
@@ -60,7 +64,8 @@ def test_pressure_zero_state_single_mode(grid2):
     g = np.stack([dpsi[1], -dpsi[0]])
     Y = np.zeros((2,) + grid2.shape)
     lapY = grid2.ifft(grid2.fft(Y) * (-grid2.k2))
-    ph, _, iters = solve_pressure(grid2, identity_field(grid2), lapY, grid2.fft(g), None, 1e-11, 50)
+    ph, _, iters = solve_pressure(grid2, identity_field(grid2), lapY, grid2.jacobian(g), None,
+                                  1e-11, 50)
     assert np.abs(grid2.ifft(ph)).max() <= 1e-11
     state = DirectState(Y, g)
     new = direct_step(grid2, state, 0.01, tol=1e-11, max_iter=400)
@@ -75,9 +80,9 @@ def test_pressure_manufactured_solution(grid2, grid3, rng):
     for grid in (grid2, grid3):
         q = rng.standard_normal(grid.shape)
         p_true = grid.ifft(grid.physical_spectrum(q))
-        vh = np.zeros((grid.n,) + grid.spectral_shape, complex)
-        ph, force, iters = solve_pressure(grid, identity_field(grid), grid.jacobian(q), vh, None,
-                                          1e-11, 50)
+        velocity = np.zeros((grid.n,) + grid.shape)
+        ph, force, iters = solve_pressure(grid, identity_field(grid), grid.jacobian(q),
+                                          grid.jacobian(velocity), None, 1e-11, 50)
         assert iters == 2  # the preconditioner inverts the Laplacian on the window
         assert np.abs(grid.ifft(ph) - p_true).max() <= 1e-11 * np.abs(p_true).max()
         grad_p = grid.jacobian(p_true)
@@ -106,7 +111,7 @@ def test_solve_pressure_returns_the_pressure_force_of_its_iterate_bitwise(rng, n
     grid = Grid(n, size)
     gradX, lapY, velocity = pressure_problem(grid, rng, band=2)
     Minv = inverse_pointwise(gradX)[0]
-    ph, force, iters = solve_pressure(grid, gradX, lapY, grid.fft(velocity), None, 1e-10, 100)
+    ph, force, iters = solve_pressure(grid, gradX, lapY, grid.jacobian(velocity), None, 1e-10, 100)
     assert iters > 1
     assert force.tobytes() == _matT_vec(Minv, grid.ifft(ph * grid.idfreq)).tobytes()
 
@@ -129,7 +134,7 @@ def test_divergence_form_residual_is_det_times_trace_form_residual(rng, monkeypa
     Ap = _trace_product(Minv, grid.jacobian(_matT_vec(Minv, grid.jacobian(p))))
     seen, l2 = [], grid.spectral_l2  # the solve reads the norm of det b, then of the residual
     monkeypatch.setattr(grid, "spectral_l2", lambda uh: seen.append(uh.copy()) or l2(uh))
-    solve_pressure(grid, gradX, lapY, grid.fft(velocity), grid.fft(p), np.inf, 1)
+    solve_pressure(grid, gradX, lapY, grid.jacobian(velocity), grid.fft(p), np.inf, 1)
     bh, rh = seen
     want = grid.physical_spectrum(det * b)
     assert l2(bh - want) <= 1e-13 * l2(want)
@@ -139,7 +144,7 @@ def test_divergence_form_residual_is_det_times_trace_form_residual(rng, monkeypa
 
 @pytest.mark.parametrize("n, size", [(2, 16), (3, 8)])
 def test_solve_pressure_transforms_n_fields_each_way_per_iteration(rng, monkeypatch, n, size):
-    # set-up: the velocity's n^2 derivatives, then (cof^T lap Y, det tr(W^2)) forward;
+    # set-up: (cof^T lap Y, det tr(W^2)) forward, the caller handing over grad v;
     # an iteration: grad p back and K grad p forward (the trace form made four calls)
     calls = []
 
@@ -153,27 +158,70 @@ def test_solve_pressure_transforms_n_fields_each_way_per_iteration(rng, monkeypa
         monkeypatch.setattr(Grid, name, counting(name, getattr(Grid, name)))
     grid = Grid(n, size)
     gradX, lapY, velocity = pressure_problem(grid, rng, band=2)
-    vh = grid.fft(velocity)
+    gradv = grid.jacobian(velocity)
     calls.clear()
-    _, _, iters = solve_pressure(grid, gradX, lapY, vh, None, 1e-10, 100)
+    _, _, iters = solve_pressure(grid, gradX, lapY, gradv, None, 1e-10, 100)
     assert iters > 1
-    assert calls == [("ifft", (n, n)), ("fft", (n + 1,))] + [("ifft", (n,)), ("fft", (n,))] * iters
+    assert calls == [("fft", (n + 1,))] + [("ifft", (n,)), ("fft", (n,))] * iters
+
+
+@pytest.mark.parametrize("points", range(1, PRESSURE_HISTORY + 1))
+def test_extrapolation_continues_polynomials_below_its_point_count(rng, points):
+    # through k points one step apart, the warm start continues every
+    # polynomial of degree < k exactly; a degree-k one it misses by its k-th
+    # difference, k! times the leading coefficient
+    shape = (4, 3)
+    coeffs = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+              for _ in range(points + 1)]
+    for degree in (points - 1, points):
+        p = lambda t: sum(c * t**d for d, c in enumerate(coeffs[: degree + 1]))
+        newest_first = [p(t) for t in range(points + 1, 1, -1)]
+        miss = p(points + 2) - _extrapolate(newest_first)
+        want = math.factorial(points) * coeffs[points] if degree == points else 0.0
+        assert np.abs(miss - want).max() <= 1e-12 * np.abs(p(points + 2)).max()
+    assert _extrapolate([]) is None
+
+
+@pytest.mark.parametrize("n, size", [(2, 16), (3, 16)])
+def test_step_reads_grad_v_of_the_leapfrog_velocity(monkeypatch, n, size):
+    # the step reads grad v from the Jacobians of Y; the oracle is the
+    # Jacobian of the physical velocity (Y_m - Y_m-1)/dt + dt a_m-1 / 2, and
+    # of the initial velocity at m = 0
+    seen, solve = [], direct.solve_pressure
+    monkeypatch.setattr(direct, "solve_pressure",
+                        lambda grid, gradX, lapY, gradv, *rest:
+                        seen.append(gradv) or solve(grid, gradX, lapY, gradv, *rest))
+    grid, dt = Grid(n, size), 1 / 32
+    data = make_shear_data(grid, 1e-2, seed=10, band=1)
+    states = [DirectState(data.f.copy(), data.g.copy())]
+    for _ in range(4):
+        states.append(direct_step(grid, states[-1], dt, 1e-11, 100))
+    velocities = [data.g] + [(st.Y - st.Y_prev) / dt + 0.5 * dt * st.accel for st in states[1:4]]
+    for m, (velocity, gradv) in enumerate(zip(velocities, seen)):
+        want = grid.jacobian(velocity)
+        assert np.abs(gradv - want).max() <= 1e-12 * np.abs(want).max(), m
+
+
+# the counts step by step when each solve started from the last one's pressure
+LAST_PRESSURE_START = {1e-2: [7] + [6] * 15, 1e-1: [14] + [12] * 14 + [11]}
 
 
 @pytest.mark.parametrize(
     "eps, tol, iterations",
     [
-        (1e-2, 1e-10, [7] + [6] * 15),
-        (1e-1, 1e-10, [14] + [12] * 14 + [11]),
+        (1e-2, 1e-10, [7, 6, 6, 5, 5, 5] + [4] * 10),
+        (1e-1, 1e-10, [14, 12, 11, 10, 10, 9] + [6] * 10),
     ],
 )
 def test_pressure_iterations_per_step_pinned(eps, tol, iterations):
-    # recorded from the physical-space Richardson loop that the spectral
-    # iterate replaced: the same number of steps, step by step
+    # the warm start extrapolates through the last solves, so the counts fall
+    # over the first steps as points accrue, and no step takes more than it
+    # did from the last solve's pressure
     grid = Grid(2, 16)
     data = make_shear_data(grid, eps, seed=10, band=1)
     run = run_direct(grid, data, small_config(epsilon=eps, pressure_tol=tol))
     assert run.pressure_iterations == iterations
+    assert all(new <= old for new, old in zip(run.pressure_iterations, LAST_PRESSURE_START[eps]))
 
 
 def test_direct_zero_data_stays_zero(grid2):
@@ -254,11 +302,11 @@ def test_run_direct_transforms_each_sample_once(monkeypatch):
     grid = Grid(2, 32)
     data = make_shear_data(grid, 1e-2, seed=10, band=1)
     run = run_direct(grid, data, small_config(grid_n=32, t_end=0.25))
-    # the three spectra of each sample once; each step after the first
-    # transforms its velocity (the first reads the initial one's spectrum),
-    # and each pressure solve its right-hand side and one field per iteration
+    # the three spectra of each sample once, and each pressure solve its
+    # right-hand side and one field per iteration; grad v comes from the
+    # Jacobians of Y, so no step transforms a velocity
     samples = len(run.Yh)
-    calls = 3 * samples + (samples - 2) + (samples - 1) + sum(run.pressure_iterations)
+    calls = 3 * samples + (samples - 1) + sum(run.pressure_iterations)
     assert len(seen) == calls and repeats == []
 
 

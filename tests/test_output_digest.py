@@ -2,11 +2,13 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parents[1] / "tools" / "output_digest.py"
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
-def load_tool():
-    loader = importlib.util.spec_from_file_location("output_digest", TOOL)
+def load_tool(name="output_digest"):
+    loader = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(loader)
     loader.loader.exec_module(module)
     return module
@@ -56,3 +58,67 @@ def test_file_digests_follow_every_other_line_its_order_and_the_files(tmp_path):
     (extra / "0_first.txt").write_text("")
     digests = tool.file_digests(extra)
     assert digests[0][0] == "0_first.txt" and digests[1:] == base
+
+
+def test_platform_line_names_numpy_the_machine_and_the_dispatch_targets():
+    import platform
+
+    import numpy as np
+
+    words = load_tool().platform_line().split()
+    assert words[:4] == ["platform", "numpy", np.__version__, platform.machine()]
+    assert len(words) == 5 and all(words[4].split(","))  # "none" if no target is enabled
+
+
+def test_output_moves_names_each_moved_column_and_the_identical_files(tmp_path, capsys):
+    tool = load_tool("output_moves")
+    sweep = "epsilon,ratio\n1e-3,2.0\n"
+    a = write_run(tmp_path / "a", REPORT + ["s_surrogate = 2.0 4.0\n", "converged = True\n"],
+                  CONFIG, "t,x,y\n0,1,2\n1,4,0\n")
+    b = write_run(tmp_path / "b", [REPORT[0], "wall_clock_s = 9.9\n", REPORT[2],
+                                   "s_surrogate = 2.5 4.0\n", "converged = False\n",
+                                   "pressure_iterations_total = 9\n"],
+                  [CONFIG[0], "output_dir = /elsewhere\n", CONFIG[2]], "t,x,y\n0,1,2\n1,4.5,0\n")
+    for root in (a, b):
+        (root / "sweep.csv").write_text(sweep)
+    (b / "snapshot_000000.hkel").write_bytes(b"HKEL")
+    assert tool.tree_moves(a, b) == [
+        "config.txt identical",  # only the volatile output_dir line differs
+        "diagnostics.csv t abs 0.00e+00 rel 0.00e+00",
+        "diagnostics.csv x abs 5.00e-01 rel 1.11e-01",  # |4 - 4.5| / 4.5
+        "diagnostics.csv y abs 0.00e+00 rel 0.00e+00",  # 0 against 0 is no move
+        "eps_0.01/report.txt iterations abs 0.00e+00 rel 0.00e+00",
+        "eps_0.01/report.txt s_surrogate abs 5.00e-01 rel 2.00e-01",
+        "eps_0.01/report.txt converged differs",
+        "eps_0.01/report.txt pressure_iterations_total only in B",
+        "snapshot_000000.hkel only in B",
+        "sweep.csv identical",
+    ]
+    (b / "sweep.csv").write_text("epsilon,ratio\n1e-3,2.0\n3e-3,2.0\n")
+    (a / "snapshot_000000.hkel").write_bytes(b"HKEM")
+    assert tool.main([str(a), str(b)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "snapshot_000000.hkel differs" in out
+    assert "sweep.csv epsilon differs" in out and "sweep.csv ratio differs" in out
+
+
+def test_keep_writes_each_run_to_its_own_directory_and_refuses_a_used_one(tmp_path, monkeypatch,
+                                                                          capsys):
+    from hkel import cli
+
+    def write(cfg, *rest):
+        Path(cfg.output_dir).mkdir(parents=True, exist_ok=True)
+        (Path(cfg.output_dir) / "report.txt").write_text(f"seed = {cfg.seed}\n")
+        return 0
+
+    monkeypatch.setattr(cli, "run_one", lambda cfg: (write(cfg), None))
+    monkeypatch.setattr(cli, "cmd_sweep", write)
+    tool, kept = load_tool(), tmp_path / "kept"
+    assert tool.main(["--keep", str(kept), "--seed", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == tool.platform_line()
+    names = [line.split()[0] for line in lines[1:]]
+    assert sorted(p.name for p in kept.iterdir()) == sorted(names) and len(names) == 5
+    assert all((kept / name / "report.txt").read_text() == "seed = 3\n" for name in names)
+    with pytest.raises(SystemExit):  # a second run would mix its files into the first's
+        tool.main(["--keep", str(kept)])
