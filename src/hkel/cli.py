@@ -47,13 +47,11 @@ EXIT_NOT_CONVERGED = 2
 # (the slope of own-process peak RSS against their size between two horizons,
 # dt = 0.01, rounded up), a per-solver fixed term (the interpreter, numpy, the
 # data and the solver's working set) and chunks of G on the product lattice.
-# Picard reads 4.1-4.9 in 3D N=16 (30-240 steps) and 4.2 in 2D N=64
-# (300/600), but 5.3-5.4 in 2D up to 250 steps, where the surrogate reads
-# every sample and its band path and that path's conjugate top the solve's
-# four trajectories; its estimate is 1.2-1.42x its peak over those horizons.
-# The leapfrog reads 3.0 (150/300), 3.7 (300/600) and 3.3 (600/1200) in 2D
-# N=64, over an intercept of about 76 MiB, where its estimate is 1.2-1.26x
-# its peak.
+# Picard reads 4.2-4.8 in 3D N=16 (30-240 steps) and 4.0-4.2 in 2D N=64
+# (100-600), where its estimate is 1.27-1.42x its peak: the surrogate's
+# blocks no longer top the solve's four trajectories up to 256 samples. The
+# leapfrog reads 3.0-3.1 in 2D N=64 (150-1200 steps) over an intercept of
+# about 42 MiB, where its estimate is 1.45-1.84x its peak.
 TRAJECTORY_ARRAYS = {"picard": 6, "direct": 4}
 BASELINE_BYTES, CHUNK_LATTICES = {"picard": 40 * 2**20, "direct": 80 * 2**20}, 6
 
@@ -177,9 +175,9 @@ def run_one(cfg, subdir=None):
         report.iterations = int(np.max(traj.pressure_iterations))
         report.pressure_iterations_total = int(sum(traj.pressure_iterations))
     Yh, dYh = traj.Yh, traj.dYh  # both solvers hand over half spectra, time first
-    # before the loop: freeing the surrogate's large band paths raises glibc's
-    # dynamic mmap threshold, so the loop's chunk temporaries then reuse heap
-    # pages (run after the loop, direct2d took 56k minor page faults, not 9k)
+    # the surrogate's blocks and the loop's chunks are small, so the order of
+    # the two does not set the page faults: after the solve direct2d takes
+    # 0.65k minor faults with the surrogate first and 0.28k with it last
     report.s_surrogate, report.s_variation_part = s_surrogate(grid, tg, Yh, dYh)
 
     # G = grad Y exists one chunk of the sampled times at a time, for det_residual
@@ -188,7 +186,7 @@ def run_one(cfg, subdir=None):
         Yb, dYb = Yh[batch], dYh[batch]
         rows = zip(tg.times[batch], gradient_besov_norms(grid, Yb, s),
                    gradient_besov_norms(grid, dYb, s - 1.0), energy(grid, Yb, dYb),
-                   map(det_residual, grid.jacobian_of_spectrum(Yb)),
+                   [det_residual(G) for G in grid.jacobian_of_spectrum(Yb)],  # G freed first
                    recover_pressure(grid, Yb, traj.boxYh[batch]))
         report.rows.extend(tuple(map(float, row)) for row in rows)
     report.wall_clock = time.perf_counter() - started

@@ -83,16 +83,22 @@ def pairwise_sq_dists(path):
     cancellation then happens at the fluctuation scale, so nearly constant
     paths come out near zero instead of at the sqrt(eps ||w||^2) floor.
     """
-    return _centred_sq_dists(np.ascontiguousarray(path).reshape(len(path), -1).copy())
-
-
-def _centred_sq_dists(X):
-    """``pairwise_sq_dists`` of the rows of a fresh 2D array, which it centres in place."""
+    X = np.array(path, dtype=complex if np.iscomplexobj(path) else float).reshape(len(path), -1)
     X -= X.mean(axis=0)
-    gram = (X @ X.conj().T).real
+    return _sq_dists(_add_gram(np.zeros((len(X), len(X))), X))
+
+
+def _add_gram(gram, X):
+    """gram += Re(X X^H) over the rows of the C-contiguous X: one syrk on its real view."""
+    Xr = X.reshape(len(X), -1).view(np.float64)
+    gram += Xr @ Xr.T
+    return gram
+
+
+def _sq_dists(gram):
+    """|x_i - x_j|^2 from the Gram matrix of the x_i."""
     q = np.diag(gram)
-    d2 = q[:, None] + q[None, :] - 2.0 * gram
-    return np.maximum(d2, 0.0)
+    return np.maximum(q[:, None] + q[None, :] - 2.0 * gram, 0.0)
 
 
 def two_variation_from_dists(d2):
@@ -119,6 +125,9 @@ def two_variation(path):
 # -- propagator-twisted surrogate ---------------------------------------------
 
 VARIATION_MAX_SAMPLES = 256
+# Modes per block of a band in s_surrogate, about 0.26 MB at 129 samples in 2D: direct2d
+# peaks at 95.1, 95.6, 98.5 and 104.2 MiB with 32, 64, 128 and 256, and 64 is the fastest.
+_BLOCK_MODES = 64
 
 
 def variation_stride(nsamples):
@@ -154,7 +163,7 @@ def s_surrogate(grid, tg, Yh_ts, dYh_ts):
     absd = np.sqrt(grid.dk2).ravel()
     absd_inv_absk = absd * grid.inv_absk.ravel()
 
-    # each band copies only its own sampled times and modes; when every
+    # each block copies only its own sampled times and modes; when every
     # sample is read, along the mode axis alone, three times faster
     Y, W = (u.reshape(tg.nsamples, grid.n, -1) for u in (Yh_ts, dYh_ts))
     samples, components = idx[:, None, None], np.arange(grid.n)[:, None]
@@ -162,37 +171,28 @@ def s_surrogate(grid, tg, Yh_ts, dYh_ts):
     def band(u, cols):
         return np.take(u, cols, axis=2) if len(idx) == tg.nsamples else u[samples, components, cols]
 
-    def twist(out, sign, cols):
-        """out = (|d| Y_hat + sign i |d|/|k| d_t Y_hat) exp(sign i t |k|) at the modes ``cols``.
-
-        Evaluated per mode in the order written, so a mode's bits do not
-        depend on the part of the path it lands in; besides ``out``, one copy
-        of the modes is alive at a time.
-        """
-        np.multiply(band(W, cols), absd_inv_absk[cols], out=out)
-        np.multiply(sign * 1j, out, out=out)
-        np.add(band(Y, cols) * absd[cols], out, out=out)
-        phase = sign * 1j * times[:, None] * flat_absk[cols]
-        out *= np.exp(phase, out=phase)[:, None, :]
-
     # On the full lattice the sign-+ path at -xi is the conjugate of the
     # sign-- path at xi, so each sign's variation runs over its own path on
     # the half lattice and the other sign's path on the interior columns,
-    # whose partners -xi the half lattice leaves out.  Each sign's path is
-    # built in one buffer from the spectra, so the two never coexist.
+    # whose partners -xi the half lattice leaves out.  No path is ever whole:
+    # a band's modes go by blocks, each twisted per mode in the order written
+    # (exp(-i t |k|) is the conjugate table), scaled and centred column by
+    # column, and added to the Gram matrix of each sign.
     variation = 0.0
     for j in range(grid.nbands):
         sel = np.nonzero(flat_band == j)[0]
-        paired = sel[flat_paired[sel]]
-        vj = 0.0
-        for sign in (+1.0, -1.0):
-            w = np.empty((len(idx), grid.n, len(sel) + len(paired)), complex)
-            twist(w[:, :, len(sel):], -sign, paired)
-            twist(w[:, :, :len(sel)], sign, sel)
-            w *= coeff_scale
-            vj += two_variation_from_dists(_centred_sq_dists(w.reshape(len(w), -1)))
-            del w  # before the next path is allocated
-        variation += 2.0 ** (j * s) * vj
+        grams = np.zeros((2, len(idx), len(idx)))  # sign +, sign -
+        for b in range(0, len(sel), _BLOCK_MODES):
+            cols = sel[b : b + _BLOCK_MODES]
+            base, rot = band(Y, cols) * absd[cols], band(W, cols) * absd_inv_absk[cols]
+            table = np.exp(1j * times[:, None] * flat_absk[cols])[:, None, :]
+            paths = [(np.multiply(sign * 1j, rot) + base) * twist * coeff_scale
+                     for sign, twist in ((1.0, table), (-1.0, table.conj()))]
+            for w in paths:
+                w -= w.mean(axis=0)
+            for gram, own, other in zip(grams, paths, paths[::-1]):
+                _add_gram(_add_gram(gram, own), other[:, :, flat_paired[cols]])
+        variation += 2.0 ** (j * s) * sum(two_variation_from_dists(_sq_dists(g)) for g in grams)
     return variation + gradient_besov_sup(grid, Yh_ts, s), variation
 
 

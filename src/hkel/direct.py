@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elastic import det_residual, inverse_pointwise
+from .elastic import det_pointwise, inverse_pointwise
 from .picard import picard_solve
 from .waves import _central_velocity, _end_second_difference, _last_velocity, _second_difference
 
@@ -46,10 +46,12 @@ class DirectState:
     iterations: int = 0
     jacobians: tuple = ()  # G = grad Y of the last two samples before this one, newest first
     grad_g: np.ndarray = None  # the initial velocity's Jacobian, which the first two steps read
-    # Y's half spectrum, Jacobian and Laplacian, which run_direct formed already
+    # Y's half spectrum, Jacobian, Laplacian, grad X and det(grad X), which run_direct formed
     Yh: np.ndarray = field(default=None, init=False, repr=False)
     G: np.ndarray = field(default=None, init=False, repr=False)
     lapY: np.ndarray = field(default=None, init=False, repr=False)
+    gradX: np.ndarray = field(default=None, init=False, repr=False)
+    det: np.ndarray = field(default=None, init=False, repr=False)
 
 
 @dataclass
@@ -58,7 +60,7 @@ class DirectRun:
     dYh: np.ndarray  # of the central-difference velocity, same shape
     boxYh: np.ndarray  # of the finite-difference box of Y, same shape
     pressure_iterations: list = field(default_factory=list)
-    det_drift: float = 0.0  # max over the samples of det_residual(grad Y)
+    det_drift: float = 0.0  # max over the samples of |det(grad X) - 1|
 
 
 def _trace_product(Minv, A):
@@ -85,7 +87,7 @@ def _extrapolate(spectra):
     return sum((-1) ** j * math.comb(k, j + 1) * s for j, s in enumerate(spectra)) if k else None
 
 
-def solve_pressure(grid, gradX, lapY, gradv, p0h, tol, max_iter):
+def solve_pressure(grid, gradX, lapY, gradv, p0h, tol, max_iter, det=None):
     """Mean-zero pressure from the constraint's second time derivative.
 
     The constraint tr(Minv grad a) = tr(W^2), W = Minv grad v, times det is
@@ -96,12 +98,13 @@ def solve_pressure(grid, gradX, lapY, gradv, p0h, tol, max_iter):
     (unpaired Nyquist-plane content is collocation noise outside the
     operator's range), its norm by Parseval.  ``gradX`` is grad X, ``lapY``
     the Laplacian of the displacement, ``gradv`` the velocity's Jacobian
-    and ``p0h`` the warm start's half spectrum (or None).
+    and ``p0h`` the warm start's half spectrum (or None); ``det`` is
+    det(grad X) if the caller has it.
     Returns (p_hat, Minv^T grad p, iterations); raises on stagnation
     with the observed contraction factor.
     """
     n = grid.n
-    Minv, cof, det = inverse_pointwise(gradX)
+    Minv, cof, det = inverse_pointwise(gradX, det)
     W = _mat_mat(Minv, gradv)
     div = grid.idfreq * grid.phys_mask  # i d_a on the physical window
     Fh = grid.fft(np.concatenate([_matT_vec(cof, lapY), (det * _trace_product(W, W))[None]]))
@@ -149,9 +152,10 @@ def direct_step(grid, state, dt, tol, max_iter):
         gradv = 2.0 * (G - Gs[0]) / dt - state.grad_g
     else:  # from dt^2 a_m-1 = Y_m - 2 Y_m-1 + Y_m-2
         gradv = (1.5 * G - 2.0 * Gs[0] + 0.5 * Gs[1]) / dt
-    gradX = G + np.eye(grid.n).reshape(G.shape[:2] + (1,) * grid.n)  # G stays for the next steps
+    gradX = (G + np.eye(grid.n).reshape(G.shape[:2] + (1,) * grid.n)  # G stays for the next steps
+             if state.gradX is None else state.gradX)
     ph, MinvT_grad_p, iters = solve_pressure(grid, gradX, lapY, gradv, _extrapolate(pressures),
-                                             tol, max_iter)
+                                             tol, max_iter, state.det)
     accel = lapY - MinvT_grad_p
     if first:
         Y_new, Y_prev = state.Y + dt * state.velocity + 0.5 * dt**2 * accel, state.Y.copy()
@@ -185,7 +189,10 @@ def run_direct(grid, data, cfg):
         Yh[m] = state.Yh = grid.fft(state.Y)
         state.G = grid.jacobian_of_spectrum(Yh[m])
         state.lapY = grid.ifft(Yh[m] * (-grid.k2))
-        drifts.append(det_residual(state.G))
+        # grad X and its determinant, which the drift and the next step read
+        state.gradX = state.G + np.eye(grid.n).reshape(state.G.shape[:2] + (1,) * grid.n)
+        state.det = det_pointwise(state.gradX)
+        drifts.append(float(np.abs(state.det - 1.0).max()))
         Y, lapY = Y[-3:] + [state.Y], lapY[-3:] + [state.lapY]
         if m >= 2:
             dYh[m - 1] = grid.fft(_central_velocity(tg.dt, Y[-3], Y[-1]))

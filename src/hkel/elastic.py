@@ -16,7 +16,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .bandlimited import random_divergence_free, random_scalar
-from .spectral import fine_to_spectrum, jacobian_on_fine, pad_to_fine, spectrum_to_fine
+from .spectral import fine_to_spectrum, pad_to_fine, spectrum_to_fine
 
 
 @dataclass
@@ -152,15 +152,17 @@ def cofactor_pointwise(M):
 INVERSE_DET_TOL = 0.5
 
 
-def inverse_pointwise(M):
+def inverse_pointwise(M, det=None):
     """Pointwise inverse by cofactors, returned with them and det: (M^-1, cof(M), det(M)).
 
-    Valid only near det = 1: raises if the determinant strays from 1 by more
-    than ``INVERSE_DET_TOL`` at any grid point (outside the small-data regime).
+    ``det``, if the caller has it, is det_pointwise(M), whose expansion this
+    repeats otherwise.  Valid only near det = 1: raises if the determinant
+    strays from 1 by more than ``INVERSE_DET_TOL`` at any grid point (outside
+    the small-data regime).
     """
     M = np.asarray(M)
     cof = cofactor_pointwise(M)
-    det = sum(M[0, b] * cof[0, b] for b in range(len(M)))  # det_pointwise's expansion
+    det = sum(M[0, b] * cof[0, b] for b in range(len(M))) if det is None else det
     bad = np.abs(det - 1.0) > INVERSE_DET_TOL
     if np.any(bad):
         loc = np.unravel_index(int(np.argmax(np.abs(det - 1.0))), det.shape)
@@ -261,16 +263,16 @@ def recover_pressure(grid, Yh, boxYh):
     mean removed, measures how far w is from a pure gradient.  Yh and boxYh
     are (time, n) + ``spectral_shape``; the residual has shape (time,).  G and
     box Y are placed on the pad-3/2 lattice, where quadratic products are
-    alias-free, sum_l G[l, b] boxY[l] is accumulated there in the order of l
-    and truncated once, and both norms are read by Parseval: a sample's
-    result does not depend on its batch.
+    alias-free, sum_l G[l, b] boxY[l] is accumulated there in the order of l,
+    a row l of G placed at a time, and truncated once, and both norms are
+    read by Parseval: a sample's result does not depend on its batch.
     """
     n, pad = grid.n, 1.5
-    Gf = jacobian_on_fine(grid, Yh, pad)
-    Bf = spectrum_to_fine(grid, np.moveaxis(boxYh, 1, 0), pad)
-    acc = Gf[0] * Bf[0]  # G[l, b] over b, boxY[l] broadcast along b
-    for l in range(1, n):
-        acc += Gf[l] * Bf[l]
+    rows = (spectrum_to_fine(grid, Yh[:, l] * grid.idfreq[:, None], pad)
+            * spectrum_to_fine(grid, boxYh[:, l], pad) for l in range(n))
+    acc = next(rows)  # G[l, b] over b, boxY[l] broadcast along b
+    for prod in rows:
+        acc += prod
     # the spectrum of the real field w: Parseval would also count the
     # non-Hermitian part of the Nyquist column that fine_to_spectrum reads,
     # and of a Picard box's, whose rounding the 1/dt^2 difference amplifies

@@ -21,8 +21,10 @@ from hkel.spectral import (
     Grid,
     _fine_size,
     _placements,
+    fine_to_spectrum,
     jacobian_on_fine,
     pad_to_fine,
+    spectrum_to_fine,
     truncate_from_fine,
 )
 from hkel.waves import _cumtrapz, box_trajectory, second_time_derivative, time_derivative
@@ -226,6 +228,21 @@ def physical_recover_pressure(grid, G, boxY):
     p = -ref.inverse_laplacian(grid.divergence(w))
     wnorm = grid.l2(w)
     return p, grid.l2(ref.leray_project(w)) / wnorm if wnorm > 0 else 0.0
+
+
+def batched_recover_pressure(grid, Yh, boxYh):
+    """``elastic.recover_pressure`` with all of G and box Y placed on the pad-3/2 lattice at once."""
+    n, pad = grid.n, 1.5
+    Gf = jacobian_on_fine(grid, Yh, pad)
+    Bf = spectrum_to_fine(grid, np.moveaxis(boxYh, 1, 0), pad)
+    acc = Gf[0] * Bf[0]  # G[l, b] over b, boxY[l] broadcast along b
+    for l in range(1, n):
+        acc += Gf[l] * Bf[l]
+    wh = grid.fft(grid.ifft(boxYh + np.moveaxis(fine_to_spectrum(grid, acc, pad), 0, 1)))
+    wh[(Ellipsis,) + (0,) * n] = 0.0
+    wnorm = grid.sample_sq_l2(wh)
+    cnorm = grid.sample_sq_l2(grid.leray_of_spectrum(wh))
+    return np.sqrt(np.divide(cnorm, wnorm, out=np.zeros_like(wnorm), where=wnorm > 0.0))
 
 
 def physical_run_direct(grid, data, cfg):

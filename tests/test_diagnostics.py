@@ -133,6 +133,17 @@ def test_pairwise_sq_dists_leaves_its_argument_unchanged(rng):
         assert path.tobytes() == before.tobytes()
 
 
+def test_pairwise_sq_dists_match_brute_force_distances(rng):
+    # the Gram matrix of the centred path on its real view, against the
+    # distances summed one snapshot pair at a time
+    for path in (rng.standard_normal((9, 4)),
+                 rng.standard_normal((9, 3, 5)) + 1j * rng.standard_normal((9, 3, 5)),
+                 (rng.standard_normal((12, 2, 70)) + 3.0) * (1.0 + 0.5j)):
+        flat = path.reshape(len(path), -1)
+        brute = np.array([[np.sum(np.abs(a - b) ** 2) for b in flat] for a in flat])
+        assert np.max(np.abs(pairwise_sq_dists(path) - brute)) <= 1e-14 * np.max(brute)
+
+
 def test_two_variation_time_reversal(rng):
     path = rng.standard_normal((20, 5))
     fwd = two_variation(path)
@@ -226,8 +237,9 @@ def test_s_surrogate_matches_whole_copy_oracle_bitwise(rng, n, size, steps):
 
 
 def test_s_surrogate_peak_memory_is_per_band(rng):
-    # each band path is copied from the spectra, not from whole copies of
-    # their sampled times (every third sample here)
+    # each block of a band is copied from the spectra, not from whole copies
+    # of their sampled times (every third sample here), and no band path is
+    # ever whole
     grid, tg = Grid(2, 32), TimeGrid(0.01, 600)
     Yh, dYh = random_spectra(rng, grid, tg)
     tracemalloc.start()
@@ -236,13 +248,13 @@ def test_s_surrogate_peak_memory_is_per_band(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * Yh.nbytes  # 0.80 here, 2.22 with the whole copies
+    assert peak < 0.6 * Yh.nbytes  # 0.44 here, 0.80 with whole band paths, 2.22 with whole copies
 
 
 def test_s_surrogate_peak_memory_3d_is_one_path_and_its_conjugate(rng):
-    # each sign's path [own | other on the paired columns] is built straight
-    # into one buffer from the spectra; the Gram matrix conjugates it whole,
-    # so the peak is about two paths of the largest band (3D, every sample read)
+    # each sign's Gram matrix is accumulated over blocks of a band's modes,
+    # so neither a whole band path nor its conjugate exists (3D, every
+    # sample read; they were about two paths of the largest band)
     grid, tg = Grid(3, 16), TimeGrid(0.01, 30)
     Yh, dYh = random_spectra(rng, grid, tg)
     tracemalloc.start()
@@ -251,7 +263,21 @@ def test_s_surrogate_peak_memory_3d_is_one_path_and_its_conjugate(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * Yh.nbytes  # 1.93 here, 3.59 with both whole signed paths
+    assert peak < 0.5 * Yh.nbytes  # 0.26 here, 1.93 with a whole path and its conjugate
+
+
+def test_s_surrogate_peak_memory_at_257_samples_is_per_block(rng):
+    # direct2d's lattice with every second of 513 samples read: the blocks
+    # and the two Gram matrices, well below one Y trajectory
+    grid, tg = Grid(2, 64), TimeGrid(1 / 256, 512)
+    Yh, dYh = random_spectra(rng, grid, tg)
+    tracemalloc.start()
+    try:
+        s_surrogate(grid, tg, Yh, dYh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * Yh.nbytes  # 0.11 here, 0.78 with whole band paths
 
 
 @pytest.mark.parametrize("n, size", [(2, 16), (3, 8)])

@@ -310,6 +310,29 @@ def test_run_direct_transforms_each_sample_once(monkeypatch):
     assert len(seen) == calls and repeats == []
 
 
+def test_run_direct_forms_each_determinant_once(monkeypatch):
+    # the det drift and the next step's inverse read one grad X and one
+    # determinant per sample; the drift is still max |det(I + G) - 1|
+    dets, given = [], []
+    det_pointwise, inverse_pointwise = direct.det_pointwise, direct.inverse_pointwise
+
+    def counting(M):
+        dets.append(det_pointwise(M))
+        return dets[-1]
+
+    def handed(M, det=None):
+        given.append(any(det is d for d in dets))
+        return inverse_pointwise(M, det)
+
+    monkeypatch.setattr(direct, "det_pointwise", counting)
+    monkeypatch.setattr(direct, "inverse_pointwise", handed)
+    grid = Grid(2, 16)
+    data = make_shear_data(grid, 1e-2, seed=10, band=1)
+    run = run_direct(grid, data, small_config(t_end=0.25))
+    assert len(dets) == len(run.Yh) and given == [True] * (len(run.Yh) - 1)
+    assert run.det_drift == max(det_residual(grid.jacobian_of_spectrum(Yh)) for Yh in run.Yh)
+
+
 def test_direct_energy_drift_second_order():
     grid = Grid(2, 16)
     data = make_shear_data(grid, 1e-2, seed=11, band=1)

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -122,3 +123,34 @@ def test_keep_writes_each_run_to_its_own_directory_and_refuses_a_used_one(tmp_pa
     assert all((kept / name / "report.txt").read_text() == "seed = 3\n" for name in names)
     with pytest.raises(SystemExit):  # a second run would mix its files into the first's
         tool.main(["--keep", str(kept)])
+
+
+def test_phase_memory_marks_the_end_of_each_phase_of_one_run(monkeypatch, capsys):
+    from hkel import cli
+
+    stubs = {name: (lambda *args, **kwargs: None) for name in (
+        "compatibility_residuals", "picard_solve", "run_direct", "s_surrogate", "write_csv")}
+    for name, stub in stubs.items():
+        monkeypatch.setattr(cli, name, stub)
+    configs = []
+
+    def run_one(cfg):  # the phases in run_one's order; the loop writes two files
+        configs.append(cfg)
+        cli.compatibility_residuals()
+        cli.run_direct()
+        cli.s_surrogate()
+        cli.write_csv()
+        cli.write_csv()
+        return 2, None
+
+    monkeypatch.setattr(cli, "run_one", run_one)
+    assert load_tool("phase_memory").main(["direct2d", "--seed", "3"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [words[0] for words in lines] == ["setup", "solve", "surrogate", "diagnostics", "exit"]
+    assert lines[-1] == ["exit", "2"]
+    rss, minflt, delta = (np.array([float(w[i]) for w in lines[:-1]]) for i in (1, 2, 3))
+    assert np.all(rss > 0) and np.all(np.diff(rss) >= 0) and np.all(np.diff(minflt) >= 0)
+    assert np.array_equal(np.cumsum(delta), minflt)  # each phase's own faults
+    cfg, = configs
+    assert (cfg.seed, cfg.solver, cfg.dimension, cfg.grid_n) == (3, "direct", 2, 64)
+    assert all(getattr(cli, name) is stub for name, stub in stubs.items())  # unwrapped after

@@ -1,0 +1,95 @@
+"""Own-process peak RSS and minor page faults at the end of each phase of one run.
+
+Run from anywhere in a checkout, once per measurement:
+
+    python3 tools/phase_memory.py WORKLOAD [--seed 0]
+
+WORKLOAD is a workload of perfbench/spec.py (picard2d, picard3d or
+direct2d).  The tool runs cli.run_one on that workload's configuration and
+data seed, in a temporary directory, and prints one line per phase as the
+phase ends:
+
+    phase ru_maxrss_mib ru_minflt minflt_delta
+
+``setup`` ends when compatibility_residuals returns (the grid and the data
+are built before it), ``solve`` when picard_solve or run_direct returns,
+``surrogate`` when s_surrogate returns and ``diagnostics`` when the
+per-sample loop has ended, as the first output file is written.  A last line
+``exit N`` gives run_one's exit code.  ``ru_maxrss`` (KiB on Linux, printed
+in MiB) and ``ru_minflt`` are counts of the whole process, so each call of
+the tool measures one run in a fresh process; ``minflt_delta`` is the
+phase's own faults.  The post-solve faults are the sum of the surrogate's
+and the diagnostics' deltas.
+"""
+
+import argparse
+import contextlib
+import importlib.util
+import resource
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+ROOT = Path(__file__).resolve().parent.parent
+# the cli name each phase ends at, and whether it ends after the call or before it
+PHASES = (("setup", "compatibility_residuals", "after"), ("solve", "picard_solve", "after"),
+          ("solve", "run_direct", "after"), ("surrogate", "s_surrogate", "after"),
+          ("diagnostics", "write_csv", "before"))
+
+
+def load_spec():
+    """perfbench/spec.py as a module, leaving no bytecode next to it."""
+    sys.dont_write_bytecode = True
+    loader = importlib.util.spec_from_file_location("spec", ROOT / "perfbench" / "spec.py")
+    spec = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spec)
+    return spec
+
+
+def usage():
+    """(peak RSS in MiB, minor page faults) of this process so far."""
+    ru = resource.getrusage(resource.RUSAGE_SELF)
+    return ru.ru_maxrss / 1024.0, ru.ru_minflt
+
+
+def marking(fn, phase, when, marks):
+    """``fn`` that appends (phase, usage()) to marks after or before its first call."""
+    def wrapped(*args, **kwargs):
+        if when == "before" and not any(p == phase for p, _ in marks):
+            marks.append((phase, usage()))
+        out = fn(*args, **kwargs)
+        if when == "after":
+            marks.append((phase, usage()))
+        return out
+    return wrapped
+
+
+def main(argv=None):
+    spec = load_spec()
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("workload", choices=sorted(spec.WORKLOADS))
+    ap.add_argument("--seed", type=int, default=0, help="data seed (default 0)")
+    args = ap.parse_args(argv)
+
+    sys.path.insert(0, str(ROOT / "src"))
+    from hkel import cli
+    from hkel.config import RunConfig
+
+    marks = []
+    config = dict(spec.COMMON, **spec.WORKLOADS[args.workload]["config"])
+    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as patches:
+        for phase, name, when in PHASES:
+            wrapped = marking(getattr(cli, name), phase, when, marks)
+            patches.enter_context(mock.patch.object(cli, name, wrapped))
+        code = cli.run_one(RunConfig(seed=args.seed, output_dir=tmp, **config))[0]
+    last = 0
+    for phase, (rss, minflt) in marks:
+        print(f"{phase} {rss:.2f} {minflt} {minflt - last}")
+        last = minflt
+    print(f"exit {code}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
