@@ -11,6 +11,7 @@ so the rounding-level mean drops out.
 """
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
 
 import numpy as np
@@ -42,15 +43,14 @@ def _det_terms(rows, cols=None):
     ]
 
 
+@cache
 def _minor_terms(n, orders):
     """Leibniz terms of every principal minor of each order in ``orders``."""
-    terms = []
-    for k in orders:
-        for subset in combinations(range(n), k):
-            terms.extend(_det_terms(subset))
-    return terms
+    return [term for k in orders for subset in combinations(range(n), k)
+            for term in _det_terms(subset)]
 
 
+@cache
 def _cofactor_terms(n, a, b):
     """Leibniz terms of the (a, b) cofactor of an n x n matrix, its sign folded in."""
     rows = [r for r in range(n) if r != a]
@@ -71,11 +71,12 @@ def _accumulate_terms(stack, terms):
     ``stack``, factors multiply left to right and terms add in list order.
     """
     acc = np.zeros(stack.shape[len(terms[0][1][0]) :])
-    for sign, entries in terms:
-        prod = stack[entries[0]].copy()
-        for ix in entries[1:]:
-            prod *= stack[ix]
-        acc += sign * prod
+    prod = np.empty_like(acc)
+    for sign, (first, *rest) in terms:
+        term = stack[first]
+        for ix in rest:
+            term = np.multiply(term, stack[ix], out=prod)
+        (np.add if sign > 0 else np.subtract)(acc, term, out=acc)
     return acc
 
 
@@ -103,30 +104,37 @@ def curl_free_displacement(grid, G_fine):
     return np.stack([sh * m for m in grid.idfreq_inv_k2])
 
 
-def null_form(grid, G_fine, H_fine):
+def _flux(n, row):
+    """P_b = sum_l G[l, b] box Y^l on a product lattice, accumulated in the order of l.
+
+    ``row(l)`` gives row l of G (b first) and box Y^l there; each row is
+    dropped once its product is added, so a caller may place one per call.
+    """
+    acc = np.multiply(*row(0))
+    prod = np.empty_like(acc)
+    for l in range(1, n):
+        acc += np.multiply(*row(l), out=prod)
+    return acc
+
+
+def null_form(grid, G_fine, box_fine):
     """Half spectrum of the displacement whose gradient is the null-form coupling.
 
-    W_hat[a] = sum_k i xi_k |xi|^-2 B_hat[a, k], so grad W[a, b] is
-    sum_k R_b R_k B[a, k], with the bracket
-    B[a, k] = sum_l (G[l, a] H[l, k] - G[l, k] H[l, a]) of G and H = box(G);
-    B is stored exactly antisymmetrically, so div W vanishes up to rounding.
-
-    ``G_fine`` and ``H_fine`` are G and H on the product lattice of the
-    brackets (its pad read from their shape), with any extra (time) axes
-    between the component and spatial axes; W_hat is (n,) + those +
-    ``spectral_shape``.
+    The bracket B[a, k] = sum_l (G[l, a] H[l, k] - G[l, k] H[l, a]), H = grad box Y,
+    is the curl d_k P_a - d_a P_k of the flux P (``_flux``), so W_hat[a] =
+    sum_k i xi_k |xi|^-2 (i xi_k P_hat[a] - i xi_a P_hat[k]), -leray(P) off the
+    Nyquist planes, has grad W[a, b] = sum_k R_b R_k B[a, k] and div W = 0 up
+    to rounding.  ``G_fine`` (n, n) and ``box_fine`` (n,) are on the flux's
+    product lattice (its pad read from their shape), with any (time) axes
+    between the component and spatial axes; W_hat is (n,) + those + ``spectral_shape``.
     """
-    n, Gf, Hf = grid.n, G_fine, H_fine
-    pad = Gf.shape[-1] / grid.size
-    Bh = np.zeros((n, n) + Gf.shape[2 : Gf.ndim - n] + grid.spectral_shape, dtype=complex)
-    for a in range(n):
-        for k in range(a + 1, n):
-            acc = Gf[0, a] * Hf[0, k] - Gf[0, k] * Hf[0, a]
-            for l in range(1, n):
-                acc += Gf[l, a] * Hf[l, k] - Gf[l, k] * Hf[l, a]
-            Bh[a, k] = fine_to_spectrum(grid, acc, pad)
-            Bh[k, a] = -Bh[a, k]
-    return np.stack([sum(Bh[a, k] * grid.idfreq_inv_k2[k] for k in range(n)) for a in range(n)])
+    n, iq, idf = grid.n, grid.idfreq_inv_k2, grid.idfreq
+    P = _flux(n, lambda l: (G_fine[l], box_fine[l]))
+    Ph = fine_to_spectrum(grid, P, G_fine.shape[-1] / grid.size)
+    # sum_k iq_k (idf_k P_a - idf_a P_k), its two sums over k formed once
+    div = sum(iq[k] * Ph[k] for k in range(n))
+    lap = sum(iq[k] * idf[k] for k in range(n))
+    return np.stack([lap * Ph[a] - idf[a] * div for a in range(n)])
 
 
 # -- pointwise matrix algebra ------------------------------------------------
@@ -183,6 +191,7 @@ def det_residual(G):
 # -- compatibility -----------------------------------------------------------
 
 
+@cache
 def _cofactor_trace_terms(n):
     """Leibniz terms of sum_{a,b} cof(M)[a, b] * A[a, b] over the stack (M, A).
 
@@ -259,20 +268,16 @@ def recover_pressure(grid, Yh, boxYh):
     """Curl residual of the momentum balance per sample, from the half spectra of Y and box Y.
 
     The elastic acceleration balance reads (I + G^T) box(Y) = -grad p, so the
-    residual ||leray(w)|| / ||w|| (0 where w = 0) of w = (I + G^T) box(Y),
-    mean removed, measures how far w is from a pure gradient.  Yh and boxYh
-    are (time, n) + ``spectral_shape``; the residual has shape (time,).  G and
-    box Y are placed on the pad-3/2 lattice, where quadratic products are
-    alias-free, sum_l G[l, b] boxY[l] is accumulated there in the order of l,
-    a row l of G placed at a time, and truncated once, and both norms are
-    read by Parseval: a sample's result does not depend on its batch.
+    residual ||leray(w)|| / ||w|| (0 where w = 0) of w = box Y + P, P = G^T box Y
+    the flux (``_flux``), mean removed, measures how far w is from a pure
+    gradient.  Yh and boxYh are (time, n) + ``spectral_shape``; the residual has
+    shape (time,).  P is formed on the pad-3/2 lattice, where quadratic products
+    are alias-free, a row l of G and box Y^l placed at a time, and truncated
+    once; both norms are read by Parseval: a sample's result does not depend on its batch.
     """
     n, pad = grid.n, 1.5
-    rows = (spectrum_to_fine(grid, Yh[:, l] * grid.idfreq[:, None], pad)
-            * spectrum_to_fine(grid, boxYh[:, l], pad) for l in range(n))
-    acc = next(rows)  # G[l, b] over b, boxY[l] broadcast along b
-    for prod in rows:
-        acc += prod
+    acc = _flux(n, lambda l: (spectrum_to_fine(grid, Yh[:, l] * grid.idfreq[:, None], pad),
+                              spectrum_to_fine(grid, boxYh[:, l], pad)))
     # the spectrum of the real field w: Parseval would also count the
     # non-Hermitian part of the Nyquist column that fine_to_spectrum reads,
     # and of a Picard box's, whose rounding the 1/dt^2 difference amplifies

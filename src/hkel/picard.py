@@ -3,14 +3,14 @@
 The unknown is the displacement Y sampled on a uniform time grid, iterated
 through
 
-    Y  <-  V(t)(P f, P g)  +  boxinv(W(G, H))  +  Z(E(G)),   G = grad Y,
+    Y  <-  V(t)(P f, P g)  +  boxinv(W(G, box Y))  +  Z(E(G)),   G = grad Y,
 
-with boxY carried exactly alongside and H = grad boxY: the free-wave term
-contributes nothing to it, the Duhamel term contributes its own forcing W,
-and the curl-free displacement Z its finite-difference box.  The iterate is
-the half spectra of Y, d_t Y and box Y.  Every term is a Fourier multiplier
-but the products in W and Z, so an iteration transforms only on the product
-lattice: G and H go there straight from i dfreq_b Y_hat_a, and the bracket
+with boxY carried exactly alongside: the free-wave term contributes nothing
+to it, the Duhamel term contributes its own forcing W, and the curl-free
+displacement Z its finite-difference box.  The iterate is the half spectra
+of Y, d_t Y and box Y.  Every term is a Fourier multiplier but the products
+in W and Z, so an iteration transforms only on the product lattice: G goes
+there straight from i dfreq_b Y_hat_a, and box Y, and the flux G^T box Y
 and the minor sum come back as truncated spectra.  The stopping rule reads
 successive differences of G = grad Y in the sup-in-time dyadic n/2 norm from
 the spectra of Y.  The solve returns the spectra; nothing after it forms
@@ -25,7 +25,7 @@ import numpy as np
 
 from .diagnostics import gradient_besov_sup
 from .elastic import compatibility_residuals, curl_free_displacement, minor_sum_total, null_form
-from .spectral import Grid, jacobian_on_fine
+from .spectral import Grid, jacobian_on_fine, spectrum_to_fine
 from .waves import (
     TimeGrid,
     _duhamel,
@@ -124,7 +124,7 @@ def picard_map(grid, state, seed, out=None):
     formed from it as the row is assembled.  The map consumes ``state``: the
     new d_t Y_hat, which reads nothing of the old one, lands in
     ``state.dYh``, and the new box Y_hat in ``state.boxYh``, chunk by chunk
-    once each chunk has read its H.  The new Y_hat lands in ``out``, an
+    once each chunk has placed its box Y.  The new Y_hat lands in ``out``, an
     array shaped like ``state.Yh`` that nothing else reads, or in a new one,
     as box Y_hat does when ``state`` is the free wave (``boxYh`` None).  The
     chunks write Z_hat into the new Y_hat and W_hat into the new box Y_hat;
@@ -141,9 +141,9 @@ def picard_map(grid, state, seed, out=None):
     boxYh = state.boxYh if forced else np.empty_like(state.Yh)
     for c in grid.chunks(tg.nsamples):
         Gf = jacobian_on_fine(grid, state.Yh[c], pad)
-        if forced:  # H = grad box Y is a temporary, freed before the minors accumulate
-            boxYh[c] = np.moveaxis(
-                null_form(grid, Gf, jacobian_on_fine(grid, state.boxYh[c], pad)), 0, 1)
+        if forced:  # box Y on the lattice is a temporary, freed before the minors accumulate
+            box = np.moveaxis(state.boxYh[c], 1, 0)
+            boxYh[c] = np.moveaxis(null_form(grid, Gf, spectrum_to_fine(grid, box, pad)), 0, 1)
         Yh[c] = np.moveaxis(curl_free_displacement(grid, Gf), 0, 1)
 
     for i, (cosk, sink, (free_Yh, free_dYh)) in enumerate(_free_wave_rows(grid, tg, seed)):
@@ -212,14 +212,7 @@ def picard_solve(grid, data, cfg, check_compatibility=True):
             last = ", ".join(f"{r:.3g}" for r in recent)
             reason = f"diverging Picard iteration: ratios {last} above 1 at iteration {iterations}"
             break
-    return PicardResult(
-        state=state,
-        iterations=iterations,
-        converged=converged,
-        ratios=ratios,
-        deltas=deltas,
-        reason=reason,
-    )
+    return PicardResult(state, iterations, converged, ratios, deltas, reason)
 
 
 def trace_constraint_residual(grid, G):

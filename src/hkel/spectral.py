@@ -27,6 +27,7 @@ bitwise that of irfftn/rfftn.
 """
 
 import math
+from functools import cache
 from itertools import product
 
 import numpy as np
@@ -263,21 +264,19 @@ def _fine_size(grid, pad):
     return int(big)
 
 
-def _placements(grid, big, plus):
+@cache
+def _placements(n, size, big, plus):
     """Block copies that place the leading axes of a coarse spectrum on the fine one.
 
-    Yields (coarse, fine) index tuples over the n - 1 leading spatial axes.
-    Each axis keeps its nonnegative indices at the front and its negative
-    ones at the back; the unpaired Nyquist index N/2 goes to -N/2 on every
-    axis, or with ``plus`` to +N/2 on every axis.
+    (coarse, fine) index tuples over the n - 1 leading axes of an N = ``size``
+    grid, built once per lattice.  Each axis keeps its nonnegative indices at
+    the front and its negative ones at the back; the unpaired Nyquist index
+    N/2 goes to -N/2 on every axis, or with ``plus`` to +N/2 on every axis.
     """
-    cut = grid.size // 2 + (1 if plus else 0)
-    blocks = (
-        (slice(0, cut), slice(0, cut)),
-        (slice(cut, grid.size), slice(big - grid.size + cut, big)),
-    )
-    for combo in product(blocks, repeat=grid.n - 1):
-        yield tuple(c for c, _ in combo), tuple(f for _, f in combo)
+    cut = size // 2 + (1 if plus else 0)
+    blocks = ((slice(0, cut), slice(0, cut)), (slice(cut, size), slice(big - size + cut, big)))
+    return tuple((tuple(c for c, _ in combo), tuple(f for _, f in combo))
+                 for combo in product(blocks, repeat=n - 1))
 
 
 def _leading_passes(grid, a, big, transform, order):
@@ -322,9 +321,9 @@ def spectrum_to_fine(grid, uh, pad):
     nyq = uh[..., half] * ((0.5 if big > grid.size else 1.0) * scale)
     fine = np.zeros(uh.shape[:-n] + (big,) * (n - 1) + (half + 1,), dtype=complex)
     for plus in (False, True):
-        for src, dst in _placements(grid, big, plus):
+        for src, dst in _placements(n, grid.size, big, plus):
             fine[(Ellipsis,) + dst + cols] += low[(Ellipsis,) + src + cols]
-    for src, dst in _placements(grid, big, True):
+    for src, dst in _placements(n, grid.size, big, True):
         fine[(Ellipsis,) + dst + (half,)] = nyq[(Ellipsis,) + src]
     _leading_passes(grid, fine, big, np.fft.ifft, range(n - 1))
     return np.fft.irfft(fine, n=big, axis=-1)
@@ -356,10 +355,10 @@ def fine_to_spectrum(grid, u_fine, pad):
     cols = (slice(0, half),)
     uh = np.zeros(fh.shape[:-n] + (grid.size,) * (n - 1) + (half + 1,), dtype=complex)
     for plus in (False, True):
-        for src, dst in _placements(grid, big, plus):
+        for src, dst in _placements(n, grid.size, big, plus):
             uh[(Ellipsis,) + src + cols] += fh[(Ellipsis,) + dst + cols]
     uh[..., :half] *= 0.5
-    for src, dst in _placements(grid, big, True):
+    for src, dst in _placements(n, grid.size, big, True):
         uh[(Ellipsis,) + src + (half,)] = fh[(Ellipsis,) + dst + (half,)]
     return uh / (big / grid.size) ** n
 

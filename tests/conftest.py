@@ -86,9 +86,9 @@ def full_spectrum_to_fine(grid, uh, pad):
     nyq = uh[..., half] * ((0.5 if big > grid.size else 1.0) * scale)
     fine = np.zeros(uh.shape[:-n] + (big,) * (n - 1) + (big // 2 + 1,), dtype=complex)
     for plus in (False, True):
-        for src, dst in _placements(grid, big, plus):
+        for src, dst in _placements(grid.n, grid.size, big, plus):
             fine[(Ellipsis,) + dst + cols] += low[(Ellipsis,) + src + cols]
-    for src, dst in _placements(grid, big, True):
+    for src, dst in _placements(grid.n, grid.size, big, True):
         fine[(Ellipsis,) + dst + (half,)] = nyq[(Ellipsis,) + src]
     return np.fft.irfftn(fine, s=(big,) * n, axes=grid.axes)
 
@@ -101,10 +101,10 @@ def full_fine_to_spectrum(grid, u_fine, pad):
     cols = (slice(0, half),)
     uh = np.zeros(fh.shape[:-n] + (grid.size,) * (n - 1) + (half + 1,), dtype=complex)
     for plus in (False, True):
-        for src, dst in _placements(grid, big, plus):
+        for src, dst in _placements(grid.n, grid.size, big, plus):
             uh[(Ellipsis,) + src + cols] += fh[(Ellipsis,) + dst + cols]
     uh[..., :half] *= 0.5
-    for src, dst in _placements(grid, big, True):
+    for src, dst in _placements(grid.n, grid.size, big, True):
         uh[(Ellipsis,) + src + (half,)] = fh[(Ellipsis,) + dst + (half,)]
     return uh / (big / grid.size) ** n
 
@@ -350,8 +350,8 @@ def whole_trajectory_picard_map(grid, state, free):
     dYh = free.dYh + time_derivative(tg, Zh)
     boxYh = box_trajectory(tg, Zh, grid.k2)
     if state.boxYh is not None:
-        Hf = jacobian_on_fine(grid, state.boxYh, pad)
-        Wh = np.moveaxis(null_form(grid, Gf, Hf), 0, 1)
+        Bf = spectrum_to_fine(grid, np.moveaxis(state.boxYh, 1, 0), pad)
+        Wh = np.moveaxis(null_form(grid, Gf, Bf), 0, 1)
         boxYh += Wh
         for a in range(grid.n):
             duh, dduh = whole_trajectory_duhamel(grid, tg, Wh[:, a])

@@ -133,34 +133,40 @@ def test_curl_free_symmetry_and_trace(grid2, grid3, rng):
 # -- null form -----------------------------------------------------------------
 
 
-def physical_null_form(grid, G, H):
-    return grid.ifft(null_form(grid, pad_to_fine(grid, G, 2), pad_to_fine(grid, H, 2)))
+def physical_null_form(grid, G, boxY):
+    return grid.ifft(null_form(grid, pad_to_fine(grid, G, 2), pad_to_fine(grid, boxY, 2)))
 
 
-def null_form_gradient(grid, G, H):
-    return grid.jacobian(physical_null_form(grid, G, H))
+def null_form_gradient(grid, G, boxY):
+    return grid.jacobian(physical_null_form(grid, G, boxY))
 
 
 def test_null_form_zero_box(grid2, rng):
     G = random_jacobian(grid2, rng)
-    out = null_form_gradient(grid2, G, np.zeros_like(G))
+    out = null_form_gradient(grid2, G, np.zeros((grid2.n,) + grid2.shape))
     assert np.abs(out).max() == 0.0
 
 
-def test_null_form_equal_arguments_vanish(grid2, rng):
-    G = random_jacobian(grid2, rng)
-    out = null_form_gradient(grid2, G, G)
-    assert np.abs(out).max() <= 1e-13 * np.abs(G).max() ** 2
+def test_null_form_gradient_flux_vanishes(grid2, grid3, rng):
+    # box Y = c e_0 makes the flux P_b = c d_b Y_0 a gradient, so its curl,
+    # the bracket, and with it W vanish
+    for grid in (grid2, grid3):
+        G = random_jacobian(grid, rng)
+        boxY = np.zeros((grid.n,) + grid.shape)
+        boxY[0] = 0.7
+        out = null_form_gradient(grid, G, boxY)
+        assert np.abs(out).max() <= 1e-13 * 0.7 * np.abs(G).max() ** 2
 
 
 def test_null_form_reassociation_oracle(grid2, rng):
-    # reassemble with standalone riesz/dealiased_product calls in a
-    # different composition order
+    # reassemble the bracket of G and H = grad box Y with standalone
+    # riesz/dealiased_product calls in a different composition order
     grid = grid2
     n = grid.n
     G = random_jacobian(grid, rng, scale=0.5, band=4)
-    H = random_jacobian(grid, rng, scale=0.5, band=4)
-    got = null_form_gradient(grid, G, H)
+    boxY = 0.5 * random_vector(grid, rng, band=4)
+    H = grid.jacobian(boxY)
+    got = null_form_gradient(grid, G, boxY)
     scale = max(np.abs(got).max(), 1e-30)
     for a in range(n):
         for b in range(n):
@@ -178,20 +184,24 @@ def test_null_form_reassociation_oracle(grid2, rng):
 def test_null_form_bilinear(grid2, rng):
     G1 = random_jacobian(grid2, rng, scale=0.3)
     G2 = random_jacobian(grid2, rng, scale=0.3)
-    H = random_jacobian(grid2, rng, scale=0.3)
-    lhs = null_form_gradient(grid2, 2.0 * G1 + 0.5 * G2, H)
-    rhs = 2.0 * null_form_gradient(grid2, G1, H) + 0.5 * null_form_gradient(grid2, G2, H)
+    B1, B2 = (0.3 * random_vector(grid2, rng) for _ in range(2))
+    lhs = null_form_gradient(grid2, 2.0 * G1 + 0.5 * G2, B1)
+    rhs = 2.0 * null_form_gradient(grid2, G1, B1) + 0.5 * null_form_gradient(grid2, G2, B1)
+    assert np.abs(lhs - rhs).max() <= 1e-11 * max(np.abs(lhs).max(), 1e-30)
+    lhs = null_form_gradient(grid2, G1, 2.0 * B1 - 0.5 * B2)
+    rhs = 2.0 * null_form_gradient(grid2, G1, B1) - 0.5 * null_form_gradient(grid2, G1, B2)
     assert np.abs(lhs - rhs).max() <= 1e-11 * max(np.abs(lhs).max(), 1e-30)
 
 
-def test_null_form_bracket_diagonal_vanishes(grid2, rng):
-    # the bracket is antisymmetric, so its k = a diagonal contributes nothing
-    # and the displacement is divergence-free up to rounding
-    G = random_jacobian(grid2, rng, scale=0.5)
-    H = random_jacobian(grid2, rng, scale=0.5)
-    W = physical_null_form(grid2, G, H)
-    scale = np.abs(grid2.jacobian(W)).max()
-    assert np.abs(grid2.divergence(W)).max() <= 1e-14 * scale
+def test_null_form_is_divergence_free(grid2, grid3, rng):
+    # W is the curl of the flux read through Riesz multipliers, so div W
+    # vanishes up to rounding, in 2D and in 3D
+    for grid in (grid2, grid3):
+        G = random_jacobian(grid, rng, scale=0.5)
+        boxY = 0.5 * random_vector(grid, rng)
+        W = physical_null_form(grid, G, boxY)
+        scale = np.abs(grid.jacobian(W)).max()
+        assert np.abs(grid.divergence(W)).max() <= 1e-14 * scale
 
 
 # -- compatibility ---------------------------------------------------------------

@@ -103,6 +103,26 @@ def test_output_moves_names_each_moved_column_and_the_identical_files(tmp_path, 
     assert "sweep.csv epsilon differs" in out and "sweep.csv ratio differs" in out
 
 
+def test_output_moves_reads_snapshots_as_their_time_and_field(tmp_path):
+    from hkel.snapshots import write_snapshot
+
+    tool = load_tool("output_moves")
+    a, b = tmp_path / "a", tmp_path / "b"
+    field = np.array([[[1.0, -2.0], [4.0, 0.0]]])
+    for root, moved, time, ncomp in ((a, 0.0, 0.5, 1), (b, 0.5, 0.25, 2)):
+        root.mkdir()
+        write_snapshot(root / "snapshot_000000.hkel", 2, 2, 0.5, field)
+        write_snapshot(root / "snapshot_000010.hkel", 2, 2, 0.5, field + [[[0, 0], [moved, 0]]])
+        write_snapshot(root / "snapshot_000020.hkel", 2, 2, time, np.repeat(field, ncomp, axis=0))
+    assert tool.tree_moves(a, b) == [
+        "snapshot_000000.hkel identical",
+        "snapshot_000010.hkel time abs 0.00e+00 rel 0.00e+00",
+        "snapshot_000010.hkel field abs 5.00e-01 rel 1.11e-01",  # |4 - 4.5| / 4.5
+        "snapshot_000020.hkel time abs 2.50e-01 rel 5.00e-01",
+        "snapshot_000020.hkel field differs",  # 1 component against 2
+    ]
+
+
 def test_keep_writes_each_run_to_its_own_directory_and_refuses_a_used_one(tmp_path, monkeypatch,
                                                                           capsys):
     from hkel import cli
@@ -154,3 +174,5 @@ def test_phase_memory_marks_the_end_of_each_phase_of_one_run(monkeypatch, capsys
     cfg, = configs
     assert (cfg.seed, cfg.solver, cfg.dimension, cfg.grid_n) == (3, "direct", 2, 64)
     assert all(getattr(cli, name) is stub for name, stub in stubs.items())  # unwrapped after
+    assert load_tool("phase_memory").main(["picard3d", "--t-end", "0.5"]) == 0
+    assert (configs[-1].solver, configs[-1].dimension, configs[-1].t_end) == ("picard", 3, 0.5)

@@ -276,12 +276,36 @@ def test_picard_map_product_lattice(monkeypatch, n, size, fine_shape):
         return fine
 
     monkeypatch.setattr("hkel.spectral.spectrum_to_fine", recording)
+    monkeypatch.setattr("hkel.picard.spectrum_to_fine", recording, raising=False)
     grid = Grid(n, size)
     cfg = small_config(dimension=n, grid_n=size, t_end=0.125)
     data = make_shear_data(grid, 1e-2, seed=7, band=1)
     free = free_wave_state(grid, cfg.time_grid(), data)
     picard_map(grid, free, free_seed(grid, data))
     assert shapes and set(shapes) == {fine_shape}
+
+
+@pytest.mark.parametrize("n, size", [(2, 32), (3, 16)])
+def test_forced_map_places_g_and_box_y_only(monkeypatch, n, size):
+    # the null form reads the flux G^T box Y, so a forced chunk places the n^2
+    # fields of G and the n of box Y on the product lattice, not the n^2 of
+    # H = grad box Y as well
+    grid = Grid(n, size)
+    tg = small_config(dimension=n, grid_n=size, t_end=0.125).time_grid()
+    data = make_shear_data(grid, 1e-2, seed=7, band=1)
+    seed = free_seed(grid, data)
+    forced = picard_map(grid, free_wave_state(grid, tg, data), seed)
+    placed = []
+
+    def counting(grid, uh, pad):
+        fine = spectrum_to_fine(grid, uh, pad)
+        placed.append(fine[(Ellipsis,) + (0,) * n].size)  # fields times samples
+        return fine
+
+    monkeypatch.setattr("hkel.spectral.spectrum_to_fine", counting)
+    monkeypatch.setattr("hkel.picard.spectrum_to_fine", counting, raising=False)
+    picard_map(grid, forced, seed)
+    assert sum(placed) == (n * n + n) * tg.nsamples
 
 
 @pytest.mark.parametrize("n, size", [(2, 32), (3, 16)])

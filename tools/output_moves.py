@@ -10,9 +10,12 @@ between identical runs left out, as in the digest) prints ``identical``.
 Otherwise each column of a ``diagnostics.csv`` or ``sweep.csv``, and each
 numeric key of a ``report.txt``, prints ``<column> abs <a> rel <r>``: the
 largest absolute difference and the largest relative one, |a - b| over
-max(|a|, |b|) (0 where both are 0).  A report key that is not numeric prints
-``differs`` when its values do, and so does any other file.  A file or a
-column on one side only prints ``only in A`` or ``only in B``.
+max(|a|, |b|) (0 where both are 0).  A ``.hkel`` snapshot prints such a line
+for its ``time`` and one for its ``field``, every component's values
+together.  A report key that is not numeric prints ``differs`` when its
+values do, and so does a field whose shape does not match, a snapshot that
+does not read as one, and any other file.  A file or a column on one side
+only prints ``only in A`` or ``only in B``.
 """
 
 import argparse
@@ -21,6 +24,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from hkel.snapshots import read_snapshot  # noqa: E402
 
 TABLES = ("diagnostics.csv", "sweep.csv")
 
@@ -62,6 +68,15 @@ def report_keys(text):
     return out
 
 
+def snapshot_columns(path):
+    """{"time": array, "field": array} of a snapshot; None if it does not read as one."""
+    try:
+        _, _, time, field = read_snapshot(path)
+    except ValueError:
+        return None
+    return {"time": np.array([time]), "field": field}
+
+
 def column_moves(a, b):
     """Lines ``<column> ...`` for two {column: value} maps, in A's order, then B's extras."""
     lines = []
@@ -94,6 +109,9 @@ def tree_moves(root_a, root_b):
             parse = table_columns if basename in TABLES else report_keys
             lines += [f"{name} {line}" for line in column_moves(parse(a.decode()),
                                                                    parse(b.decode()))]
+        elif basename.endswith(".hkel") and None not in (
+                snaps := [snapshot_columns(files[name]) for files in (files_a, files_b)]):
+            lines += [f"{name} {line}" for line in column_moves(*snaps)]
         else:
             lines.append(f"{name} differs")
     return lines
