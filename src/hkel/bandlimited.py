@@ -42,9 +42,6 @@ class TrigPoly:
             out -= np.sin(phases).T @ self.coeffs.imag[i0 : i0 + chunk]
         return out.reshape(points.shape[1:])
 
-    def sample(self, grid):
-        return self(grid.coords)
-
     def deriv(self, axis):
         return TrigPoly(self.modes, self.coeffs * (1j * self.modes[:, axis]))
 

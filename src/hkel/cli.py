@@ -45,16 +45,16 @@ EXIT_NOT_CONVERGED = 2
 
 # Peak bytes of a run: a per-solver count of half-spectrum Y trajectories
 # (the slope of own-process peak RSS against their size between two horizons,
-# rounded up), a per-solver fixed term (the interpreter, numpy, the data and
-# the solver's working set) and chunks of G on the product lattice: a map's
+# rounded up), one fixed term (the interpreter, numpy, the data and the
+# solver's working set) and chunks of G on the product lattice: a map's
 # chunk temporaries (2.9 chunks, traced) and, in 3D, where a chunk is one
-# sample, compatibility_residuals' peak of about six samples of G at pad 2
-# over the import baseline. Picard reads 4.5-4.7 in 3D N=16 (30-240 steps),
-# 4.0-4.3 in 3D N=32 (50-130) and 4.0-4.1 in 2D N=64 (100-300), where its
-# estimate is 1.16-1.49x its peak. The leapfrog reads 3.0-3.1 in 2D N=64
-# (256-1024 steps) over 45-47 MiB, where its estimate is 1.23-1.28x its peak.
+# sample, compatibility_residuals' peak of about four samples of G at pad 2.
+# Picard reads 4.5-4.7 in 3D N=16 (30-240 steps), 4.0-4.3 in 3D N=32 (50-130)
+# and 4.0-4.1 in 2D N=64 (100-300), where its estimate is 1.16-1.49x its peak.
+# The leapfrog reads 3.0-3.1 in 2D N=64 (256-1024 steps) over 45-47 MiB, where
+# its estimate is 1.23-1.28x its peak.
 TRAJECTORY_ARRAYS = {"picard": 6, "direct": 4}
-BASELINE_BYTES, CHUNK_LATTICES = {"picard": 40 * 2**20, "direct": 40 * 2**20}, 6
+BASELINE_BYTES, CHUNK_LATTICES = 40 * 2**20, 6
 
 # In-memory products of one simulation, reused by sweep analytics.
 SimArtifacts = namedtuple("SimArtifacts", "grid data tg Yh dYh report")
@@ -216,8 +216,7 @@ def memory_estimate(cfg):
     n, size = cfg.dimension, cfg.grid_n
     trajectory = (cfg.steps + 1) * n * size ** (n - 1) * (size // 2 + 1) * 16
     chunk = max(CHUNK_BYTES, fine_sample_bytes(n, size))  # a chunk is at least one sample
-    return (TRAJECTORY_ARRAYS[cfg.solver] * trajectory + BASELINE_BYTES[cfg.solver]
-            + CHUNK_LATTICES * chunk)
+    return TRAJECTORY_ARRAYS[cfg.solver] * trajectory + BASELINE_BYTES + CHUNK_LATTICES * chunk
 
 
 def physical_memory():

@@ -1,8 +1,8 @@
 """Pressure-projection leapfrog stepper, the cross-validation oracle.
 
-Advances Y directly with acceleration a = lap(Y) - (grad X)^-T grad p,
-where the mean-zero pressure enforces the second time derivative of
-log det(grad X) to vanish:
+``run_direct``'s one loop advances Y with acceleration a = lap(Y) -
+(grad X)^-T grad p, which ``direct_step`` forms at a sample; the mean-zero
+pressure enforces the second time derivative of log det(grad X) to vanish:
 
     tr(Minv grad a) = tr((Minv grad dY)^2),   Minv = (grad X)^-1.
 
@@ -13,14 +13,15 @@ preconditioned with the constant-coefficient inverse Laplacian solves it,
 contracting geometrically while the deformation stays small, from the
 polynomial through the last solves' half spectra of p, one step ahead; an
 iteration transforms grad p back and K grad p forward, n fields each.  grad v
-comes from the Jacobians of Y: the leapfrog's velocity is a difference of Y.
+comes from the Jacobians of Y: the leapfrog's velocity is a difference of Y,
+Y_1 = Y_0 + dt g + dt^2 a_0 / 2 and later dt^2 a_m-1 = Y_m - 2 Y_m-1 + Y_m-2.
 Products here are plain collocation products: the coefficients are
 rational in grad Y, so exact dealiasing does not apply, and the oracle's
 error budget is O(dt^2) plus spectral tails either way.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,32 +36,12 @@ PRESSURE_HISTORY = 5
 
 
 @dataclass
-class DirectState:
-    """Leapfrog state: current and previous displacement plus bookkeeping."""
-
-    Y: np.ndarray
-    velocity: np.ndarray  # the initial state's; later steps read grad v from the Jacobians
-    Y_prev: np.ndarray = None
-    accel: np.ndarray = None
-    pressures: tuple = None  # the last solves' half spectra, newest first: the warm start's points
-    iterations: int = 0
-    jacobians: tuple = ()  # G = grad Y of the last two samples before this one, newest first
-    grad_g: np.ndarray = None  # the initial velocity's Jacobian, which the first two steps read
-    # Y's half spectrum, Jacobian, Laplacian, grad X and det(grad X), which run_direct formed
-    Yh: np.ndarray = field(default=None, init=False, repr=False)
-    G: np.ndarray = field(default=None, init=False, repr=False)
-    lapY: np.ndarray = field(default=None, init=False, repr=False)
-    gradX: np.ndarray = field(default=None, init=False, repr=False)
-    det: np.ndarray = field(default=None, init=False, repr=False)
-
-
-@dataclass
 class DirectRun:
     Yh: np.ndarray  # half spectra of the displacement, (steps+1, n) + grid.spectral_shape
     dYh: np.ndarray  # of the central-difference velocity, same shape
     boxYh: np.ndarray  # of the finite-difference box of Y, same shape
-    pressure_iterations: list = field(default_factory=list)
-    det_drift: float = 0.0  # max over the samples of |det(grad X) - 1|
+    pressure_iterations: list  # the pressure solve's iterations, step by step
+    det_drift: float  # max over the samples of |det(grad X) - 1|
 
 
 def _trace_product(Minv, A):
@@ -87,7 +68,7 @@ def _extrapolate(spectra):
     return sum((-1) ** j * math.comb(k, j + 1) * s for j, s in enumerate(spectra)) if k else None
 
 
-def solve_pressure(grid, gradX, lapY, gradv, p0h, tol, max_iter, det=None):
+def solve_pressure(grid, gradX, lapY, gradv, p0h, tol, max_iter, det):
     """Mean-zero pressure from the constraint's second time derivative.
 
     The constraint tr(Minv grad a) = tr(W^2), W = Minv grad v, times det is
@@ -97,9 +78,8 @@ def solve_pressure(grid, gradX, lapY, gradv, p0h, tol, max_iter, det=None):
     that of det b - div(K grad p) on the mean-free physical frequency window
     (unpaired Nyquist-plane content is collocation noise outside the
     operator's range), its norm by Parseval.  ``gradX`` is grad X, ``lapY``
-    the Laplacian of the displacement, ``gradv`` the velocity's Jacobian
-    and ``p0h`` the warm start's half spectrum (or None); ``det`` is
-    det(grad X) if the caller has it.
+    the Laplacian of the displacement, ``gradv`` the velocity's Jacobian,
+    ``p0h`` the warm start's half spectrum (or None) and ``det`` det(grad X).
     Returns (p_hat, Minv^T grad p, iterations); raises on stagnation
     with the observed contraction factor.
     """
@@ -140,34 +120,23 @@ def solve_pressure(grid, gradX, lapY, gradv, p0h, tol, max_iter, det=None):
     )
 
 
-def direct_step(grid, state, dt, tol, max_iter):
-    """One leapfrog step with acceleration lap(Y) - (grad X)^-T grad p."""
-    first, pressures, Gs = state.Y_prev is None, state.pressures or (), state.jacobians
-    Yh = grid.fft(state.Y) if state.Yh is None else state.Yh
-    G = grid.jacobian_of_spectrum(Yh) if state.G is None else state.G
-    lapY = grid.ifft(Yh * (-grid.k2)) if state.lapY is None else state.lapY
-    if first:
-        gradv = grid.jacobian(state.velocity) if state.grad_g is None else state.grad_g
-    elif len(Gs) == 1:  # from Y_1 = Y_0 + dt g + dt^2 a_0 / 2
-        gradv = 2.0 * (G - Gs[0]) / dt - state.grad_g
-    else:  # from dt^2 a_m-1 = Y_m - 2 Y_m-1 + Y_m-2
-        gradv = (1.5 * G - 2.0 * Gs[0] + 0.5 * Gs[1]) / dt
-    gradX = (G + np.eye(grid.n).reshape(G.shape[:2] + (1,) * grid.n)  # G stays for the next steps
-             if state.gradX is None else state.gradX)
+def direct_step(grid, lapY, gradX, det, gradv, pressures, tol, max_iter):
+    """The leapfrog's acceleration lap(Y) - (grad X)^-T grad p at one sample.
+
+    ``pressures`` are the last solves' half spectra, newest first, through
+    which the warm start extrapolates.  Returns (acceleration, pressures
+    with this solve's in front, iterations).
+    """
     ph, MinvT_grad_p, iters = solve_pressure(grid, gradX, lapY, gradv, _extrapolate(pressures),
-                                             tol, max_iter, state.det)
-    accel = lapY - MinvT_grad_p
-    if first:
-        Y_new, Y_prev = state.Y + dt * state.velocity + 0.5 * dt**2 * accel, state.Y.copy()
-    else:
-        Y_new, Y_prev = 2.0 * state.Y - state.Y_prev + dt**2 * accel, state.Y
-    return DirectState(Y_new, None, Y_prev, accel, ((ph,) + pressures)[:PRESSURE_HISTORY],
-                       iters, (G,) + Gs[:1], gradv if first else None)
+                                             tol, max_iter, det)
+    return lapY - MinvT_grad_p, ((ph,) + pressures)[:PRESSURE_HISTORY], iters
 
 
 def run_direct(grid, data, cfg):
     """Integrate to t_end; returns the half spectra of Y, d_t Y and box Y and the det drift.
 
+    Each sample's spectrum, Jacobian G, Laplacian, grad X = I + G and
+    det(grad X) are formed once; the drift and the next step read them.
     Velocity and box are differenced on the physical samples before any
     transform, whose rounding the box's 1/dt^2 would amplify.  They stream:
     as each step lands, the sample before it gets its central differences
@@ -176,32 +145,39 @@ def run_direct(grid, data, cfg):
     """
     cfg.require_grid(grid)
     tg = cfg.time_grid()
+    dt, eye = tg.dt, np.eye(grid.n).reshape((grid.n, grid.n) + (1,) * grid.n)
     Yh, dYh, boxYh = (np.empty((tg.nsamples, grid.n) + grid.spectral_shape, dtype=complex)
                       for _ in range(3))
     dYh[0] = grid.fft(data.g)
-    state = DirectState(data.f.copy(), data.g.copy(), grad_g=grid.jacobian_of_spectrum(dYh[0]))
-    Y, lapY = [], []  # the last four samples and their Laplacians
-    iters, drifts = [], []
+    grad_g = grid.jacobian_of_spectrum(dYh[0])
+    Y, lapY, G = [data.f], [], []  # the last four samples, their Laplacians, three Jacobians
+    pressures, iters, drifts = (), [], []
     for m in range(tg.nsamples):
         if m:
-            state = direct_step(grid, state, tg.dt, cfg.pressure_tol, cfg.pressure_max_iter)
-            iters.append(state.iterations)
-        Yh[m] = state.Yh = grid.fft(state.Y)
-        state.G = grid.jacobian_of_spectrum(Yh[m])
-        state.lapY = grid.ifft(Yh[m] * (-grid.k2))
-        # grad X and its determinant, which the drift and the next step read
-        state.gradX = state.G + np.eye(grid.n).reshape(state.G.shape[:2] + (1,) * grid.n)
-        state.det = det_pointwise(state.gradX)
-        drifts.append(float(np.abs(state.det - 1.0).max()))
-        Y, lapY = Y[-3:] + [state.Y], lapY[-3:] + [state.lapY]
+            if m == 1:
+                gradv = grad_g
+            elif m == 2:
+                gradv = 2.0 * (G[-1] - G[-2]) / dt - grad_g
+            else:
+                gradv = (1.5 * G[-1] - 2.0 * G[-2] + 0.5 * G[-3]) / dt
+            accel, pressures, it = direct_step(grid, lapY[-1], gradX, det, gradv, pressures,
+                                               cfg.pressure_tol, cfg.pressure_max_iter)
+            iters.append(it)
+            Y = Y[-3:] + [Y[-1] + dt * data.g + 0.5 * dt**2 * accel if m == 1
+                          else 2.0 * Y[-1] - Y[-2] + dt**2 * accel]
+        Yh[m] = grid.fft(Y[-1])
+        G = G[-2:] + [grid.jacobian_of_spectrum(Yh[m])]
+        lapY = lapY[-3:] + [grid.ifft(Yh[m] * (-grid.k2))]
+        gradX = G[-1] + eye
+        det = det_pointwise(gradX)
+        drifts.append(float(np.abs(det - 1.0).max()))
         if m >= 2:
-            dYh[m - 1] = grid.fft(_central_velocity(tg.dt, Y[-3], Y[-1]))
-            boxYh[m - 1] = grid.fft(
-                _second_difference(tg.dt, Y[-3], Y[-2], Y[-1]) - lapY[-2])
+            dYh[m - 1] = grid.fft(_central_velocity(dt, Y[-3], Y[-1]))
+            boxYh[m - 1] = grid.fft(_second_difference(dt, Y[-3], Y[-2], Y[-1]) - lapY[-2])
         if m == 3:
-            boxYh[0] = grid.fft(_end_second_difference(tg.dt, *Y) - lapY[0])
-    dYh[-1] = grid.fft(_last_velocity(tg.dt, Y[-1], Y[-2], Y[-3]))
-    boxYh[-1] = grid.fft(_end_second_difference(tg.dt, *Y[::-1]) - lapY[-1])
+            boxYh[0] = grid.fft(_end_second_difference(dt, *Y) - lapY[0])
+    dYh[-1] = grid.fft(_last_velocity(dt, Y[-1], Y[-2], Y[-3]))
+    boxYh[-1] = grid.fft(_end_second_difference(dt, *Y[::-1]) - lapY[-1])
     return DirectRun(Yh, dYh, boxYh, iters, max(drifts))
 
 

@@ -218,16 +218,20 @@ def compatibility_residuals(grid, data):
     gradX = grid.jacobian(data.f)
     for a in range(n):
         gradX[a, a] += 1.0
-    # pad 2 in 2D too: the maxima are read at these fine lattice points
-    gradXf = pad_to_fine(grid, gradX, 2)
-    Gfine = gradXf.copy()
+    # pad 2 in 2D too: the maxima are read at these fine lattice points. grad X
+    # and grad g share one buffer, and G there is freed before grad g is placed,
+    # so the check peaks at about four samples of G on that lattice
+    stack = np.empty((2, n, n) + (2 * grid.size,) * n)
+    stack[0] = pad_to_fine(grid, gradX, 2)
+    del gradX
+    Gfine = stack[0].copy()
     for a in range(n):
         Gfine[a, a] -= 1.0
     trace = sum(Gfine[a, a] for a in range(n))
     minors = _accumulate_terms(Gfine, _minor_terms(n, range(2, n + 1)))
     r1 = float(np.abs(trace + minors).max())
-
-    stack = np.stack([gradXf, pad_to_fine(grid, grid.jacobian(data.g), 2)])
+    del Gfine, trace, minors
+    stack[1] = pad_to_fine(grid, grid.jacobian(data.g), 2)
     r2 = float(np.abs(_accumulate_terms(stack, _cofactor_trace_terms(n))).max())
     return r1, r2
 

@@ -8,11 +8,12 @@ from hkel.diagnostics import (
     s_surrogate,
     two_variation,
 )
-from hkel.direct import DirectState, direct_step
+from hkel.direct import direct_step
 from hkel.elastic import (
     _accumulate_terms,
     _minor_terms,
     curl_free_displacement,
+    det_pointwise,
     det_residual,
     null_form,
 )
@@ -246,14 +247,35 @@ def batched_recover_pressure(grid, Yh, boxYh):
 
 
 def physical_run_direct(grid, data, cfg):
-    """The leapfrog's physical Y, central-difference velocity and box trajectories."""
-    tg = cfg.time_grid()
-    Y = np.empty((tg.nsamples, grid.n) + grid.shape)
+    """The leapfrog's physical Y, central-difference velocity and box trajectories.
+
+    Each step forms its sample's spectrum, Jacobian, Laplacian, grad X and
+    det(grad X) afresh from the physical trajectory and hands them to
+    ``direct_step``, with grad v the difference of the Jacobians that the
+    leapfrog's velocity implies.
+    """
+    tg, n = cfg.time_grid(), grid.n
+    dt, eye = tg.dt, np.eye(n).reshape((n, n) + (1,) * n)
+    Y = np.empty((tg.nsamples, n) + grid.shape)
     Y[0] = data.f
-    state = DirectState(data.f.copy(), data.g.copy(), None, None, None)
+    grad_g, G, pressures = grid.jacobian(data.g), [], ()
     for m in range(1, tg.nsamples):
-        state = direct_step(grid, state, tg.dt, cfg.pressure_tol, cfg.pressure_max_iter)
-        Y[m] = state.Y
+        Yh = grid.fft(Y[m - 1])
+        G.append(grid.jacobian_of_spectrum(Yh))
+        gradX = G[-1] + eye
+        if m == 1:
+            gradv = grad_g
+        elif m == 2:
+            gradv = 2.0 * (G[-1] - G[-2]) / dt - grad_g
+        else:
+            gradv = (1.5 * G[-1] - 2.0 * G[-2] + 0.5 * G[-3]) / dt
+        accel, pressures, _ = direct_step(grid, grid.ifft(Yh * (-grid.k2)), gradX,
+                                          det_pointwise(gradX), gradv, pressures,
+                                          cfg.pressure_tol, cfg.pressure_max_iter)
+        if m == 1:
+            Y[1] = Y[0] + dt * data.g + 0.5 * dt**2 * accel
+        else:
+            Y[m] = 2.0 * Y[m - 1] - Y[m - 2] + dt**2 * accel
     dY = time_derivative(tg, Y)
     dY[0] = data.g
     return Y, dY, second_time_derivative(tg, Y) - grid.ifft(grid.fft(Y) * (-grid.k2))

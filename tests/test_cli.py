@@ -233,7 +233,7 @@ def test_simulate_refuses_run_larger_than_memory(tmp_path, capsys, monkeypatch):
     need = cli.memory_estimate(parse_config((tmp_path / "run.cfg").read_text()))
     # 9 samples of 2 half spectra of 16 x 9 modes; G on 32^2 points is below the chunk budget
     trajectory = 9 * 2 * 16 * 9 * 16
-    fixed = cli.BASELINE_BYTES["picard"] + cli.CHUNK_LATTICES * cli.CHUNK_BYTES
+    fixed = cli.BASELINE_BYTES + cli.CHUNK_LATTICES * cli.CHUNK_BYTES
     assert need == cli.TRAJECTORY_ARRAYS["picard"] * trajectory + fixed
     monkeypatch.setattr(cli, "physical_memory", lambda: need - 1)
     assert main(["simulate", cfg]) == 1

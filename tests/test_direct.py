@@ -9,7 +9,6 @@ from hkel.config import RunConfig
 from hkel.diagnostics import energy
 from hkel.direct import (
     PRESSURE_HISTORY,
-    DirectState,
     _extrapolate,
     _mat_mat,
     _matT_vec,
@@ -19,7 +18,13 @@ from hkel.direct import (
     run_direct,
     solve_pressure,
 )
-from hkel.elastic import InitialData, det_residual, inverse_pointwise, make_shear_data
+from hkel.elastic import (
+    InitialData,
+    det_pointwise,
+    det_residual,
+    inverse_pointwise,
+    make_shear_data,
+)
 from hkel.spectral import Grid, random_mean_free
 
 from conftest import ComplexGrid, physical_run_direct, random_jacobian, random_vector
@@ -63,13 +68,13 @@ def test_pressure_zero_state_single_mode(grid2):
     dpsi = grid2.jacobian(psi)
     g = np.stack([dpsi[1], -dpsi[0]])
     Y = np.zeros((2,) + grid2.shape)
-    lapY = grid2.ifft(grid2.fft(Y) * (-grid2.k2))
-    ph, _, iters = solve_pressure(grid2, identity_field(grid2), lapY, grid2.jacobian(g), None,
-                                  1e-11, 50)
+    lapY, gradv = grid2.ifft(grid2.fft(Y) * (-grid2.k2)), grid2.jacobian(g)
+    gradX = identity_field(grid2)
+    det = det_pointwise(gradX)
+    ph, _, iters = solve_pressure(grid2, gradX, lapY, gradv, None, 1e-11, 50, det)
     assert np.abs(grid2.ifft(ph)).max() <= 1e-11
-    state = DirectState(Y, g)
-    new = direct_step(grid2, state, 0.01, tol=1e-11, max_iter=400)
-    assert np.abs(new.accel).max() <= 1e-10
+    accel, pressures, _ = direct_step(grid2, lapY, gradX, det, gradv, (), 1e-11, 400)
+    assert np.abs(accel).max() <= 1e-10 and len(pressures) == 1
 
 
 def test_pressure_manufactured_solution(grid2, grid3, rng):
@@ -81,8 +86,9 @@ def test_pressure_manufactured_solution(grid2, grid3, rng):
         q = rng.standard_normal(grid.shape)
         p_true = grid.ifft(grid.physical_spectrum(q))
         velocity = np.zeros((grid.n,) + grid.shape)
-        ph, force, iters = solve_pressure(grid, identity_field(grid), grid.jacobian(q),
-                                          grid.jacobian(velocity), None, 1e-11, 50)
+        gradX = identity_field(grid)
+        ph, force, iters = solve_pressure(grid, gradX, grid.jacobian(q), grid.jacobian(velocity),
+                                          None, 1e-11, 50, det_pointwise(gradX))
         assert iters == 2  # the preconditioner inverts the Laplacian on the window
         assert np.abs(grid.ifft(ph) - p_true).max() <= 1e-11 * np.abs(p_true).max()
         grad_p = grid.jacobian(p_true)
@@ -111,7 +117,8 @@ def test_solve_pressure_returns_the_pressure_force_of_its_iterate_bitwise(rng, n
     grid = Grid(n, size)
     gradX, lapY, velocity = pressure_problem(grid, rng, band=2)
     Minv = inverse_pointwise(gradX)[0]
-    ph, force, iters = solve_pressure(grid, gradX, lapY, grid.jacobian(velocity), None, 1e-10, 100)
+    ph, force, iters = solve_pressure(grid, gradX, lapY, grid.jacobian(velocity), None, 1e-10, 100,
+                                      det_pointwise(gradX))
     assert iters > 1
     assert force.tobytes() == _matT_vec(Minv, grid.ifft(ph * grid.idfreq)).tobytes()
 
@@ -134,7 +141,7 @@ def test_divergence_form_residual_is_det_times_trace_form_residual(rng, monkeypa
     Ap = _trace_product(Minv, grid.jacobian(_matT_vec(Minv, grid.jacobian(p))))
     seen, l2 = [], grid.spectral_l2  # the solve reads the norm of det b, then of the residual
     monkeypatch.setattr(grid, "spectral_l2", lambda uh: seen.append(uh.copy()) or l2(uh))
-    solve_pressure(grid, gradX, lapY, grid.jacobian(velocity), grid.fft(p), np.inf, 1)
+    solve_pressure(grid, gradX, lapY, grid.jacobian(velocity), grid.fft(p), np.inf, 1, det)
     bh, rh = seen
     want = grid.physical_spectrum(det * b)
     assert l2(bh - want) <= 1e-13 * l2(want)
@@ -158,9 +165,9 @@ def test_solve_pressure_transforms_n_fields_each_way_per_iteration(rng, monkeypa
         monkeypatch.setattr(Grid, name, counting(name, getattr(Grid, name)))
     grid = Grid(n, size)
     gradX, lapY, velocity = pressure_problem(grid, rng, band=2)
-    gradv = grid.jacobian(velocity)
+    gradv, det = grid.jacobian(velocity), det_pointwise(gradX)
     calls.clear()
-    _, _, iters = solve_pressure(grid, gradX, lapY, gradv, None, 1e-10, 100)
+    _, _, iters = solve_pressure(grid, gradX, lapY, gradv, None, 1e-10, 100, det)
     assert iters > 1
     assert calls == [("fft", (n + 1,))] + [("ifft", (n,)), ("fft", (n,))] * iters
 
@@ -184,22 +191,36 @@ def test_extrapolation_continues_polynomials_below_its_point_count(rng, points):
 
 @pytest.mark.parametrize("n, size", [(2, 16), (3, 16)])
 def test_step_reads_grad_v_of_the_leapfrog_velocity(monkeypatch, n, size):
-    # the step reads grad v from the Jacobians of Y; the oracle is the
+    # run_direct reads grad v from the Jacobians of Y; the oracle is the
     # Jacobian of the physical velocity (Y_m - Y_m-1)/dt + dt a_m-1 / 2, and
-    # of the initial velocity at m = 0
-    seen, solve = [], direct.solve_pressure
-    monkeypatch.setattr(direct, "solve_pressure",
-                        lambda grid, gradX, lapY, gradv, *rest:
-                        seen.append(gradv) or solve(grid, gradX, lapY, gradv, *rest))
-    grid, dt = Grid(n, size), 1 / 32
+    # of the initial velocity at m = 0, with Y from the physical leapfrog
+    grid, cfg = Grid(n, size), small_config(dimension=n, grid_n=size, t_end=0.125)
     data = make_shear_data(grid, 1e-2, seed=10, band=1)
-    states = [DirectState(data.f.copy(), data.g.copy())]
-    for _ in range(4):
-        states.append(direct_step(grid, states[-1], dt, 1e-11, 100))
-    velocities = [data.g] + [(st.Y - st.Y_prev) / dt + 0.5 * dt * st.accel for st in states[1:4]]
-    for m, (velocity, gradv) in enumerate(zip(velocities, seen)):
+    Y = physical_run_direct(grid, data, cfg)[0]
+    seen, solve = [], direct.solve_pressure  # spied on after the oracle, which also solves
+
+    def spy(grid, gradX, lapY, gradv, *rest):
+        out = solve(grid, gradX, lapY, gradv, *rest)
+        seen.append((gradv, lapY - out[1]))
+        return out
+
+    monkeypatch.setattr(direct, "solve_pressure", spy)
+    run_direct(grid, data, cfg)
+    assert len(seen) == cfg.steps == 4
+    dt = cfg.dt
+    velocities = [data.g] + [(Y[m] - Y[m - 1]) / dt + 0.5 * dt * seen[m - 1][1] for m in (1, 2, 3)]
+    for m, (velocity, (gradv, _)) in enumerate(zip(velocities, seen)):
         want = grid.jacobian(velocity)
         assert np.abs(gradv - want).max() <= 1e-12 * np.abs(want).max(), m
+
+
+def test_run_direct_calls_direct_step_once_per_step(monkeypatch):
+    # the benchmark's direct.steps counts the spans of direct_step
+    calls, step = [], direct.direct_step
+    monkeypatch.setattr(direct, "direct_step", lambda *args: calls.append(1) or step(*args))
+    grid, cfg = Grid(2, 16), small_config(t_end=0.25)
+    run = run_direct(grid, make_shear_data(grid, 1e-2, seed=10, band=1), cfg)
+    assert len(calls) == cfg.steps == len(run.pressure_iterations) == 8
 
 
 # the counts step by step when each solve started from the last one's pressure
@@ -349,10 +370,9 @@ def test_direct_energy_drift_second_order():
 def test_direct_rejects_large_deformation(grid2):
     x = grid2.coords
     f = np.stack([0.9 * np.sin(x[0]), np.zeros(grid2.shape)])  # det far from 1
-    state = DirectState(f, np.zeros_like(f))
+    cfg = small_config(grid_n=32, t_end=0.2, dt=0.05, pressure_max_iter=30)
     with pytest.raises((RuntimeError, ValueError)):
-        for _ in range(3):
-            state = direct_step(grid2, state, 0.05, tol=1e-11, max_iter=30)
+        run_direct(grid2, InitialData(f, np.zeros_like(f)), cfg)
 
 
 def test_cross_validate_zero_data(grid2):

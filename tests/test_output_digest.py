@@ -166,13 +166,17 @@ def test_phase_memory_marks_the_end_of_each_phase_of_one_run(monkeypatch, capsys
     monkeypatch.setattr(cli, "run_one", run_one)
     assert load_tool("phase_memory").main(["direct2d", "--seed", "3"]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
-    assert [words[0] for words in lines] == ["setup", "solve", "surrogate", "diagnostics", "exit"]
-    assert lines[-1] == ["exit", "2"]
-    rss, minflt, delta = (np.array([float(w[i]) for w in lines[:-1]]) for i in (1, 2, 3))
+    assert [words[0] for words in lines] == [
+        "setup", "solve", "surrogate", "diagnostics", "exit", "estimate"]
+    assert lines[-2] == ["exit", "2"]
+    rss, minflt, delta = (np.array([float(w[i]) for w in lines[:-2]]) for i in (1, 2, 3))
     assert np.all(rss > 0) and np.all(np.diff(rss) >= 0) and np.all(np.diff(minflt) >= 0)
     assert np.array_equal(np.cumsum(delta), minflt)  # each phase's own faults
     cfg, = configs
     assert (cfg.seed, cfg.solver, cfg.dimension, cfg.grid_n) == (3, "direct", 2, 64)
+    assert lines[-1] == ["estimate", f"{cli.memory_estimate(cfg) / 2**20:.2f}"]
     assert all(getattr(cli, name) is stub for name, stub in stubs.items())  # unwrapped after
     assert load_tool("phase_memory").main(["picard3d", "--t-end", "0.5"]) == 0
     assert (configs[-1].solver, configs[-1].dimension, configs[-1].t_end) == ("picard", 3, 0.5)
+    estimate = capsys.readouterr().out.splitlines()[-1].split()
+    assert estimate == ["estimate", f"{cli.memory_estimate(configs[-1]) / 2**20:.2f}"]

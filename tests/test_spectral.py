@@ -56,9 +56,9 @@ def test_derivative_against_refined_finite_differences(rng):
     # field sampled exactly from its trigonometric modes
     grid = Grid(2, 64)
     poly = random_scalar(rng, 2, band=4)
-    u = poly.sample(grid)
+    u = poly(grid.coords)
     fine = Grid(2, 256)
-    uf = poly.sample(fine)
+    uf = poly(fine.coords)
     h = 2 * np.pi / fine.size
     w = np.array([3, -32, 168, -672, 0, 672, -168, 32, -3]) / (840.0 * h)
     df = sum(w[i] * np.roll(uf, 4 - i, axis=0) for i in range(9))
@@ -239,10 +239,10 @@ def test_cubic_product_against_refined_grid(rng):
     grid = Grid(2, 32)
     fine = Grid(2, 256)
     polys = [random_scalar(rng, 2, band=5) for _ in range(3)]
-    got = dealiased_product(grid, [p.sample(grid) for p in polys])
+    got = dealiased_product(grid, [p(grid.coords) for p in polys])
     # oracle: multiply exact samples on an 8x refined lattice, then truncate
     # its spectrum back to the coarse window
-    prod_fine = polys[0].sample(fine) * polys[1].sample(fine) * polys[2].sample(fine)
+    prod_fine = polys[0](fine.coords) * polys[1](fine.coords) * polys[2](fine.coords)
     fh = np.fft.fftn(prod_fine)
     idx = (np.fft.fftfreq(grid.size, 1.0 / grid.size).astype(int)) % fine.size
     expected = np.fft.ifftn(fh[np.ix_(idx, idx)]).real * (grid.size / fine.size) ** 2
@@ -269,8 +269,8 @@ def test_pad_interpolates_point_values(grid2):
 
 def test_trigpoly_derivative_matches_grid(grid2, rng):
     poly = random_scalar(rng, 2, band=4)
-    u = poly.sample(grid2)
-    assert np.allclose(poly.deriv(1).sample(grid2), grid2.jacobian(u)[1], atol=1e-12)
+    u = poly(grid2.coords)
+    assert np.allclose(poly.deriv(1)(grid2.coords), grid2.jacobian(u)[1], atol=1e-12)
 
 
 # -- half-spectrum padding on fractional lattices --------------------------------
@@ -308,11 +308,11 @@ def test_quadratic_product_on_three_halves_lattice(rng, n, size):
     grid = Grid(n, size)
     refined = Grid(n, 2 * size)  # exact for products of band < N/2
     polys = [random_scalar(rng, n, band=size // 2 - 1) for _ in range(2)]
-    fine = [pad_to_fine(grid, p.sample(grid), 1.5) for p in polys]
+    fine = [pad_to_fine(grid, p(grid.coords), 1.5) for p in polys]
     got = truncate_from_fine(grid, fine[0] * fine[1], 1.5)
     # oracle: exact samples multiplied on the refined lattice, spectrum
     # truncated back to the coarse window
-    fh = np.fft.fftn(polys[0].sample(refined) * polys[1].sample(refined))
+    fh = np.fft.fftn(polys[0](refined.coords) * polys[1](refined.coords))
     idx = np.fft.fftfreq(size, 1.0 / size).astype(int) % refined.size
     expected = np.fft.ifftn(fh[np.ix_(*([idx] * n))]).real / 2**n
     assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()

@@ -14,8 +14,10 @@ directory, and prints one line per phase as the phase ends:
 ``setup`` ends when compatibility_residuals returns (the grid and the data
 are built before it), ``solve`` when picard_solve or run_direct returns,
 ``surrogate`` when s_surrogate returns and ``diagnostics`` when the
-per-sample loop has ended, as the first output file is written.  A last line
-``exit N`` gives run_one's exit code.  ``ru_maxrss`` (KiB on Linux, printed
+per-sample loop has ended, as the first output file is written.  A line
+``exit N`` gives run_one's exit code, and a last line ``estimate MiB`` the
+peak that cli.memory_estimate admits the run at, which each phase's
+ru_maxrss should stay below.  ``ru_maxrss`` (KiB on Linux, printed
 in MiB) and ``ru_minflt`` are counts of the whole process, so each call of
 the tool measures one run in a fresh process; ``minflt_delta`` is the
 phase's own faults.  The post-solve faults are the sum of the surrogate's
@@ -85,12 +87,14 @@ def main(argv=None):
         for phase, name, when in PHASES:
             wrapped = marking(getattr(cli, name), phase, when, marks)
             patches.enter_context(mock.patch.object(cli, name, wrapped))
-        code = cli.run_one(RunConfig(seed=args.seed, output_dir=tmp, **config))[0]
+        cfg = RunConfig(seed=args.seed, output_dir=tmp, **config)
+        code = cli.run_one(cfg)[0]
     last = 0
     for phase, (rss, minflt) in marks:
         print(f"{phase} {rss:.2f} {minflt} {minflt - last}")
         last = minflt
     print(f"exit {code}")
+    print(f"estimate {cli.memory_estimate(cfg) / 2**20:.2f}")
     return 0
 
 
