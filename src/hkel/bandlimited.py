@@ -4,16 +4,21 @@ Random initial data is built from a handful of low Fourier modes.  Keeping
 the modes explicit (instead of only grid samples) lets shear compositions
 evaluate fields exactly at displaced points, which is what keeps the
 volume-preserving data generators exact to interpolation accuracy.
+
+All components of a field share one mode set and one phase table per chunk
+of modes.  No step calls BLAS (the phases add up in axis order, numpy's own
+``einsum`` loops contract them), so the data's bits do not depend on the
+OpenBLAS kernel.
 """
 
 import numpy as np
 
 
 class TrigPoly:
-    """Real trigonometric polynomial sum_m Re(c_m exp(i k_m . x)).
+    """Real trigonometric polynomial sum_m Re(c_m exp(i k_m . x)), one or c components.
 
     modes : int array (m, n) of frequency vectors
-    coeffs : complex array (m,)
+    coeffs : complex array (m,), or (c, m) for c components on the same modes
 
     Realness is by construction of the evaluation: only the real part is
     returned, so no Hermitian pairing of the stored modes is required.
@@ -22,7 +27,7 @@ class TrigPoly:
     def __init__(self, modes, coeffs):
         self.modes = np.atleast_2d(np.asarray(modes, dtype=np.int64))
         self.coeffs = np.asarray(coeffs, dtype=complex)
-        if self.modes.shape[0] != self.coeffs.shape[0]:
+        if self.modes.shape[0] != self.coeffs.shape[-1]:
             raise ValueError("mode/coefficient count mismatch")
 
     @property
@@ -30,17 +35,20 @@ class TrigPoly:
         return self.modes.shape[1]
 
     def __call__(self, points):
-        """Evaluate at points of shape (n, ...); returns shape (...)."""
+        """Evaluate at points of shape (n, ...); returns (...) or, for c components, (c, ...)."""
         points = np.asarray(points, dtype=float)
         flat = points.reshape(self.n, -1)
-        out = np.zeros(flat.shape[1])
-        # chunk the mode/point phase matrix; fixed order keeps it reproducible
+        lead = self.coeffs.shape[:-1]
+        out = np.zeros(lead + flat.shape[1:])
+        # chunk the mode/point phase table; fixed order keeps it reproducible
         chunk = max(1, 2**22 // max(flat.shape[1], 1))
         for i0 in range(0, len(self.modes), chunk):
-            phases = self.modes[i0 : i0 + chunk].astype(float) @ flat
-            out += np.cos(phases).T @ self.coeffs.real[i0 : i0 + chunk]
-            out -= np.sin(phases).T @ self.coeffs.imag[i0 : i0 + chunk]
-        return out.reshape(points.shape[1:])
+            k = self.modes[i0 : i0 + chunk].T.astype(float)
+            phases = sum(k_a[:, None] * x_a for k_a, x_a in zip(k, flat))  # in axis order
+            c = self.coeffs[..., i0 : i0 + chunk]
+            out += np.einsum("...m,mp->...p", c.real, np.cos(phases))
+            out -= np.einsum("...m,mp->...p", c.imag, np.sin(phases))
+        return out.reshape(lead + points.shape[1:])
 
     def deriv(self, axis):
         return TrigPoly(self.modes, self.coeffs * (1j * self.modes[:, axis]))
@@ -55,14 +63,15 @@ def _band_modes(n, band, fixed_zero_axis=None):
     if fixed_zero_axis is not None:
         rng_axes[fixed_zero_axis] = np.array([0])
     mesh = np.stack(np.meshgrid(*rng_axes, indexing="ij"), axis=-1).reshape(-1, n)
-    keep = []
-    for k in mesh:
-        if not k.any():
-            continue
-        nz = k[np.nonzero(k)[0][0]]
-        if nz > 0:  # representative of the {k, -k} pair
-            keep.append(k)
-    return np.array(keep, dtype=np.int64)
+    lead = mesh[np.arange(len(mesh)), np.argmax(mesh != 0, axis=1)]  # first nonzero entry
+    return mesh[lead > 0]  # representative of the {k, -k} pair
+
+
+def _unit_coeffs(rng, modes, count):
+    """(count, m) coefficients of random unit-sup polynomials on ``modes``, real parts first."""
+    m = len(modes)
+    poly = TrigPoly(modes, [rng.normal(size=m) + 1j * rng.normal(size=m) for _ in range(count)])
+    return poly.coeffs * (1.0 / _sup_estimate(poly)[:, None])
 
 
 def random_scalar(rng, n, band, exclude_axis=None):
@@ -72,40 +81,30 @@ def random_scalar(rng, n, band, exclude_axis=None):
     coordinate (its modes have a zero entry there), as needed for shears.
     """
     modes = _band_modes(n, band, fixed_zero_axis=exclude_axis)
-    coeffs = rng.normal(size=len(modes)) + 1j * rng.normal(size=len(modes))
-    poly = TrigPoly(modes, coeffs)
-    return poly.scaled(1.0 / _sup_estimate(poly))
+    return TrigPoly(modes, _unit_coeffs(rng, modes, 1)[0])
 
 
 def random_divergence_free(rng, n, band):
-    """Random band-limited divergence-free vector field, unit sup norm.
+    """Random band-limited divergence-free vector field, unit sup norm, as one n-component poly.
 
     n=2 uses a stream function, n=3 the curl of a vector potential, so the
-    divergence vanishes identically, not just on the sampling lattice.
+    divergence vanishes identically, not just on the sampling lattice.  The
+    components' coefficients are formed on the potentials' shared modes.
     """
+    modes = _band_modes(n, band)
+    ik, c = 1j * modes.T, _unit_coeffs(rng, modes, 1 if n == 2 else 3)
     if n == 2:
-        psi = random_scalar(rng, 2, band)
-        comps = [psi.deriv(1), psi.deriv(0).scaled(-1.0)]
+        coeffs = [ik[1] * c[0], -(ik[0] * c[0])]
     else:
-        pot = [random_scalar(rng, 3, band) for _ in range(3)]
-        comps = [
-            _poly_sub(pot[2].deriv(1), pot[1].deriv(2)),
-            _poly_sub(pot[0].deriv(2), pot[2].deriv(0)),
-            _poly_sub(pot[1].deriv(0), pot[0].deriv(1)),
-        ]
-    sup = max(_sup_estimate(c) for c in comps)
-    return [c.scaled(1.0 / sup) for c in comps]
-
-
-def _poly_sub(a, b):
-    return TrigPoly(
-        np.concatenate([a.modes, b.modes]), np.concatenate([a.coeffs, -b.coeffs])
-    )
+        coeffs = [ik[1] * c[2] - ik[2] * c[1],
+                  ik[2] * c[0] - ik[0] * c[2],
+                  ik[0] * c[1] - ik[1] * c[0]]
+    field = TrigPoly(modes, coeffs)
+    return field.scaled(1.0 / _sup_estimate(field).max())
 
 
 def _sup_estimate(poly):
-    # crude but deterministic: sample on a lattice fine enough for low bands
+    """Max |p| per component (``coeffs.shape[:-1]``) on a lattice fine enough for low bands."""
     size = 4 * (int(np.abs(poly.modes).max()) + 1)
-    x1 = 2 * np.pi * np.arange(size) / size
-    pts = np.stack(np.meshgrid(*([x1] * poly.n), indexing="ij"))
-    return float(np.abs(poly(pts)).max())
+    pts = np.meshgrid(*([2 * np.pi * np.arange(size) / size] * poly.n), indexing="ij")
+    return np.abs(poly(pts)).reshape(poly.coeffs.shape[:-1] + (-1,)).max(axis=-1)

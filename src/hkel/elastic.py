@@ -258,7 +258,7 @@ def make_shear_data(grid, amplitude, seed, band=2):
         points[axis] = points[axis] + amplitude * phi(points)
     f = points - grid.coords
     v = random_divergence_free(rng, n, band)
-    g = np.stack([amplitude * comp(points) for comp in v])
+    g = amplitude * v(points)
     # remove the rounding-level translation mode; gradients are unchanged
     f -= f.mean(axis=grid.axes, keepdims=True)
     g -= g.mean(axis=grid.axes, keepdims=True)

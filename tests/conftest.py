@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,64 @@ def curl_compatibility_residual(grid, G):
                 worst = max(worst, float(np.abs(diff).max()))
     scale = float(np.abs(G).max())
     return worst / scale if scale > 0 else worst
+
+
+# -- the shear data's velocity by direct summation, as an oracle -------------------
+
+
+def direct_trig_sum(modes, coeffs, points):
+    """sum_m Re(c_m exp(i k_m . x)) at points (n, ...), one mode at a time."""
+    out = np.zeros(points.shape[1:])
+    for k, c in zip(modes, coeffs):
+        phase = sum(float(k_a) * x_a for k_a, x_a in zip(k, points))
+        out += c.real * np.cos(phase) - c.imag * np.sin(phase)
+    return out
+
+
+def shear_velocity_oracle(grid, amplitude, seed, band):
+    """``make_shear_data``'s g, rebuilt from the same Philox draws by direct summation.
+
+    The modes are the lexicographic |k|_inf <= band whose first nonzero entry is
+    positive; a shear's have a zero at its own axis.  Each polynomial draws its
+    real parts, then its imaginary parts, and is scaled to unit sup on the
+    4 (band + 1)-point lattice: the n shears first, then the potentials (one
+    stream function in 2D, three in 3D).  The velocity is v_i = eps_(i j) d_j psi
+    or eps_(i j l) d_j A_l, each component and each derivative summed on its
+    own, scaled to unit sup over the components, and read at the composed
+    shears' points.
+    """
+    n = grid.n
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    modes = [k for k in itertools.product(range(-band, band + 1), repeat=n)
+             if any(k) and next(a for a in k if a) > 0]
+    x1 = 2 * np.pi * np.arange(4 * (band + 1)) / (4 * (band + 1))
+    lattice = np.stack(np.meshgrid(*([x1] * n), indexing="ij"))
+
+    def unit(modes):
+        c = rng.normal(size=len(modes))
+        c = c + 1j * rng.normal(size=len(modes))
+        return c / np.abs(direct_trig_sum(modes, c, lattice)).max()
+
+    points = grid.coords.copy()
+    for axis in range(n):
+        shear_modes = [k for k in modes if k[axis] == 0]
+        phi = unit(shear_modes)
+        points[axis] = points[axis] + amplitude * direct_trig_sum(shear_modes, phi, points)
+    pots = [unit(modes) for _ in range(1 if n == 2 else 3)]
+    ik = 1j * np.array(modes, dtype=float).T
+    # (i, j, l, sign) of v_i = sign d_j pots[l]
+    terms = ([(0, 1, 0, 1.0), (1, 0, 0, -1.0)] if n == 2 else
+             [(i, j, l, 1.0 if (i, j, l) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)) else -1.0)
+              for i, j, l in itertools.permutations(range(3))])
+
+    def velocity(x):
+        v = np.zeros((n,) + x.shape[1:])
+        for i, j, l, sign in terms:
+            v[i] += sign * direct_trig_sum(modes, ik[j] * pots[l], x)
+        return v
+
+    g = amplitude * velocity(points) / np.abs(velocity(lattice)).max()
+    return g - g.mean(axis=grid.axes, keepdims=True)
 
 
 class ComplexGrid:

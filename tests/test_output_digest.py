@@ -61,14 +61,21 @@ def test_file_digests_follow_every_other_line_its_order_and_the_files(tmp_path):
     assert digests[0][0] == "0_first.txt" and digests[1:] == base
 
 
-def test_platform_line_names_numpy_the_machine_and_the_dispatch_targets():
+def test_platform_line_names_numpy_the_machine_and_the_dispatch_targets(tmp_path, monkeypatch):
     import platform
 
     import numpy as np
 
-    words = load_tool().platform_line().split()
+    tool = load_tool()
+    words = tool.platform_line().split()
     assert words[:4] == ["platform", "numpy", np.__version__, platform.machine()]
-    assert len(words) == 5 and all(words[4].split(","))  # "none" if no target is enabled
+    assert len(words) == 6 and all(words[4].split(","))  # "none" if no target is enabled
+    # the OpenBLAS core, read from the library numpy loaded
+    assert words[5] == f"blas={tool.blas_core()}" and len(words[5]) > len("blas=")
+    if any(tool.NUMPY_LIBS.glob("libscipy_openblas64_*.so")):
+        assert tool.blas_core() != "none"
+    monkeypatch.setattr(tool, "NUMPY_LIBS", tmp_path)  # no such library
+    assert tool.blas_core() == "none" and tool.platform_line().endswith(" blas=none")
 
 
 def test_output_moves_names_each_moved_column_and_the_identical_files(tmp_path, capsys):
@@ -149,13 +156,15 @@ def test_phase_memory_marks_the_end_of_each_phase_of_one_run(monkeypatch, capsys
     from hkel import cli
 
     stubs = {name: (lambda *args, **kwargs: None) for name in (
-        "compatibility_residuals", "picard_solve", "run_direct", "s_surrogate", "write_csv")}
+        "load_initial_data", "compatibility_residuals", "picard_solve", "run_direct",
+        "s_surrogate", "write_csv")}
     for name, stub in stubs.items():
         monkeypatch.setattr(cli, name, stub)
     configs = []
 
     def run_one(cfg):  # the phases in run_one's order; the loop writes two files
         configs.append(cfg)
+        cli.load_initial_data()
         cli.compatibility_residuals()
         cli.run_direct()
         cli.s_surrogate()
@@ -167,11 +176,12 @@ def test_phase_memory_marks_the_end_of_each_phase_of_one_run(monkeypatch, capsys
     assert load_tool("phase_memory").main(["direct2d", "--seed", "3"]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert [words[0] for words in lines] == [
-        "setup", "solve", "surrogate", "diagnostics", "exit", "estimate"]
+        "import", "data", "compat", "solve", "surrogate", "diagnostics", "exit", "estimate"]
     assert lines[-2] == ["exit", "2"]
-    rss, minflt, delta = (np.array([float(w[i]) for w in lines[:-2]]) for i in (1, 2, 3))
+    rss, minflt, delta, cpu = (np.array([float(w[i]) for w in lines[:-2]]) for i in (1, 2, 3, 4))
     assert np.all(rss > 0) and np.all(np.diff(rss) >= 0) and np.all(np.diff(minflt) >= 0)
     assert np.array_equal(np.cumsum(delta), minflt)  # each phase's own faults
+    assert np.all(cpu >= 0) and cpu[0] > 0  # each phase's own CPU time; the import takes some
     cfg, = configs
     assert (cfg.seed, cfg.solver, cfg.dimension, cfg.grid_n) == (3, "direct", 2, 64)
     assert lines[-1] == ["estimate", f"{cli.memory_estimate(cfg) / 2**20:.2f}"]

@@ -4,10 +4,12 @@ Run from anywhere in a checkout:
 
     python3 tools/output_digest.py [--seed 0] [--files] [--keep DIR]
 
-It first prints a ``platform`` line: numpy's version, the machine and the
-CPU dispatch targets numpy enabled.  The digests hold per platform (numpy
-picks its SIMD kernels from the CPU at run time), so only lines under equal
-platform lines compare.
+It first prints a ``platform`` line: numpy's version, the machine, the CPU
+dispatch targets numpy enabled and ``blas=<core>``, the kernel set that
+numpy's bundled OpenBLAS picked (``blas=none`` without one).  The digests
+hold per platform (numpy and OpenBLAS pick their kernels from the CPU at run
+time, and the surrogate's Gram matrix runs on OpenBLAS), so only lines under
+equal platform lines compare.
 For each workload of perfbench/spec.py it runs cli.run_one on that
 workload's configuration and data seed, in a temporary directory or, with
 ``--keep DIR``, in ``DIR/<workload>``, and prints one line
@@ -23,6 +25,7 @@ tools/output_moves.py names what moved between two kept trees.
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import importlib.util
 import platform
@@ -33,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+NUMPY_LIBS = Path(np.__file__).resolve().parent.parent / "numpy.libs"
 VOLATILE = {"report.txt": b"wall_clock_s", "config.txt": b"output_dir"}
 SWEEP = {"dimension": 2, "grid_n": 16, "t_end": 0.25, "dt": 1 / 32}
 SWEEP_EPSILONS = (1e-3, 3e-3, 1e-2)
@@ -47,14 +51,27 @@ def load_spec():
     return spec
 
 
+def blas_core():
+    """The core name of numpy's bundled OpenBLAS (``SkylakeX``, ``Haswell``, ...), or ``none``."""
+    for lib in sorted(NUMPY_LIBS.glob("libscipy_openblas64_*.so")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "none"
+
+
 def platform_line():
-    """``platform numpy <version> <machine> <targets>``: the CPU dispatch targets numpy enabled."""
+    """``platform numpy <version> <machine> <targets> blas=<core>``.
+
+    <targets> are the CPU dispatch targets numpy enabled, <core> is ``blas_core()``.
+    """
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:  # numpy 1.x
         from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     targets = ",".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t)) or "none"
-    return f"platform numpy {np.__version__} {platform.machine()} {targets}"
+    return f"platform numpy {np.__version__} {platform.machine()} {targets} blas={blas_core()}"
 
 
 def output_files(outdir):

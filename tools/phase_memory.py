@@ -1,4 +1,4 @@
-"""Own-process peak RSS and minor page faults at the end of each phase of one run.
+"""Own-process peak RSS, minor page faults and CPU time at the end of each phase of one run.
 
 Run from anywhere in a checkout, once per measurement:
 
@@ -9,10 +9,11 @@ direct2d).  The tool runs cli.run_one on that workload's configuration and
 data seed, with its horizon replaced by T if given, in a temporary
 directory, and prints one line per phase as the phase ends:
 
-    phase ru_maxrss_mib ru_minflt minflt_delta
+    phase ru_maxrss_mib ru_minflt minflt_delta cpu_s
 
-``setup`` ends when compatibility_residuals returns (the grid and the data
-are built before it), ``solve`` when picard_solve or run_direct returns,
+``import`` ends when hkel is imported, ``data`` when load_initial_data
+returns (the grid is built before it), ``compat`` when
+compatibility_residuals returns, ``solve`` when picard_solve or run_direct returns,
 ``surrogate`` when s_surrogate returns and ``diagnostics`` when the
 per-sample loop has ended, as the first output file is written.  A line
 ``exit N`` gives run_one's exit code, and a last line ``estimate MiB`` the
@@ -20,8 +21,9 @@ peak that cli.memory_estimate admits the run at, which each phase's
 ru_maxrss should stay below.  ``ru_maxrss`` (KiB on Linux, printed
 in MiB) and ``ru_minflt`` are counts of the whole process, so each call of
 the tool measures one run in a fresh process; ``minflt_delta`` is the
-phase's own faults.  The post-solve faults are the sum of the surrogate's
-and the diagnostics' deltas.
+phase's own faults and ``cpu_s`` its own user plus system CPU seconds
+(``import`` counts from the process's start).  The post-solve faults are the
+sum of the surrogate's and the diagnostics' deltas.
 """
 
 import argparse
@@ -35,7 +37,8 @@ from unittest import mock
 
 ROOT = Path(__file__).resolve().parent.parent
 # the cli name each phase ends at, and whether it ends after the call or before it
-PHASES = (("setup", "compatibility_residuals", "after"), ("solve", "picard_solve", "after"),
+PHASES = (("data", "load_initial_data", "after"), ("compat", "compatibility_residuals", "after"),
+          ("solve", "picard_solve", "after"),
           ("solve", "run_direct", "after"), ("surrogate", "s_surrogate", "after"),
           ("diagnostics", "write_csv", "before"))
 
@@ -50,9 +53,9 @@ def load_spec():
 
 
 def usage():
-    """(peak RSS in MiB, minor page faults) of this process so far."""
+    """(peak RSS in MiB, minor page faults, user plus system CPU seconds) of this process so far."""
     ru = resource.getrusage(resource.RUSAGE_SELF)
-    return ru.ru_maxrss / 1024.0, ru.ru_minflt
+    return ru.ru_maxrss / 1024.0, ru.ru_minflt, ru.ru_utime + ru.ru_stime
 
 
 def marking(fn, phase, when, marks):
@@ -79,7 +82,7 @@ def main(argv=None):
     from hkel import cli
     from hkel.config import RunConfig
 
-    marks = []
+    marks = [("import", usage())]
     config = dict(spec.COMMON, **spec.WORKLOADS[args.workload]["config"])
     if args.t_end is not None:
         config["t_end"] = args.t_end
@@ -89,10 +92,10 @@ def main(argv=None):
             patches.enter_context(mock.patch.object(cli, name, wrapped))
         cfg = RunConfig(seed=args.seed, output_dir=tmp, **config)
         code = cli.run_one(cfg)[0]
-    last = 0
-    for phase, (rss, minflt) in marks:
-        print(f"{phase} {rss:.2f} {minflt} {minflt - last}")
-        last = minflt
+    last_minflt = last_cpu = 0
+    for phase, (rss, minflt, cpu) in marks:
+        print(f"{phase} {rss:.2f} {minflt} {minflt - last_minflt} {cpu - last_cpu:.3f}")
+        last_minflt, last_cpu = minflt, cpu
     print(f"exit {code}")
     print(f"estimate {cli.memory_estimate(cfg) / 2**20:.2f}")
     return 0
