@@ -20,7 +20,6 @@ from .diagnostics import (
     gradient_besov_norms,
     gradient_besov_sup,
     s_surrogate,
-    solution_norm,
     sweep_report,
     variation_stride,
 )
@@ -28,7 +27,6 @@ from .direct import run_direct
 from .elastic import (
     InitialData,
     compatibility_residuals,
-    det_residual,
     make_shear_data,
     recover_pressure,
 )
@@ -51,13 +49,13 @@ EXIT_NOT_CONVERGED = 2
 # sample, compatibility_residuals' peak of about four samples of G at pad 2.
 # Picard reads 4.5-4.7 in 3D N=16 (30-240 steps), 4.0-4.3 in 3D N=32 (50-130)
 # and 4.0-4.1 in 2D N=64 (100-300), where its estimate is 1.16-1.49x its peak.
-# The leapfrog reads 3.0-3.1 in 2D N=64 (256-1024 steps) over 45-47 MiB, where
-# its estimate is 1.23-1.28x its peak.
-TRAJECTORY_ARRAYS = {"picard": 6, "direct": 4}
+# The leapfrog holds Y and box Y and reads 2.03-2.06 in 2D N=64 (256-1024
+# steps) over about 45.6 MiB, where its estimate is 1.27-1.38x its peak.
+TRAJECTORY_ARRAYS = {"picard": 6, "direct": 3}
 BASELINE_BYTES, CHUNK_LATTICES = 40 * 2**20, 6
 
 # In-memory products of one simulation, reused by sweep analytics.
-SimArtifacts = namedtuple("SimArtifacts", "grid data tg Yh dYh report")
+SimArtifacts = namedtuple("SimArtifacts", "grid data tg Yh report")
 
 
 def main(argv=None):
@@ -175,20 +173,21 @@ def run_one(cfg, subdir=None):
             return EXIT_NOT_CONVERGED, None
         report.iterations = int(np.max(traj.pressure_iterations))
         report.pressure_iterations_total = int(sum(traj.pressure_iterations))
-    Yh, dYh = traj.Yh, traj.dYh  # both solvers hand over half spectra, time first
-    # the surrogate's blocks and the loop's chunks are small, so the order of
-    # the two does not set the page faults: after the solve direct2d takes
-    # 0.65k minor faults with the surrogate first and 0.28k with it last
-    report.s_surrogate, report.s_variation_part = s_surrogate(grid, tg, Yh, dYh)
+    # Both solvers hand over the half spectra of Y and box Y, time first, and
+    # those of d_t Y through traj.velocity: Picard stores the d_t Y its map
+    # forms alongside Y; the leapfrog steps positions only, so its velocity is
+    # a difference of Y's spectra, formed a chunk or a block where it is read.
+    Yh = traj.Yh
+    report.s_surrogate, report.s_variation_part = s_surrogate(grid, traj)
 
-    # G = grad Y exists one chunk of the sampled times at a time, for det_residual
+    # G = grad Y exists one chunk of the sampled times at a time, for Picard's
+    # det residuals (freed before recover_pressure); the leapfrog hands its over
     s = grid.n / 2.0
     for batch in grid.chunks(tg.nsamples, cfg.diagnostics_every):
-        Yb, dYb = Yh[batch], dYh[batch]
+        Yb, dYb = Yh[batch], traj.velocity(batch)
         rows = zip(tg.times[batch], gradient_besov_norms(grid, Yb, s),
                    gradient_besov_norms(grid, dYb, s - 1.0), energy(grid, Yb, dYb),
-                   [det_residual(G) for G in grid.jacobian_of_spectrum(Yb)],  # G freed first
-                   recover_pressure(grid, Yb, traj.boxYh[batch]))
+                   traj.det_residuals(batch), recover_pressure(grid, Yb, traj.boxYh[batch]))
         report.rows.extend(tuple(map(float, row)) for row in rows)
     report.wall_clock = time.perf_counter() - started
 
@@ -203,7 +202,7 @@ def run_one(cfg, subdir=None):
                 grid.jacobian_of_spectrum(Yh[m]).reshape((-1,) + grid.shape),
             )
     write_run_summary(outdir / "report.txt", cfg, report, r1, r2)
-    artifacts = SimArtifacts(grid, data, tg, Yh, dYh, report)
+    artifacts = SimArtifacts(grid, data, tg, Yh, report)
     if not report.converged:
         print(f"not converged after {report.iterations} iterations; "
               f"ratios: {', '.join(f'{r:.3f}' for r in report.ratios)}", file=sys.stderr)
@@ -211,12 +210,17 @@ def run_one(cfg, subdir=None):
     return EXIT_OK, artifacts
 
 
-def memory_estimate(cfg):
-    """Peak bytes of one run: (steps+1) n N^(n-1) (N/2+1) complex trajectories and a fixed term."""
+def trajectory_bytes(cfg):
+    """Bytes of one half-spectrum trajectory of Y: (steps+1) n N^(n-1) (N/2+1) complex128."""
     n, size = cfg.dimension, cfg.grid_n
-    trajectory = (cfg.steps + 1) * n * size ** (n - 1) * (size // 2 + 1) * 16
-    chunk = max(CHUNK_BYTES, fine_sample_bytes(n, size))  # a chunk is at least one sample
-    return TRAJECTORY_ARRAYS[cfg.solver] * trajectory + BASELINE_BYTES + CHUNK_LATTICES * chunk
+    return (cfg.steps + 1) * n * size ** (n - 1) * (size // 2 + 1) * 16
+
+
+def memory_estimate(cfg):
+    """Peak bytes of one run: ``trajectory_bytes`` per trajectory held, a fixed term and chunks."""
+    chunk = max(CHUNK_BYTES, fine_sample_bytes(cfg.dimension, cfg.grid_n))  # at least one sample
+    return (TRAJECTORY_ARRAYS[cfg.solver] * trajectory_bytes(cfg) + BASELINE_BYTES
+            + CHUNK_LATTICES * chunk)
 
 
 def physical_memory():
@@ -286,7 +290,11 @@ def _sweep_row(eps, art):
         gradient_besov_sup(grid, art.Yh[c] - free_wave(grid, Pf, Pg, tg.times[c])[0], grid.n / 2.0)
         for c in grid.chunks(tg.nsamples)]))
     dn = data_norm(grid, art.data)
-    sn = solution_norm(grid, art.Yh, art.dYh)
+    # sup ||grad Y|| + sup ||grad d_t Y|| over the diagnostics rows, whose norms are per sample
+    table = np.array(art.report.rows)
+    sup_G, sup_dG = (table[:, DiagnosticsReport.CSV_COLUMNS.index(c)].max()
+                     for c in ("besov_G", "besov_dG"))
+    sn = float(sup_G + sup_dG)
     return SweepRow(
         epsilon=float(eps),  # an int amplitude from the library still writes as a float
         data_norm=dn,

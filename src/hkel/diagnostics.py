@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .waves import _gather
+
 
 def _besov_of_power(grid, power, s):
     """sum_j 2^(j s) ||P_j u||_L2 of the field whose power spectrum |u_hat|^2 is ``power``."""
@@ -142,7 +144,7 @@ def _subsample(nsamples):
     return idx if idx[-1] == nsamples - 1 else np.append(idx, nsamples - 1)
 
 
-def s_surrogate(grid, tg, Yh_ts, dYh_ts):
+def s_surrogate(grid, traj):
     """Iteration-space surrogate of G = grad Y: twisted per-band 2-variation plus sup-Besov.
 
     Per band j and sign, the path w(t) = exp(+-i t |k|)(G +- i |k|^-1 d_t G)
@@ -152,9 +154,12 @@ def s_surrogate(grid, tg, Yh_ts, dYh_ts):
     those of the path of Y_hat and d_t Y_hat weighted by |d|: the path runs
     over the n components of Y, not the n^2 of G.  Bands are combined with
     the weight 2^(j s), s = n/2, and the sup-in-time Besov norm of G is added.
-    ``Yh_ts`` and ``dYh_ts`` are the half spectra of Y and d_t Y, time first.
+    ``traj`` is a ``PicardState`` or a ``DirectRun``: its ``tg``, its half
+    spectra ``Yh`` of Y, time first, and ``velocity`` of d_t Y, read a block
+    of modes at a time.
     """
     s = grid.n / 2.0
+    tg = traj.tg
     idx = _subsample(tg.nsamples)
     times = tg.times[idx]
     coeff_scale = np.sqrt(grid.cell_volume) / np.sqrt(grid.npoints)
@@ -164,13 +169,8 @@ def s_surrogate(grid, tg, Yh_ts, dYh_ts):
     absd = np.sqrt(grid.dk2).ravel()
     absd_inv_absk = absd * grid.inv_absk.ravel()
 
-    # each block copies only its own sampled times and modes; when every
-    # sample is read, along the mode axis alone, three times faster
-    Y, W = (u.reshape(tg.nsamples, grid.n, -1) for u in (Yh_ts, dYh_ts))
-    samples, components = idx[:, None, None], np.arange(grid.n)[:, None]
-
-    def band(u, cols):
-        return np.take(u, cols, axis=2) if len(idx) == tg.nsamples else u[samples, components, cols]
+    # each block copies only its own sampled times and modes
+    samples = slice(None) if len(idx) == tg.nsamples else idx
 
     # On the full lattice the sign-+ path at -xi is the conjugate of the
     # sign-- path at xi, so each sign's variation runs over its own path on
@@ -185,7 +185,8 @@ def s_surrogate(grid, tg, Yh_ts, dYh_ts):
         grams = np.zeros((2, len(idx), len(idx)))  # sign +, sign -
         for b in range(0, len(sel), _BLOCK_MODES):
             cols = sel[b : b + _BLOCK_MODES]
-            base, rot = band(Y, cols) * absd[cols], band(W, cols) * absd_inv_absk[cols]
+            base = _gather(traj.Yh, samples, cols) * absd[cols]
+            rot = traj.velocity(samples, cols) * absd_inv_absk[cols]
             table = np.exp(1j * times[:, None] * flat_absk[cols])[:, None, :]
             paths = [(np.multiply(sign * 1j, rot) + base) * twist * coeff_scale
                      for sign, twist in ((1.0, table), (-1.0, table.conj()))]
@@ -194,7 +195,7 @@ def s_surrogate(grid, tg, Yh_ts, dYh_ts):
             for gram, own, other in zip(grams, paths, paths[::-1]):
                 _add_gram(_add_gram(gram, own), other[:, :, flat_paired[cols]])
         variation += 2.0 ** (j * s) * sum(two_variation_from_dists(_sq_dists(g)) for g in grams)
-    return variation + gradient_besov_sup(grid, Yh_ts, s), variation
+    return variation + gradient_besov_sup(grid, traj.Yh, s), variation
 
 
 @dataclass

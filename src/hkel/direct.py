@@ -15,6 +15,8 @@ polynomial through the last solves' half spectra of p, one step ahead; an
 iteration transforms grad p back and K grad p forward, n fields each.  grad v
 comes from the Jacobians of Y: the leapfrog's velocity is a difference of Y,
 Y_1 = Y_0 + dt g + dt^2 a_0 / 2 and later dt^2 a_m-1 = Y_m - 2 Y_m-1 + Y_m-2.
+So the run stores no velocity: it hands over the spectra of Y and box Y, and
+``DirectRun.velocity`` differences Y's spectra where a reader asks for them.
 Products here are plain collocation products: the coefficients are
 rational in grad Y, so exact dealiasing does not apply, and the oracle's
 error budget is O(dt^2) plus spectral tails either way.
@@ -27,7 +29,8 @@ import numpy as np
 
 from .elastic import det_pointwise, inverse_pointwise
 from .picard import picard_solve
-from .waves import _central_velocity, _end_second_difference, _last_velocity, _second_difference
+from .waves import (TimeGrid, _central_velocity, _end_second_difference, _gather,
+                    _last_velocity, _second_difference)
 
 
 # Points of the pressure warm start's extrapolation: direct2d's iterations
@@ -37,11 +40,40 @@ PRESSURE_HISTORY = 5
 
 @dataclass
 class DirectRun:
+    """Half spectra of the leapfrog's Y and box Y; ``velocity`` forms d_t Y from Y's.
+
+    The leapfrog steps positions only, so no velocity is stored.
+    """
+
+    tg: TimeGrid
     Yh: np.ndarray  # half spectra of the displacement, (steps+1, n) + grid.spectral_shape
-    dYh: np.ndarray  # of the central-difference velocity, same shape
     boxYh: np.ndarray  # of the finite-difference box of Y, same shape
+    gh: np.ndarray  # of the initial velocity g, (n,) + grid.spectral_shape
     pressure_iterations: list  # the pressure solve's iterations, step by step
-    det_drift: float  # max over the samples of |det(grad X) - 1|
+    drifts: np.ndarray  # max |det(grad X) - 1| per sample
+    det_drift: float  # max over the samples
+
+    def velocity(self, samples, modes=None):
+        """Half spectra of d_t Y at ``samples``, or their block at ``modes`` (``waves._gather``).
+
+        ``time_derivative``'s stencils on the spectra of Y, with g's at sample 0.
+        """
+        last, dt = len(self.Yh) - 1, self.tg.dt
+        m = np.arange(last + 1)[samples]
+
+        def at(k):
+            return _gather(self.Yh, k, modes)
+
+        out = _central_velocity(dt, at(np.maximum(m - 1, 0)), at(np.minimum(m + 1, last)))
+        if m[0] == 0:
+            out[0] = self.gh if modes is None else self.gh.reshape(len(self.gh), -1)[:, modes]
+        if m[-1] == last:
+            out[-1] = _last_velocity(dt, *at(np.array([last, last - 1, last - 2])))
+        return out
+
+    def det_residuals(self, samples):
+        """max |det(I + G) - 1| at ``samples``, as the run formed them."""
+        return self.drifts[samples]
 
 
 def _trace_product(Minv, A):
@@ -133,23 +165,24 @@ def direct_step(grid, lapY, gradX, det, gradv, pressures, tol, max_iter):
 
 
 def run_direct(grid, data, cfg):
-    """Integrate to t_end; returns the half spectra of Y, d_t Y and box Y and the det drift.
+    """Integrate to t_end; returns the half spectra of Y and box Y and the det drifts.
 
     Each sample's spectrum, Jacobian G, Laplacian, grad X = I + G and
     det(grad X) are formed once; the drift and the next step read them.
-    Velocity and box are differenced on the physical samples before any
-    transform, whose rounding the box's 1/dt^2 would amplify.  They stream:
-    as each step lands, the sample before it gets its central differences
-    from the last few physical samples, which are all the run keeps of Y,
-    and each spectrum is written once into the preallocated outputs.
+    The box is differenced on the physical samples before it is transformed,
+    whose rounding its 1/dt^2 would amplify.  It streams: as each step
+    lands, the sample before it gets its second difference from the last few
+    physical samples, which are all the run keeps of Y, and each spectrum is
+    written once into the preallocated outputs.  The velocity, a first
+    difference, is formed from the spectra of Y where it is read.
     """
     cfg.require_grid(grid)
     tg = cfg.time_grid()
     dt, eye = tg.dt, np.eye(grid.n).reshape((grid.n, grid.n) + (1,) * grid.n)
-    Yh, dYh, boxYh = (np.empty((tg.nsamples, grid.n) + grid.spectral_shape, dtype=complex)
-                      for _ in range(3))
-    dYh[0] = grid.fft(data.g)
-    grad_g = grid.jacobian_of_spectrum(dYh[0])
+    Yh, boxYh = (np.empty((tg.nsamples, grid.n) + grid.spectral_shape, dtype=complex)
+                 for _ in range(2))
+    gh = grid.fft(data.g)
+    grad_g = grid.jacobian_of_spectrum(gh)
     Y, lapY, G = [data.f], [], []  # the last four samples, their Laplacians, three Jacobians
     pressures, iters, drifts = (), [], []
     for m in range(tg.nsamples):
@@ -172,13 +205,11 @@ def run_direct(grid, data, cfg):
         det = det_pointwise(gradX)
         drifts.append(float(np.abs(det - 1.0).max()))
         if m >= 2:
-            dYh[m - 1] = grid.fft(_central_velocity(dt, Y[-3], Y[-1]))
             boxYh[m - 1] = grid.fft(_second_difference(dt, Y[-3], Y[-2], Y[-1]) - lapY[-2])
         if m == 3:
             boxYh[0] = grid.fft(_end_second_difference(dt, *Y) - lapY[0])
-    dYh[-1] = grid.fft(_last_velocity(dt, Y[-1], Y[-2], Y[-3]))
     boxYh[-1] = grid.fft(_end_second_difference(dt, *Y[::-1]) - lapY[-1])
-    return DirectRun(Yh, dYh, boxYh, iters, max(drifts))
+    return DirectRun(tg, Yh, boxYh, gh, iters, np.array(drifts), max(drifts))
 
 
 def cross_validate(grid, data, cfg):

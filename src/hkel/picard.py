@@ -24,12 +24,14 @@ from functools import cached_property
 import numpy as np
 
 from .diagnostics import gradient_besov_sup
-from .elastic import compatibility_residuals, curl_free_displacement, minor_sum_total, null_form
+from .elastic import (compatibility_residuals, curl_free_displacement, det_residual,
+                      minor_sum_total, null_form)
 from .spectral import Grid, jacobian_on_fine, spectrum_to_fine
 from .waves import (
     TimeGrid,
     _duhamel,
     _free_wave,
+    _gather,
     _trig_tables,
     box_trajectory,
     time_derivative,
@@ -61,6 +63,14 @@ class PicardState:
         No library path reads it: the pipeline forms G one chunk at a time.
         """
         return self.grid.jacobian_of_spectrum(self.Yh)
+
+    def velocity(self, samples, modes=None):
+        """``waves._gather`` of the stored ``dYh``: the map forms d_t Y alongside Y, not from it."""
+        return _gather(self.dYh, samples, modes)
+
+    def det_residuals(self, samples):
+        """max |det(I + G) - 1| at ``samples``, from G formed for them on the coarse lattice."""
+        return [det_residual(G) for G in self.grid.jacobian_of_spectrum(self.Yh[samples])]
 
 
 @dataclass

@@ -124,8 +124,8 @@ def second_time_derivative(tg, u):
     return ddu
 
 
-# The stencils per sample or slice of samples; the leapfrog forms each
-# sample's velocity and box with them as its steps land.
+# The stencils per sample or slice of samples: the leapfrog forms each
+# sample's box with them as its steps land, and its velocity where it is read.
 
 
 def _central_velocity(dt, before, after):
@@ -143,6 +143,21 @@ def _second_difference(dt, before, u, after):
 def _end_second_difference(dt, end, u1, u2, u3):
     """One-sided second difference at an endpoint; u1..u3 step inward from it."""
     return (2.0 * end - 5.0 * u1 + 4.0 * u2 - u3) / dt**2
+
+
+def _gather(u, samples, modes=None):
+    """Samples of a trajectory of half spectra: ``u[samples]``, or their block at flat ``modes``.
+
+    ``samples`` is a slice or an index array, ``modes`` indices into the
+    flattened spectral axes; the block is (samples, n, modes).  A slice's block
+    is taken along the mode axis alone, three times faster than on two axes.
+    """
+    if modes is None:
+        return u[samples]
+    flat = u.reshape(u.shape[:2] + (-1,))
+    if isinstance(samples, slice):
+        return np.take(flat[samples], modes, axis=2)
+    return flat[np.asarray(samples)[:, None, None], np.arange(u.shape[1])[:, None], modes]
 
 
 def box_trajectory(tg, uh, k2):

@@ -355,8 +355,8 @@ def physical_diagnostics(grid, tg, Y, dY, boxY, every=1):
             det_residual(G),
             physical_recover_pressure(grid, G, boxY[m])[1],
         ))
-    total, _ = s_surrogate(grid, tg, np.stack([grid.fft(u) for u in Y]),
-                           np.stack([grid.fft(u) for u in dY]))
+    spectra = [np.stack([grid.fft(u) for u in traj]) for traj in (Y, dY)]
+    total, _ = s_surrogate(grid, PicardState(grid, tg, *spectra, None))
     return np.array(rows), total
 
 

@@ -209,7 +209,7 @@ def test_criterion_10_variation_norm(grid64):
     data = make_shear_data(grid64, EPS, seed=77, band=2)
     tg = TimeGrid(0.02, 100)
     free = free_wave_state(grid64, tg, data)
-    total, variation = s_surrogate(grid64, tg, free.Yh, free.dYh)
+    total, variation = s_surrogate(grid64, free)
     besov_part = total - variation
     ok = exact and variation < 1e-10 * besov_part
     report(

@@ -22,7 +22,8 @@ from hkel.diagnostics import (
     two_variation_from_dists,
 )
 from hkel.elastic import make_shear_data
-from hkel.picard import free_wave_state
+from hkel.direct import DirectRun
+from hkel.picard import PicardState, free_wave_state
 from hkel.spectral import Grid, random_mean_free
 from hkel.waves import TimeGrid
 
@@ -173,7 +174,7 @@ def test_two_variation_subsampling_cap(rng):
 def test_s_surrogate_zero_state(grid2):
     tg = TimeGrid(0.1, 8)
     Z = np.zeros((tg.nsamples, 2) + grid2.spectral_shape, dtype=complex)
-    total, variation = s_surrogate(grid2, tg, Z, Z)
+    total, variation = s_surrogate(grid2, PicardState(grid2, tg, Z, Z, None))
     assert total == 0.0 and variation == 0.0
 
 
@@ -181,7 +182,7 @@ def test_s_surrogate_free_wave_variation_vanishes(grid2):
     data = make_shear_data(grid2, 1e-2, seed=5, band=2)
     tg = TimeGrid(1 / 16, 16)
     free = free_wave_state(grid2, tg, data)
-    total, variation = s_surrogate(grid2, tg, free.Yh, free.dYh)
+    total, variation = s_surrogate(grid2, free)
     besov_part = besov_sup(grid2, free.G, grid2.n / 2.0)
     assert variation <= 1e-10 * besov_part
     assert np.isclose(total, besov_part, rtol=1e-9)
@@ -216,7 +217,7 @@ def test_s_surrogate_matches_full_spectrum(rng, n, size):
     tg = TimeGrid(0.1, 6)
     Y_ts = rng.standard_normal((tg.nsamples, n) + grid.shape)
     dY_ts = rng.standard_normal(Y_ts.shape)
-    got = s_surrogate(grid, tg, grid.fft(Y_ts), grid.fft(dY_ts))
+    got = s_surrogate(grid, PicardState(grid, tg, grid.fft(Y_ts), grid.fft(dY_ts), None))
     expected = full_spectrum_s_surrogate(
         grid, tg, grid.jacobian(Y_ts), grid.jacobian(dY_ts), n / 2.0
     )
@@ -233,7 +234,8 @@ def test_s_surrogate_matches_whole_copy_oracle_bitwise(rng, n, size, steps):
     # each band copies only its own sampled times and modes; 300 steps subsample
     grid, tg = Grid(n, size), TimeGrid(0.01, steps)
     Yh, dYh = random_spectra(rng, grid, tg)
-    assert s_surrogate(grid, tg, Yh, dYh) == whole_copy_s_surrogate(grid, tg, Yh, dYh)
+    got = s_surrogate(grid, PicardState(grid, tg, Yh, dYh, None))
+    assert got == whole_copy_s_surrogate(grid, tg, Yh, dYh)
 
 
 def test_s_surrogate_peak_memory_is_per_band(rng):
@@ -244,7 +246,7 @@ def test_s_surrogate_peak_memory_is_per_band(rng):
     Yh, dYh = random_spectra(rng, grid, tg)
     tracemalloc.start()
     try:
-        s_surrogate(grid, tg, Yh, dYh)
+        s_surrogate(grid, PicardState(grid, tg, Yh, dYh, None))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -259,25 +261,37 @@ def test_s_surrogate_peak_memory_3d_is_one_path_and_its_conjugate(rng):
     Yh, dYh = random_spectra(rng, grid, tg)
     tracemalloc.start()
     try:
-        s_surrogate(grid, tg, Yh, dYh)
+        s_surrogate(grid, PicardState(grid, tg, Yh, dYh, None))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * Yh.nbytes  # 0.26 here, 1.93 with a whole path and its conjugate
 
 
-def test_s_surrogate_peak_memory_at_257_samples_is_per_block(rng):
-    # direct2d's lattice with every second of 513 samples read: the blocks
-    # and the two Gram matrices, well below one Y trajectory
+def surrogate_peak_at_257_samples(rng, stored):
+    """tracemalloc's peak of s_surrogate over one Y trajectory, direct2d's lattice, 513 samples."""
     grid, tg = Grid(2, 64), TimeGrid(1 / 256, 512)
     Yh, dYh = random_spectra(rng, grid, tg)
+    traj = (PicardState(grid, tg, Yh, dYh, None) if stored
+            else DirectRun(tg, Yh, None, dYh[0], [], None, 0.0))
     tracemalloc.start()
     try:
-        s_surrogate(grid, tg, Yh, dYh)
-        peak = tracemalloc.get_traced_memory()[1]
+        s_surrogate(grid, traj)
+        return tracemalloc.get_traced_memory()[1] / Yh.nbytes
     finally:
         tracemalloc.stop()
-    assert peak < 0.25 * Yh.nbytes  # 0.11 here, 0.78 with whole band paths
+
+
+def test_s_surrogate_peak_memory_at_257_samples_is_per_block(rng):
+    # every second sample read: the blocks and the two Gram matrices, well
+    # below one Y trajectory
+    assert surrogate_peak_at_257_samples(rng, stored=True) < 0.25  # 0.11; 0.78 with whole paths
+
+
+def test_s_surrogate_peak_memory_with_the_leapfrog_velocity_is_per_block(rng):
+    # the leapfrog's velocity is differenced per block from Y at the sampled
+    # times +-1; the sampled velocity whole would be half a trajectory
+    assert surrogate_peak_at_257_samples(rng, stored=False) < 0.25  # 0.11
 
 
 @pytest.mark.parametrize("n, size", [(2, 16), (3, 8)])
@@ -372,7 +386,7 @@ def test_s_surrogate_variation_scales_quadratically():
             picard_tol=1e-10,
         )
         result = picard_solve(grid, data, cfg)
-        _, variation = s_surrogate(grid, result.state.tg, result.state.Yh, result.state.dYh)
+        _, variation = s_surrogate(grid, result.state)
         variations[eps] = variation
     slope = loglog_slope(list(variations), list(variations.values()))
     assert abs(slope - 2.0) <= 0.3

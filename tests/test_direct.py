@@ -249,7 +249,7 @@ def test_direct_zero_data_stays_zero(grid2):
     cfg = small_config(grid_n=32, epsilon=0.0)
     data = InitialData(np.zeros((2,) + grid2.shape), np.zeros((2,) + grid2.shape))
     run = run_direct(grid2, data, cfg)
-    for uh in (run.Yh, run.dYh, run.boxYh):
+    for uh in (run.Yh, run.velocity(slice(None)), run.boxYh, run.drifts):
         assert np.abs(uh).max() == 0.0
     assert run.det_drift == 0.0
 
@@ -273,27 +273,57 @@ def test_direct_constraint_drift_second_order():
 
 
 def test_direct_det_drift_is_max_over_samples_bitwise():
-    # run_direct keeps a running max per step instead of a trajectory of grad Y
+    # run_direct keeps each sample's |det(I + G) - 1| instead of a trajectory
+    # of grad Y and hands them to the diagnostics loop in place of G formed a
+    # chunk at a time: every sample agrees, and so does every second
     grid = Grid(2, 16)
     data = make_shear_data(grid, 1e-2, seed=10, band=1)
     run = run_direct(grid, data, small_config())
-    assert run.det_drift > 0.0
-    assert run.det_drift == max(det_residual(grid.jacobian_of_spectrum(Yh)) for Yh in run.Yh)
+    residuals = [det_residual(grid.jacobian_of_spectrum(Yh)) for Yh in run.Yh]
+    assert run.det_drift > 0.0 and run.det_drift == max(residuals)
+    assert run.drifts.tolist() == residuals
+    for every in (1, 2):
+        for batch in grid.chunks(len(run.Yh), every):
+            formed = [det_residual(G) for G in grid.jacobian_of_spectrum(run.Yh[batch])]
+            assert run.det_residuals(batch).tolist() == formed == residuals[batch]
 
 
 def test_run_direct_spectra_transform_the_physical_trajectories_bitwise():
-    # velocity and box are differenced on the physical samples, then transformed
+    # the box is differenced on the physical samples, then transformed
     grid = Grid(2, 16)
     cfg = small_config()
     data = make_shear_data(grid, 1e-2, seed=10, band=1)
     run = run_direct(grid, data, cfg)
-    for uh, u in zip((run.Yh, run.dYh, run.boxYh), physical_run_direct(grid, data, cfg)):
+    Y, _, boxY = physical_run_direct(grid, data, cfg)
+    for uh, u in ((run.Yh, Y), (run.boxYh, boxY)):
         assert uh.tobytes() == np.stack([grid.fft(um) for um in u]).tobytes()
 
 
-def test_run_direct_holds_little_beyond_its_three_outputs():
-    # velocity and box stream from the last four physical samples; a physical
-    # trajectory and its differences were each about one output's size
+@pytest.mark.parametrize("every", [1, 2, 3])
+def test_direct_velocity_is_the_difference_of_the_spectra_of_y(every):
+    # the velocity is differenced from Y's spectra where it is read, not
+    # from the physical samples: a transform's rounding apart, per sample;
+    # sample 0 is g's spectrum itself, and a block of modes is the block of
+    # the whole velocity
+    grid = Grid(2, 16)
+    cfg = small_config()
+    data = make_shear_data(grid, 1e-2, seed=10, band=1)
+    run = run_direct(grid, data, cfg)
+    want = grid.fft(physical_run_direct(grid, data, cfg)[1])
+    got = np.concatenate([run.velocity(batch) for batch in grid.chunks(len(run.Yh), every)])
+    assert len(got) == len(want[::every])
+    for v, w in zip(got, want[::every]):
+        assert np.abs(v - w).max() <= 1e-13 * np.abs(w).max()
+    assert run.velocity(slice(0, 1)).tobytes() == grid.fft(data.g)[None].tobytes()
+    samples, modes = np.array([0, 3, len(run.Yh) - 1]), np.array([0, 5, 17, 40, 143])
+    whole = run.velocity(slice(None)).reshape(len(run.Yh), grid.n, -1)
+    assert run.velocity(samples, modes).tobytes() == whole[samples][:, :, modes].tobytes()
+
+
+def test_run_direct_holds_little_beyond_its_two_outputs():
+    # the box streams from the last four physical samples, and no velocity is
+    # stored; a physical trajectory and its differences were each about one
+    # output's size
     grid = Grid(2, 16)
     data = make_shear_data(grid, 1e-2, seed=10, band=1)
     tracemalloc.start()
@@ -302,7 +332,7 @@ def test_run_direct_holds_little_beyond_its_three_outputs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    outputs = run.Yh.nbytes + run.dYh.nbytes + run.boxYh.nbytes
+    outputs = run.Yh.nbytes + run.boxYh.nbytes
     assert peak - outputs < 0.5 * run.Yh.nbytes  # 0.2 here, 2.9 with the physical trajectory
 
 
@@ -323,11 +353,11 @@ def test_run_direct_transforms_each_sample_once(monkeypatch):
     grid = Grid(2, 32)
     data = make_shear_data(grid, 1e-2, seed=10, band=1)
     run = run_direct(grid, data, small_config(grid_n=32, t_end=0.25))
-    # the three spectra of each sample once, and each pressure solve its
+    # g and the two spectra of each sample once, and each pressure solve its
     # right-hand side and one field per iteration; grad v comes from the
-    # Jacobians of Y, so no step transforms a velocity
+    # Jacobians of Y and the velocity from Y's spectra, so none is transformed
     samples = len(run.Yh)
-    calls = 3 * samples + (samples - 1) + sum(run.pressure_iterations)
+    calls = 1 + 2 * samples + (samples - 1) + sum(run.pressure_iterations)
     assert len(seen) == calls and repeats == []
 
 
@@ -361,7 +391,7 @@ def test_direct_energy_drift_second_order():
     for dt in (1 / 32, 1 / 64):
         cfg = small_config(t_end=0.5, dt=dt)
         run = run_direct(grid, data, cfg)
-        energies = energy(grid, run.Yh, run.dYh)
+        energies = energy(grid, run.Yh, run.velocity(slice(None)))
         drifts.append(max(abs(e - energies[0]) for e in energies) / energies[0])
     order = np.log2(drifts[0] / drifts[1])
     assert abs(order - 2.0) <= 0.5

@@ -176,17 +176,22 @@ def test_phase_memory_marks_the_end_of_each_phase_of_one_run(monkeypatch, capsys
     assert load_tool("phase_memory").main(["direct2d", "--seed", "3"]) == 0
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert [words[0] for words in lines] == [
-        "import", "data", "compat", "solve", "surrogate", "diagnostics", "exit", "estimate"]
-    assert lines[-2] == ["exit", "2"]
-    rss, minflt, delta, cpu = (np.array([float(w[i]) for w in lines[:-2]]) for i in (1, 2, 3, 4))
+        "import", "data", "compat", "solve", "surrogate", "diagnostics", "exit", "estimate",
+        "trajectories"]
+    assert lines[-3] == ["exit", "2"]
+    rss, minflt, delta, cpu = (np.array([float(w[i]) for w in lines[:-3]]) for i in (1, 2, 3, 4))
     assert np.all(rss > 0) and np.all(np.diff(rss) >= 0) and np.all(np.diff(minflt) >= 0)
     assert np.array_equal(np.cumsum(delta), minflt)  # each phase's own faults
     assert np.all(cpu >= 0) and cpu[0] > 0  # each phase's own CPU time; the import takes some
     cfg, = configs
     assert (cfg.seed, cfg.solver, cfg.dimension, cfg.grid_n) == (3, "direct", 2, 64)
-    assert lines[-1] == ["estimate", f"{cli.memory_estimate(cfg) / 2**20:.2f}"]
+    assert lines[-2] == ["estimate", f"{cli.memory_estimate(cfg) / 2**20:.2f}"]
+    # solve over compat, from the MiB printed to two places
+    growth, trajectory_mib = rss[3] - rss[2], cli.trajectory_bytes(cfg) / 2**20
+    assert lines[-1][0] == "trajectories"
+    assert abs(float(lines[-1][1]) * trajectory_mib - growth) <= 0.011 + 5e-4 * trajectory_mib
     assert all(getattr(cli, name) is stub for name, stub in stubs.items())  # unwrapped after
     assert load_tool("phase_memory").main(["picard3d", "--t-end", "0.5"]) == 0
     assert (configs[-1].solver, configs[-1].dimension, configs[-1].t_end) == ("picard", 3, 0.5)
-    estimate = capsys.readouterr().out.splitlines()[-1].split()
+    estimate = capsys.readouterr().out.splitlines()[-2].split()
     assert estimate == ["estimate", f"{cli.memory_estimate(configs[-1]) / 2**20:.2f}"]

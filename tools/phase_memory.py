@@ -16,19 +16,26 @@ returns (the grid is built before it), ``compat`` when
 compatibility_residuals returns, ``solve`` when picard_solve or run_direct returns,
 ``surrogate`` when s_surrogate returns and ``diagnostics`` when the
 per-sample loop has ended, as the first output file is written.  A line
-``exit N`` gives run_one's exit code, and a last line ``estimate MiB`` the
-peak that cli.memory_estimate admits the run at, which each phase's
-ru_maxrss should stay below.  ``ru_maxrss`` (KiB on Linux, printed
+``exit N`` gives run_one's exit code, a line ``estimate MiB`` the peak that
+cli.memory_estimate admits the run at, which each phase's ru_maxrss should
+stay below, and a last line ``trajectories X`` the solve phase's growth of
+ru_maxrss over ``compat`` in trajectories of cli.trajectory_bytes,
+(steps+1) n N^(n-1) (N/2+1) 16 bytes: cli.TRAJECTORY_ARRAYS rounds up the
+growth of the peak per trajectory of horizon, read from this line at
+several ``--t-end``.  ``ru_maxrss`` (KiB on Linux, printed
 in MiB) and ``ru_minflt`` are counts of the whole process, so each call of
 the tool measures one run in a fresh process; ``minflt_delta`` is the
 phase's own faults and ``cpu_s`` its own user plus system CPU seconds
 (``import`` counts from the process's start).  The post-solve faults are the
-sum of the surrogate's and the diagnostics' deltas.
+sum of the surrogate's and the diagnostics' deltas.  BLAS and OpenMP pools
+run one thread, as in perfbench's workers: with two, the surrogate phase's
+cpu_s read 0.10 to 0.97 s against 0.055 s, the idle thread's spinning.
 """
 
 import argparse
 import contextlib
 import importlib.util
+import os
 import resource
 import sys
 import tempfile
@@ -98,8 +105,13 @@ def main(argv=None):
         last_minflt, last_cpu = minflt, cpu
     print(f"exit {code}")
     print(f"estimate {cli.memory_estimate(cfg) / 2**20:.2f}")
+    rss = {phase: mark[0] for phase, mark in marks}
+    growth = rss["solve"] - rss["compat"] if "solve" in rss else float("nan")  # nan: no solve
+    print(f"trajectories {growth * 2**20 / cli.trajectory_bytes(cfg):.3f}")
     return 0
 
 
 if __name__ == "__main__":
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"  # before numpy loads
     sys.exit(main())
