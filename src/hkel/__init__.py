@@ -27,7 +27,6 @@ from .picard import (
     PicardResult,
     PicardState,
     free_seed,
-    free_wave_state,
     picard_map,
     picard_solve,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "free_wave",
     "duhamel_trajectory",
     "free_seed",
-    "free_wave_state",
     "picard_map",
     "picard_solve",
     "direct_step",

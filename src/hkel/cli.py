@@ -30,7 +30,7 @@ from .elastic import (
     make_shear_data,
     recover_pressure,
 )
-from .picard import COMPATIBILITY_TOL, compatible, picard_solve, projected_data
+from .picard import COMPATIBILITY_TOL, compatible, free_seed, picard_solve
 from .selftest import run_selftest
 from .snapshots import read_snapshot, write_snapshot
 from .spectral import CHUNK_BYTES, Grid, fine_sample_bytes
@@ -284,10 +284,10 @@ def cmd_sweep(cfg, epsilons):
 def _sweep_row(eps, art):
     """Sweep analytics from one run's artifacts."""
     grid, tg = art.grid, art.tg
-    Pf, Pg = projected_data(grid, art.data)
+    seed = free_seed(grid, art.data)
     # the free wave exists one chunk of samples at a time; each sample's norm is its own
     free_deviation = float(np.max([
-        gradient_besov_sup(grid, art.Yh[c] - free_wave(grid, Pf, Pg, tg.times[c])[0], grid.n / 2.0)
+        gradient_besov_sup(grid, art.Yh[c] - free_wave(grid, seed, tg.times[c])[0], grid.n / 2.0)
         for c in grid.chunks(tg.nsamples)]))
     dn = data_norm(grid, art.data)
     # sup ||grad Y|| + sup ||grad d_t Y|| over the diagnostics rows, whose norms are per sample

@@ -30,10 +30,10 @@ from .spectral import Grid, jacobian_on_fine, spectrum_to_fine
 from .waves import (
     TimeGrid,
     _duhamel,
-    _free_wave,
+    _free_wave_rows,
     _gather,
-    _trig_tables,
     box_trajectory,
+    free_wave,
     time_derivative,
 )
 
@@ -83,48 +83,11 @@ class PicardResult:
     reason: str = ""  # why the iteration stopped early, "" otherwise
 
 
-def projected_data(grid, data):
-    """The Leray-projected data P f and P g that seed the free wave; both must be mean-free."""
+def free_seed(grid, data):
+    """Half spectra of P f and P g, which seed the free wave; both data must be mean-free."""
     grid.require_mean_free(data.f, "initial displacement")
     grid.require_mean_free(data.g, "initial velocity")
-    return grid.leray_project(data.f), grid.leray_project(data.g)
-
-
-def free_seed(grid, data):
-    """Half spectra of P f and P g: the free wave that ``picard_map`` adds, row by row."""
-    return [grid.fft(u) for u in projected_data(grid, data)]
-
-
-def free_wave_state(grid, tg, data):
-    """Free-wave displacement trajectory seeded from Leray-projected data.
-
-    Y(t) per mode is cos(t|k|) P f + sin(t|k|)/|k| P g, and dY is the exact
-    propagator derivative; box Y vanishes identically and is not stored.
-    """
-    return _free_wave_state(grid, tg, free_seed(grid, data))
-
-
-def _free_wave_state(grid, tg, seed):
-    """``free_wave_state`` from the ``free_seed`` spectra, formed a row of modes at a time."""
-    Yh = np.empty((tg.nsamples,) + seed[0].shape, complex)
-    dYh = np.empty_like(Yh)
-    for i, (_, _, rows) in enumerate(_free_wave_rows(grid, tg, seed)):
-        Yh[:, :, i], dYh[:, :, i] = rows
-    return PicardState(grid, tg, Yh, dYh, None)
-
-
-def _free_wave_rows(grid, tg, seed):
-    """Per row of the first spectral axis: cos(t|k|), sin(t|k|) and the free wave's two rows.
-
-    The rows of Y_hat and d_t Y_hat are ``free_wave``'s, bitwise, from the
-    ``free_seed`` spectra; no trajectory-sized temporary is formed.
-    """
-    fh, gh = seed
-    times = tg.times.reshape((-1,) + (1,) * grid.n)  # against a row's (n,) + modes
-    for i in range(grid.spectral_shape[0]):
-        absk, inv_absk = grid.absk[i], grid.inv_absk[i]
-        cosk, sink = _trig_tables(times, absk)
-        yield cosk, sink, _free_wave(fh[:, i], gh[:, i], times, cosk, sink, absk, inv_absk)
+    return [grid.fft(grid.leray_project(u)) for u in (data.f, data.g)]
 
 
 def picard_map(grid, state, seed, out=None):
@@ -156,15 +119,14 @@ def picard_map(grid, state, seed, out=None):
             boxYh[c] = np.moveaxis(null_form(grid, Gf, spectrum_to_fine(grid, box, pad)), 0, 1)
         Yh[c] = np.moveaxis(curl_free_displacement(grid, Gf), 0, 1)
 
-    for i, (cosk, sink, (free_Yh, free_dYh)) in enumerate(_free_wave_rows(grid, tg, seed)):
-        row = (slice(None), slice(None), i)
+    for row, cosk, sink, (free_Yh, free_dYh) in _free_wave_rows(grid, tg.times, seed):
         Zh = Yh[row]
-        box = box_trajectory(tg, Zh, grid.k2[i])
+        box = box_trajectory(tg, Zh, grid.k2[row])
         dYh[row] = time_derivative(tg, Zh) + free_dYh
         Zh += free_Yh
         if forced:
             Wh = boxYh[row]
-            duh, dduh = _duhamel(tg, Wh, cosk, sink, grid.inv_absk[i])
+            duh, dduh = _duhamel(tg, Wh, cosk, sink, grid.inv_absk[row])
             Wh += box
             Zh += duh
             dYh[row] += dduh
@@ -193,9 +155,10 @@ def picard_solve(grid, data, cfg, check_compatibility=True):
     tg = cfg.time_grid()
     s = grid.n / 2.0
     seed = free_seed(grid, data)
-    # the free wave is the first state; each map consumes its state's d_t Y
-    # and box Y, and the next one writes into its Y, which the delta has read
-    state, spare = _free_wave_state(grid, tg, seed), None
+    # the free wave is the first state, its box Y 0 and not stored; each map
+    # consumes its state's d_t Y and box Y, and the next one writes into its
+    # Y, which the delta has read
+    state, spare = PicardState(grid, tg, *free_wave(grid, seed, tg.times), None), None
     ratios = []
     deltas = []
     converged = False
@@ -235,8 +198,6 @@ __all__ = [
     "PicardState",
     "PicardResult",
     "free_seed",
-    "free_wave_state",
-    "projected_data",
     "picard_map",
     "picard_solve",
     "compatible",

@@ -72,10 +72,11 @@ def check_propagators():
     """Free-wave closed forms, and the orders of Duhamel quadrature and of the box."""
     grid = Grid(2, 32)
     x = grid.coords
-    zero = np.zeros(grid.shape)
-    wave = grid.ifft(free_wave(grid, np.cos(2 * x[0]), zero, np.pi / 2)[0])
+    zero = grid.fft(np.zeros(grid.shape))
+    wave = grid.ifft(free_wave(grid, (grid.fft(np.cos(2 * x[0])), zero), np.pi / 2)[0])
     e_free = np.abs(wave + np.cos(2 * x[0])).max()
-    e_free = max(e_free, np.abs(grid.ifft(free_wave(grid, zero, np.cos(x[1]), np.pi)[0])).max())
+    wave = grid.ifft(free_wave(grid, (zero, grid.fft(np.cos(x[1]))), np.pi)[0])
+    e_free = max(e_free, np.abs(wave).max())
 
     g = np.cos(x[0])
     errs = []

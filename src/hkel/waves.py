@@ -3,10 +3,11 @@
 Trajectories here are half spectra (``grid.spectral_shape`` last), sampled
 along a leading time axis: every operator is a Fourier multiplier, so none
 of them transforms.  The free propagator is exact per Fourier mode and
-takes its physical data to spectra.  The Duhamel integral is the composite
-trapezoidal sum over the time samples, evaluated at every sample in one
-O(M) sweep: the angle-addition formula splits the kernel sin((t-s)|k|) into
-cumulative integrals.  The box is a finite difference in time plus |xi|^2.
+is formed a row of modes at a time from its data's spectra.  The Duhamel
+integral is the composite trapezoidal sum over the time samples, evaluated
+at every sample in one O(M) sweep: the angle-addition formula splits the
+kernel sin((t-s)|k|) into cumulative integrals.  The box is a finite
+difference in time plus |xi|^2.
 """
 
 from dataclasses import dataclass
@@ -36,33 +37,45 @@ class TimeGrid:
         return self.dt * np.arange(self.steps + 1)
 
 
-def free_wave(grid, f, g, t):
+def free_wave(grid, seed, times):
     """Half spectra of the homogeneous wave solution cos(t|k|) f + sin(t|k|)/|k| g and its d/dt.
 
-    f and g are real fields.  ``t`` is one time or a vector of times, which
-    becomes the leading output axis.  The second spectrum is the exact time
-    derivative -|k| sin(t|k|) f + cos(t|k|) g.  The zero mode of f
-    propagates as a constant; g must be mean-free, since its zero mode would
-    grow linearly.
+    ``seed`` is the pair of half spectra (f_hat, g_hat), with any leading
+    component axes, such as ``picard.free_seed``'s.  ``times`` is one time or
+    a vector of times, which becomes the leading output axis.  The second
+    spectrum is the exact time derivative -|k| sin(t|k|) f + cos(t|k|) g.
+    The zero mode of f propagates as a constant and g's would grow
+    linearly, which ``free_seed`` rules out: it takes mean-free data only.
+    Both outputs are filled a row of the first spectral axis at a time.
     """
-    grid.require_mean_free(g, "free_wave velocity")
-    t = np.reshape(t, np.shape(t) + (1,) * np.ndim(f))
-    cosk, sink = _trig_tables(t, grid.absk)
-    return _free_wave(grid.fft(f), grid.fft(g), t, cosk, sink, grid.absk, grid.inv_absk)
+    Yh = np.empty(np.shape(times) + np.shape(seed[0]), complex)
+    dYh = np.empty_like(Yh)
+    for row, _, _, rows in _free_wave_rows(grid, times, seed):
+        Yh[row], dYh[row] = rows
+    return Yh, dYh
+
+
+def _free_wave_rows(grid, times, seed):
+    """Per row of the first spectral axis: its index, cos(t|k|), sin(t|k|) and the wave's rows.
+
+    The index reads the row after any leading axes, and the rows are
+    ``free_wave(grid, seed, times)``'s; the tables broadcast against a row
+    of the seed, and no temporary larger than a row of the output is formed.
+    """
+    fh, gh = seed
+    times = np.reshape(times, np.shape(times) + (1,) * (np.ndim(fh) - 1))
+    for i in range(grid.spectral_shape[0]):
+        row = (Ellipsis, i) + (slice(None),) * (grid.n - 1)
+        absk = grid.absk[row]
+        cosk, sink = _trig_tables(times, absk)
+        sinc = np.where(absk > 0, sink * grid.inv_absk[row], times)
+        f, g = fh[row], gh[row]
+        yield row, cosk, sink, (cosk * f + sinc * g, -absk * sink * f + cosk * g)
 
 
 def _trig_tables(times, absk):
     """cos(t|k|) and sin(t|k|) at the times and modes, which broadcast against each other."""
     return np.cos(times * absk), np.sin(times * absk)
-
-
-def _free_wave(fh, gh, times, cosk, sink, absk, inv_absk):
-    """``free_wave`` of the half spectra fh, gh at the modes |k| = ``absk``, any block of them.
-
-    ``cosk`` and ``sink`` are ``_trig_tables(times, absk)``.
-    """
-    sinc = np.where(absk > 0, sink * inv_absk, times)
-    return cosk * fh + sinc * gh, -absk * sink * fh + cosk * gh
 
 
 def duhamel_trajectory(grid, tg, Fh):

@@ -19,7 +19,7 @@ from hkel.elastic import (
     det_residual,
     null_form,
 )
-from hkel.picard import PicardState
+from hkel.picard import PicardState, free_seed
 from hkel.spectral import (
     Grid,
     _fine_size,
@@ -30,7 +30,13 @@ from hkel.spectral import (
     spectrum_to_fine,
     truncate_from_fine,
 )
-from hkel.waves import _cumtrapz, box_trajectory, second_time_derivative, time_derivative
+from hkel.waves import (
+    _cumtrapz,
+    box_trajectory,
+    free_wave,
+    second_time_derivative,
+    time_derivative,
+)
 
 
 @pytest.fixture(scope="session")
@@ -440,3 +446,29 @@ def whole_trajectory_picard_map(grid, state, free):
             Yh[:, a] += duh
             dYh[:, a] += dduh
     return PicardState(grid, tg, Yh, dYh, boxYh)
+
+
+# -- the free wave, from fields or from the data, and its whole-lattice closed form ---
+
+
+def field_free_wave(grid, f, g, t):
+    """``waves.free_wave`` of the real fields f and g, seeded by their half spectra."""
+    return free_wave(grid, (grid.fft(f), grid.fft(g)), t)
+
+
+def free_wave_state(grid, tg, data):
+    """The Picard solve's first state: the free wave of ``free_seed``, box Y not stored."""
+    return PicardState(grid, tg, *free_wave(grid, free_seed(grid, data), tg.times), None)
+
+
+def whole_lattice_free_wave(grid, seed, t):
+    """``waves.free_wave`` with its cos/sin tables over the whole of ``grid.absk`` (the oracle).
+
+    Y_hat = cos(t|k|) f_hat + sinc g_hat and d_t Y_hat = -|k| sin(t|k|) f_hat
+    + cos(t|k|) g_hat, with sinc = sin(t|k|)/|k|, and t at the zero mode.
+    """
+    fh, gh = seed
+    t = np.reshape(t, np.shape(t) + (1,) * np.ndim(fh))
+    cosk, sink = np.cos(t * grid.absk), np.sin(t * grid.absk)
+    sinc = np.where(grid.absk > 0, sink * grid.inv_absk, t)
+    return cosk * fh + sinc * gh, -grid.absk * sink * fh + cosk * gh

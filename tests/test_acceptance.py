@@ -17,7 +17,7 @@ from hkel.diagnostics import (
 from hkel.config import RunConfig
 from hkel.direct import cross_validate, run_direct
 from hkel.elastic import InitialData, det_residual, make_shear_data
-from hkel.picard import free_wave_state, picard_solve
+from hkel.picard import picard_solve
 from hkel.selftest import (
     check_compatibility,
     check_minors,
@@ -28,7 +28,7 @@ from hkel.selftest import (
 from hkel.spectral import Grid
 from hkel.waves import TimeGrid
 
-from conftest import loglog_slope
+from conftest import free_wave_state, loglog_slope
 
 N2 = 64
 EPS = 1e-2

@@ -5,12 +5,12 @@ import pytest
 
 from hkel import cli
 from hkel.cli import main
-from hkel.config import parse_config
-from hkel.diagnostics import SweepRow
+from hkel.config import RunConfig, parse_config
+from hkel.diagnostics import SweepRow, gradient_besov_sup
 from hkel.direct import run_direct
 from hkel.snapshots import read_snapshot, write_snapshot
 
-from conftest import physical_diagnostics, physical_run_direct
+from conftest import physical_diagnostics, physical_run_direct, whole_lattice_free_wave
 
 
 def write_cfg(tmp_path, body, name="run.cfg"):
@@ -457,6 +457,22 @@ def test_sweep_small(tmp_path):
         assert (out / f"eps_{eps}" / "diagnostics.csv").exists()
         # each run's config.txt records the amplitude that run used
         assert parse_config((out / f"eps_{eps}" / "config.txt").read_text()).epsilon == float(eps)
+
+
+@pytest.mark.parametrize("solver", ["picard", "direct"])
+def test_sweep_free_deviation_against_whole_lattice_free_wave_bitwise(tmp_path, solver):
+    # the configuration and amplitudes of tools/output_digest.py's sweep lines
+    for eps in (1e-3, 3e-3, 1e-2):
+        cfg = RunConfig(dimension=2, grid_n=16, t_end=0.25, dt=1 / 32, epsilon=eps,
+                        solver=solver, output_dir=str(tmp_path / f"{solver}{eps}"))
+        code, art = cli.run_one(cfg)
+        assert code == cli.EXIT_OK
+        grid = art.grid
+        seed = [grid.fft(grid.leray_project(u)) for u in (art.data.f, art.data.g)]
+        free = whole_lattice_free_wave(grid, seed, art.tg.times)[0]
+        want = gradient_besov_sup(grid, art.Yh - free, grid.n / 2.0)
+        got = cli._sweep_row(eps, art).free_deviation
+        assert got > 0.0 and np.float64(got).tobytes() == np.float64(want).tobytes(), eps
 
 
 def test_sweep_rejects_repeated_amplitudes_before_any_run(tmp_path, capsys):

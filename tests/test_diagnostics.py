@@ -23,11 +23,17 @@ from hkel.diagnostics import (
 )
 from hkel.elastic import make_shear_data
 from hkel.direct import DirectRun
-from hkel.picard import PicardState, free_wave_state
+from hkel.picard import PicardState
 from hkel.spectral import Grid, random_mean_free
 from hkel.waves import TimeGrid
 
-from conftest import ComplexGrid, loglog_slope, physical_energy, whole_copy_s_surrogate
+from conftest import (
+    ComplexGrid,
+    free_wave_state,
+    loglog_slope,
+    physical_energy,
+    whole_copy_s_surrogate,
+)
 
 
 def brute_force_variation(d2):

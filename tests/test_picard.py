@@ -16,15 +16,19 @@ from hkel.picard import (
     PicardState,
     compatible,
     free_seed,
-    free_wave_state,
     picard_map,
     picard_solve,
     trace_constraint_residual,
 )
 from hkel.spectral import Grid, pad_to_fine, spectrum_to_fine, truncate_from_fine
-from hkel.waves import duhamel_trajectory, free_wave, time_derivative
+from hkel.waves import duhamel_trajectory, time_derivative
 
-from conftest import loglog_slope, whole_trajectory_picard_map
+from conftest import (
+    field_free_wave,
+    free_wave_state,
+    loglog_slope,
+    whole_trajectory_picard_map,
+)
 
 
 def physical_box(grid, tg, u):
@@ -90,6 +94,19 @@ def test_map_of_zero_state_is_free_wave(grid2):
     out = picard_map(grid2, zero, free_seed(grid2, data))
     assert np.array_equal(out.G, free.G)
     assert np.abs(out.boxYh).max() == 0.0
+
+
+@pytest.mark.parametrize("field", ["f", "g"], ids=["displacement", "velocity"])
+def test_free_seed_and_solve_reject_data_with_a_mean(grid2, field):
+    # the free wave's seed is the one place that checks the data: a mean in f
+    # would not propagate as a wave, one in g would grow linearly
+    data = make_shear_data(grid2, 1e-2, seed=1, band=2)
+    setattr(data, field, getattr(data, field) + 1e-3)
+    what = {"f": "initial displacement", "g": "initial velocity"}[field]
+    with pytest.raises(ValueError, match=f"{what} must be mean-free"):
+        free_seed(grid2, data)
+    with pytest.raises(ValueError, match=f"{what} must be mean-free"):
+        picard_solve(grid2, data, small_config(grid_n=32))
 
 
 def test_free_seed_square_amplitude_scaling(grid2):
@@ -342,12 +359,7 @@ def test_compatible_treats_nan_as_failure():
 def gradient_free_wave_state(grid, tg, data):
     Af = grid.jacobian(grid.leray_project(data.f))
     Ag = grid.jacobian(grid.leray_project(data.g))
-    G = np.empty((tg.nsamples,) + Af.shape)
-    dG = np.empty_like(G)
-    for a in range(grid.n):
-        for b in range(grid.n):
-            Gh, dGh = free_wave(grid, Af[a, b], Ag[a, b], tg.times)
-            G[:, a, b], dG[:, a, b] = grid.ifft(Gh), grid.ifft(dGh)
+    G, dG = map(grid.ifft, field_free_wave(grid, Af, Ag, tg.times))
     return G, np.zeros_like(G), dG
 
 

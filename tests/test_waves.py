@@ -11,6 +11,8 @@ from hkel.waves import (
     time_derivative,
 )
 
+from conftest import field_free_wave, whole_lattice_free_wave
+
 
 def duhamel(grid, tg, F, m):
     """O(m) reference: the trapezoidal Duhamel sum at sample m, mode by mode."""
@@ -34,7 +36,7 @@ def box_fd(grid, tg, uh, m):
 
 def physical_wave(grid, f, g, t, derivative=False):
     """free_wave's solution (and with ``derivative`` its d/dt) transformed back to the lattice."""
-    out = tuple(map(grid.ifft, free_wave(grid, f, g, t)))
+    out = tuple(map(grid.ifft, field_free_wave(grid, f, g, t)))
     return out if derivative else out[0]
 
 
@@ -75,11 +77,6 @@ def test_free_wave_sine_closed_form(grid2):
     assert np.abs(out).max() <= 1e-10
 
 
-def test_free_wave_rejects_mean_velocity(grid2):
-    with pytest.raises(ValueError, match="mean-free"):
-        free_wave(grid2, np.zeros(grid2.shape), np.ones(grid2.shape), 1.0)
-
-
 def test_free_wave_constant_f_propagates(grid2):
     f = 3.0 * np.ones(grid2.shape)
     out = physical_wave(grid2, f, np.zeros(grid2.shape), 2.0)
@@ -99,7 +96,7 @@ def test_propagator_group_law(grid2, rng):
 def test_free_wave_energy_constant(grid2, rng):
     f = random_mean_free(grid2, rng, band=6)
     g = random_mean_free(grid2, rng, band=6)
-    uh, duh = free_wave(grid2, f, g, np.array([0.0, 0.5, 1.3, 4.0]))
+    uh, duh = field_free_wave(grid2, f, g, np.array([0.0, 0.5, 1.3, 4.0]))
     values = energy(grid2, uh, duh)
     assert np.abs(values - values[0]).max() <= 1e-12 * values[0]
 
@@ -215,6 +212,22 @@ def test_box_trajectory_interior_matches_box_fd_bitwise(grid_name, request, rng)
     box = box_trajectory(tg, uh, grid.k2)
     for m in range(1, tg.steps):
         assert box[m].tobytes() == box_fd(grid, tg, uh, m).tobytes()
+
+
+@pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+@pytest.mark.parametrize("t", [0.7, np.array([0.0, 0.3, 1.7])], ids=["one_time", "times"])
+def test_free_wave_matches_whole_lattice_closed_form_bitwise(grid_name, vector, t, request, rng):
+    # the row-by-row fill evaluates the closed form per mode as whole-lattice
+    # tables do; the seed keeps its zero modes, where sinc is t
+    grid = request.getfixturevalue(grid_name)
+    shape = ((grid.n,) if vector else ()) + grid.shape
+    seed = (grid.fft(rng.standard_normal(shape)), grid.fft(rng.standard_normal(shape)))
+    got = free_wave(grid, seed, t)
+    want = whole_lattice_free_wave(grid, seed, t)
+    assert got[0].shape == np.shape(t) + seed[0].shape
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_free_wave_on_times_matches_single_times(grid2, rng):
