@@ -9,6 +9,13 @@ All components of a field share one mode set and one phase table per chunk
 of modes.  No step calls BLAS (the phases add up in axis order, numpy's own
 ``einsum`` loops contract them), so the data's bits do not depend on the
 OpenBLAS kernel.
+
+"Unit sup norm" below is a lattice maximum: ``_sup_estimate`` takes the
+largest value on 4(band+1) points per axis, and between them a field is
+larger.  ``random_divergence_free(Generator(Philox(s)), n, 2)``, s = 0 to 7,
+reaches a largest component value of 1.006 to 1.080 on a 256^2 lattice and
+1.027 to 1.139 on a 64^3 one, so ``epsilon`` times such a field has a sup
+norm up to 8% (2D) and 14% (3D) above ``epsilon``.
 """
 
 import numpy as np

@@ -47,11 +47,12 @@ EXIT_NOT_CONVERGED = 2
 # solver's working set) and chunks of G on the product lattice: a map's
 # chunk temporaries (2.9 chunks, traced) and, in 3D, where a chunk is one
 # sample, compatibility_residuals' peak of about four samples of G at pad 2.
-# Picard reads 4.5-4.7 in 3D N=16 (30-240 steps), 4.0-4.3 in 3D N=32 (50-130)
-# and 4.0-4.1 in 2D N=64 (100-300), where its estimate is 1.16-1.49x its peak.
+# Picard holds three trajectories and rows of temporaries, and reads 3.05-3.24
+# in 2D N=64 (100-500 steps), 3.69-3.96 in 3D N=16 (30-240) and 3.21 in 3D
+# N=32 (50-130), where its estimate is 1.08-1.41x its peak.
 # The leapfrog holds Y and box Y and reads 2.03-2.06 in 2D N=64 (256-1024
 # steps) over about 45.6 MiB, where its estimate is 1.27-1.38x its peak.
-TRAJECTORY_ARRAYS = {"picard": 6, "direct": 3}
+TRAJECTORY_ARRAYS = {"picard": 4, "direct": 3}
 BASELINE_BYTES, CHUNK_LATTICES = 40 * 2**20, 6
 
 # In-memory products of one simulation, reused by sweep analytics.

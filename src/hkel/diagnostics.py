@@ -18,17 +18,18 @@ import numpy as np
 from .waves import _gather
 
 
-def _besov_of_power(grid, power, s):
-    """sum_j 2^(j s) ||P_j u||_L2 of the field whose power spectrum |u_hat|^2 is ``power``."""
+def _besov_of_bands(grid, band_l2, s):
+    """sum_j 2^(j s) ||P_j u||_L2 from the per-band norms ``band_l2`` of a field u."""
     # a product and numpy's sum, not BLAS: the bits do not depend on the OpenBLAS kernel
     weights = 2.0 ** (s * np.arange(grid.nbands))
-    return float((weights * grid.band_l2_of_power(power)).sum())
+    return float((weights * band_l2).sum())
 
 
 def besov_norm(grid, u, s):
     """Dyadic Besov norm sum_j 2^(j s) ||P_j u||_L2 (l2 over components)."""
     power = np.abs(grid.fft(u)) ** 2
-    return _besov_of_power(grid, power.sum(axis=tuple(range(power.ndim - grid.n))), s)
+    power = power.sum(axis=tuple(range(power.ndim - grid.n)))
+    return _besov_of_bands(grid, grid.band_l2_of_power(power), s)
 
 
 def besov_sup(grid, u_ts, s):
@@ -41,8 +42,8 @@ def gradient_besov_norms(grid, Yh_ts, s):
 
     Per band ||P_j grad Y||^2 sums |d|^2 sum_a |Y_hat_a|^2, a sample at a time; no G is formed.
     """
-    return np.array([_besov_of_power(grid, (np.abs(Yh) ** 2).sum(axis=0) * grid.dk2, s)
-                     for Yh in Yh_ts])
+    return np.array([_besov_of_bands(grid, grid.band_l2_of_power(
+        (np.abs(Yh) ** 2).sum(axis=0) * grid.dk2), s) for Yh in Yh_ts])
 
 
 def gradient_besov_sup(grid, Yh_ts, s):

@@ -57,17 +57,27 @@ class DirectRun:
         """Half spectra of d_t Y at ``samples``, or their block at ``modes`` (``waves._gather``).
 
         ``time_derivative``'s stencils on the spectra of Y, with g's at sample 0.
+        A slice's neighbours m - 1 and m + 1 are read as shifted slices of Y.
         """
         last, dt = len(self.Yh) - 1, self.tg.dt
         m = np.arange(last + 1)[samples]
+        lo, hi = int(m[0] == 0), len(m) - int(m[-1] == last)
+        inner = m[lo:hi]  # the central stencil's samples
 
         def at(k):
             return _gather(self.Yh, k, modes)
 
-        out = _central_velocity(dt, at(np.maximum(m - 1, 0)), at(np.minimum(m + 1, last)))
-        if m[0] == 0:
+        step = samples.indices(last + 1)[2] if isinstance(samples, slice) else 0
+        if step > 0 and len(inner):
+            before, after = (slice(inner[0] + d, inner[-1] + d + 1, step) for d in (-1, 1))
+        else:
+            before, after = inner - 1, inner + 1
+        block = self.Yh.shape[2:] if modes is None else np.shape(modes)
+        out = np.empty((len(m), self.Yh.shape[1]) + block, self.Yh.dtype)
+        _central_velocity(dt, at(before), at(after), out[lo:hi])
+        if lo:
             out[0] = self.gh if modes is None else self.gh.reshape(len(self.gh), -1)[:, modes]
-        if m[-1] == last:
+        if hi < len(m):
             out[-1] = _last_velocity(dt, *at(np.array([last, last - 1, last - 2])))
         return out
 

@@ -13,8 +13,10 @@ in W and Z, so an iteration transforms only on the product lattice: G goes
 there straight from i dfreq_b Y_hat_a, and box Y, and the flux G^T box Y
 and the minor sum come back as truncated spectra.  The stopping rule reads
 successive differences of G = grad Y in the sup-in-time dyadic n/2 norm from
-the spectra of Y.  The solve returns the spectra; nothing after it forms
-a physical trajectory.
+the spectra of Y.  The map consumes its state's three spectra and forms that
+difference's band sums as each row of the new Y lands over the old one, so
+the solve holds three trajectories.  It returns the spectra; nothing after
+it forms a physical trajectory.
 """
 
 import math
@@ -23,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .diagnostics import gradient_besov_sup
+from .diagnostics import _besov_of_bands, gradient_besov_sup
 from .elastic import (compatibility_residuals, curl_free_displacement, det_residual,
                       minor_sum_total, null_form)
 from .spectral import Grid, jacobian_on_fine, spectrum_to_fine
@@ -90,49 +92,63 @@ def free_seed(grid, data):
     return [grid.fft(grid.leray_project(u)) for u in (data.f, data.g)]
 
 
-def picard_map(grid, state, seed, out=None):
-    """One application of the fixed-point map to a trajectory state.
+def picard_map(grid, state, seed):
+    """One application of the fixed-point map to a trajectory state, and its delta.
 
     ``seed`` is ``free_seed``'s pair of spectra; each row of the free wave is
-    formed from it as the row is assembled.  The map consumes ``state``: the
-    new d_t Y_hat, which reads nothing of the old one, lands in
-    ``state.dYh``, and the new box Y_hat in ``state.boxYh``, chunk by chunk
-    once each chunk has placed its box Y.  The new Y_hat lands in ``out``, an
-    array shaped like ``state.Yh`` that nothing else reads, or in a new one,
-    as box Y_hat does when ``state`` is the free wave (``boxYh`` None).  The
-    chunks write Z_hat into the new Y_hat and W_hat into the new box Y_hat;
-    then each row of the first spectral axis adds the free wave, the box of
-    Z and Duhamel's integral of W.
+    formed from it as the row is assembled.  The map consumes ``state``: its
+    Y_hat, d_t Y_hat and box Y_hat become the new ones, and the returned
+    state holds those three buffers, but a new box Y_hat when ``state`` is the
+    free wave (``boxYh`` None).  The chunks read the old Y_hat to form G,
+    write Z_hat into d_t Y_hat, which the map never reads, and W_hat into
+    box Y_hat once each chunk has placed its box Y.  Then each row of the
+    first spectral axis adds the free wave, the box of Z and Duhamel's
+    integral of W, and writes the new Y_hat row over the old one once the
+    row's band powers of their difference are summed.  ``deltas`` are those
+    sums read per sample as ``gradient_besov_norms`` of new minus old Y_hat
+    at n/2, with its bits: the powers are formed as it forms them and added
+    in its order.
     """
     tg = state.tg
     # one lattice for the null form and the minors: products of degree n
     # (the top minor) are alias-free at pad (n + 1) / 2, the 3/2 rule in 2D
     pad = (grid.n + 1) / 2
     forced = state.boxYh is not None  # the free wave's box Y, so its forcing W, is 0
-    Yh = np.empty_like(state.Yh) if out is None else out
-    dYh = state.dYh
-    boxYh = state.boxYh if forced else np.empty_like(state.Yh)
+    Yh, dYh = state.Yh, state.dYh
+    boxYh = state.boxYh if forced else np.empty_like(Yh)
     for c in grid.chunks(tg.nsamples):
-        Gf = jacobian_on_fine(grid, state.Yh[c], pad)
+        Gf = jacobian_on_fine(grid, Yh[c], pad)
         if forced:  # box Y on the lattice is a temporary, freed before the minors accumulate
-            box = np.moveaxis(state.boxYh[c], 1, 0)
+            box = np.moveaxis(boxYh[c], 1, 0)
             boxYh[c] = np.moveaxis(null_form(grid, Gf, spectrum_to_fine(grid, box, pad)), 0, 1)
-        Yh[c] = np.moveaxis(curl_free_displacement(grid, Gf), 0, 1)
+        dYh[c] = np.moveaxis(curl_free_displacement(grid, Gf), 0, 1)
 
+    # the band sums of (new - old) Y_hat per sample, flat: sample m's band j
+    # at m (nbands + 1) + j + 1, the zero mode's at m (nbands + 1)
+    bins = grid.nbands + 1
+    sums = np.zeros(tg.nsamples * bins)
+    offsets = bins * np.arange(tg.nsamples).reshape((-1,) + (1,) * (grid.n - 1))
     for row, cosk, sink, (free_Yh, free_dYh) in _free_wave_rows(grid, tg.times, seed):
-        Zh = Yh[row]
+        Zh = dYh[row]
         box = box_trajectory(tg, Zh, grid.k2[row])
-        dYh[row] = time_derivative(tg, Zh) + free_dYh
+        new_dYh = time_derivative(tg, Zh) + free_dYh
         Zh += free_Yh
         if forced:
             Wh = boxYh[row]
             duh, dduh = _duhamel(tg, Wh, cosk, sink, grid.inv_absk[row])
             Wh += box
             Zh += duh
-            dYh[row] += dduh
+            new_dYh += dduh
         else:
             boxYh[row] = box
-    return PicardState(grid, tg, Yh, dYh, boxYh)
+        power = (np.abs(Zh - Yh[row]) ** 2).sum(axis=1) * grid.dk2[row] * grid.parseval_weight
+        np.add.at(sums, (offsets + (grid.band_of[row] + 1)).ravel(), power.ravel())
+        Yh[row] = Zh
+        dYh[row] = new_dYh
+    s = grid.n / 2.0
+    deltas = np.array([_besov_of_bands(grid, grid.band_l2_of_sums(m), s)
+                       for m in sums.reshape(tg.nsamples, bins)])
+    return PicardState(grid, tg, Yh, dYh, boxYh), deltas
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence is reported as ``reason``
@@ -153,27 +169,22 @@ def picard_solve(grid, data, cfg, check_compatibility=True):
                 f"initial data violates compatibility: residuals ({r1:.2e}, {r2:.2e})"
             )
     tg = cfg.time_grid()
-    s = grid.n / 2.0
     seed = free_seed(grid, data)
     # the free wave is the first state, its box Y 0 and not stored; each map
-    # consumes its state's d_t Y and box Y, and the next one writes into its
-    # Y, which the delta has read
-    state, spare = PicardState(grid, tg, *free_wave(grid, seed, tg.times), None), None
+    # consumes its state's three spectra and forms the delta as its rows land
+    state = PicardState(grid, tg, *free_wave(grid, seed, tg.times), None)
     ratios = []
     deltas = []
     converged = False
     reason = ""
     iterations = 0
     for iterations in range(1, cfg.picard_max_iter + 1):
-        new = picard_map(grid, state, seed, spare)
-        # the difference exists one chunk at a time; np.max keeps a NaN
-        delta = float(np.max([gradient_besov_sup(grid, new.Yh[c] - state.Yh[c], s)
-                              for c in grid.chunks(tg.nsamples)]))
+        state, sample_deltas = picard_map(grid, state, seed)
+        delta = float(np.max(sample_deltas))  # np.max keeps a NaN
         if deltas:
             ratios.append(delta / deltas[-1] if deltas[-1] > 0 else 0.0)
         deltas.append(delta)
-        state, spare = new, state.Yh
-        scale = gradient_besov_sup(grid, state.Yh, s)
+        scale = gradient_besov_sup(grid, state.Yh, grid.n / 2.0)
         if not (math.isfinite(delta) and math.isfinite(scale)):
             reason = f"non-finite Picard delta {delta} (scale {scale}) at iteration {iterations}"
             break

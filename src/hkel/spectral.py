@@ -140,12 +140,6 @@ class Grid:
         power = (uh.real**2 + uh.imag**2) * (weight * self.parseval_weight)
         return power.reshape(len(uh), -1).sum(axis=1) * (self.cell_volume / self.npoints)
 
-    def physical_spectrum(self, u):
-        """Half spectrum of u without unpaired Nyquist-plane content and the mean."""
-        uh = self.fft(u) * self.phys_mask
-        uh[(Ellipsis,) + (0,) * self.n] = 0.0
-        return uh
-
     def samples_per_chunk(self):
         """Time samples whose G on the product lattice fits ``CHUNK_BYTES``, at least 1."""
         return max(1, CHUNK_BYTES // fine_sample_bytes(self.n, self.size))
@@ -224,11 +218,14 @@ class Grid:
 
         Parseval on the half lattice: interior columns count twice.
         """
-        sums = np.bincount(
+        return self.band_l2_of_sums(np.bincount(
             (self.band_of + 1).ravel(),
             weights=(power * self.parseval_weight).ravel(),
             minlength=self.nbands + 1,
-        )
+        ))
+
+    def band_l2_of_sums(self, sums):
+        """``band_l2_of_power`` from the weighted power's sums over ``band_of + 1``, 0 to nbands."""
         return np.sqrt(sums[1:] * self.cell_volume / self.npoints)
 
 

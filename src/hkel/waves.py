@@ -141,8 +141,10 @@ def second_time_derivative(tg, u):
 # sample's box with them as its steps land, and its velocity where it is read.
 
 
-def _central_velocity(dt, before, after):
-    return (after - before) / (2.0 * dt)
+def _central_velocity(dt, before, after, out=None):
+    out = np.subtract(after, before, out=out)
+    out /= 2.0 * dt
+    return out
 
 
 def _last_velocity(dt, last, before, before2):

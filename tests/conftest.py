@@ -68,6 +68,13 @@ def random_jacobian(grid, rng, scale=1.0, band=None):
     return grid.jacobian(Y)
 
 
+def physical_spectrum(grid, u):
+    """Half spectrum of u without unpaired Nyquist-plane content and the mean."""
+    uh = grid.fft(u) * grid.phys_mask
+    uh[(Ellipsis,) + (0,) * grid.n] = 0.0
+    return uh
+
+
 def loglog_slope(xs, ys):
     """Least-squares slope of log(y) against log(x)."""
     lx = np.log(np.asarray(xs, dtype=float))

@@ -297,11 +297,12 @@ def test_simulate_refuses_run_larger_than_memory(tmp_path, capsys, monkeypatch):
 
 def test_memory_estimate_admits_3d_n32_to_t5():
     # the guard once counted n^2 N^n float64 arrays and refused this run at
-    # 9.46 GB, then 10 half-spectrum trajectories at 4.34 GB; 6 read 2.67 GB
+    # 9.46 GB, then 10 half-spectrum trajectories at 4.34 GB and 6 at 2.67 GB;
+    # 4 read 1.83 GB
     from hkel.config import RunConfig
 
     cfg = RunConfig(dimension=3, grid_n=32, t_end=5.0, dt=0.01, epsilon=5e-3)
-    assert 2.5e9 < cli.memory_estimate(cfg) < 3e9
+    assert 1.7e9 < cli.memory_estimate(cfg) < 2e9
 
 
 MEASURED_RUN = """

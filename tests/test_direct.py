@@ -27,7 +27,8 @@ from hkel.elastic import (
 )
 from hkel.spectral import Grid, random_mean_free
 
-from conftest import ComplexGrid, physical_run_direct, random_jacobian, random_vector
+from conftest import (ComplexGrid, physical_run_direct, physical_spectrum, random_jacobian,
+                      random_vector)
 
 
 def small_config(**overrides):
@@ -84,7 +85,7 @@ def test_pressure_manufactured_solution(grid2, grid3, rng):
     # Nyquist planes is outside the operator's range, and the mask drops it
     for grid in (grid2, grid3):
         q = rng.standard_normal(grid.shape)
-        p_true = grid.ifft(grid.physical_spectrum(q))
+        p_true = grid.ifft(physical_spectrum(grid, q))
         velocity = np.zeros((grid.n,) + grid.shape)
         gradX = identity_field(grid)
         ph, force, iters = solve_pressure(grid, gradX, grid.jacobian(q), grid.jacobian(velocity),
@@ -107,7 +108,7 @@ def test_pressure_residual_by_parseval_matches_physical_norm(rng, n, size):
     b = _trace_product(Minv, grid.jacobian(lapY)) - _trace_product(W, W)
     Ap = _trace_product(Minv, grid.jacobian(_matT_vec(Minv, grid.jacobian(p))))
     expected = grid.l2(ComplexGrid(grid).project_physical(b - Ap))
-    got = grid.spectral_l2(grid.physical_spectrum(b) - grid.physical_spectrum(Ap))
+    got = grid.spectral_l2(physical_spectrum(grid, b) - physical_spectrum(grid, Ap))
     assert abs(got - expected) <= 1e-13 * expected
 
 
@@ -143,9 +144,9 @@ def test_divergence_form_residual_is_det_times_trace_form_residual(rng, monkeypa
     monkeypatch.setattr(grid, "spectral_l2", lambda uh: seen.append(uh.copy()) or l2(uh))
     solve_pressure(grid, gradX, lapY, grid.jacobian(velocity), grid.fft(p), np.inf, 1, det)
     bh, rh = seen
-    want = grid.physical_spectrum(det * b)
+    want = physical_spectrum(grid, det * b)
     assert l2(bh - want) <= 1e-13 * l2(want)
-    want = grid.physical_spectrum(det * (b - Ap))
+    want = physical_spectrum(grid, det * (b - Ap))
     assert l2(rh - want) <= bound * l2(want)
 
 
@@ -318,6 +319,23 @@ def test_direct_velocity_is_the_difference_of_the_spectra_of_y(every):
     samples, modes = np.array([0, 3, len(run.Yh) - 1]), np.array([0, 5, 17, 40, 143])
     whole = run.velocity(slice(None)).reshape(len(run.Yh), grid.n, -1)
     assert run.velocity(samples, modes).tobytes() == whole[samples][:, :, modes].tobytes()
+
+
+def test_direct_velocity_of_a_slice_is_that_of_its_indices_bitwise():
+    # a slice reads its neighbours as shifted slices of Y, an index array
+    # gathers them; sample 0 (g's) and the last (one-sided) are set apart
+    grid = Grid(2, 16)
+    data = make_shear_data(grid, 1e-2, seed=10, band=1)
+    run = run_direct(grid, data, small_config())
+    last = len(run.Yh) - 1
+    modes = np.array([0, 5, 17, 40, 143])
+    slices = [slice(None), slice(0, 5), slice(0, 9, 2), slice(3, 8), slice(4, None, 3),
+              slice(last - 5, None), slice(1, last, 4), slice(0, 1), slice(last, None)]
+    for samples in slices:
+        indices = np.arange(last + 1)[samples]
+        for block in (None, modes):
+            got, want = run.velocity(samples, block), run.velocity(indices, block)
+            assert got.tobytes() == want.tobytes(), (samples, block is None)
 
 
 def test_run_direct_holds_little_beyond_its_two_outputs():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from hkel.config import RunConfig
-from hkel.diagnostics import besov_sup
+from hkel.diagnostics import besov_sup, gradient_besov_norms
 from hkel.elastic import (
     InitialData,
     _accumulate_terms,
@@ -46,9 +46,9 @@ def physical_duhamel(grid, tg, F):
 
 
 def consumable(state):
-    """``state`` with copies of the buffers that ``picard_map`` consumes, leaving ``state`` intact."""
+    """``state`` with copies of the buffers ``picard_map`` consumes, leaving ``state`` intact."""
     box = None if state.boxYh is None else state.boxYh.copy()
-    return PicardState(state.grid, state.tg, state.Yh, state.dYh.copy(), box)
+    return PicardState(state.grid, state.tg, state.Yh.copy(), state.dYh.copy(), box)
 
 
 def small_config(**overrides):
@@ -91,7 +91,7 @@ def test_map_of_zero_state_is_free_wave(grid2):
     zero = PicardState(
         grid2, tg, np.zeros_like(free.Yh), np.zeros_like(free.Yh), np.zeros_like(free.Yh)
     )
-    out = picard_map(grid2, zero, free_seed(grid2, data))
+    out, _ = picard_map(grid2, zero, free_seed(grid2, data))
     assert np.array_equal(out.G, free.G)
     assert np.abs(out.boxYh).max() == 0.0
 
@@ -118,7 +118,7 @@ def test_free_seed_square_amplitude_scaling(grid2):
     norms = {}
     for eps in (1e-3, 1e-2):
         seed_state = free_wave_state(grid2, tg, make_shear_data(grid2, eps, seed=2, band=2))
-        out = picard_map(grid2, seed_state, zero_seed)
+        out, _ = picard_map(grid2, seed_state, zero_seed)
         norms[eps] = besov_sup(grid2, out.G, 1.0)
     slope = loglog_slope(list(norms), list(norms.values()))
     assert abs(slope - 2.0) <= 0.2
@@ -132,7 +132,8 @@ def test_free_wave_state_solves_wave_equation(grid2):
         tg = cfg.time_grid()
         shape = (tg.nsamples, 2) + grid2.spectral_shape
         zero = PicardState(grid2, tg, *(np.zeros(shape, complex) for _ in range(3)))
-        free = picard_map(grid2, zero, free_seed(grid2, data))  # the free wave with its box formed
+        # the free wave with its box formed
+        free, _ = picard_map(grid2, zero, free_seed(grid2, data))
         assert np.abs(free.boxYh).max() == 0.0
         box = physical_box(grid2, tg, free.G)[1:-1]
         errs.append(float(np.abs(box).max()))
@@ -179,7 +180,7 @@ def test_det_deviation_decreases_along_iterates():
     state = free_wave_state(grid, tg, data)
     devs = []
     for _ in range(4):
-        state = picard_map(grid, state, seed)
+        state, _ = picard_map(grid, state, seed)
         devs.append(max(det_residual(Gm) for Gm in state.G))
     assert all(devs[i + 1] <= devs[i] * (1 + 1e-9) for i in range(1, len(devs) - 1))
     assert devs[-1] <= 10 * cfg.picard_tol
@@ -311,7 +312,7 @@ def test_forced_map_places_g_and_box_y_only(monkeypatch, n, size):
     tg = small_config(dimension=n, grid_n=size, t_end=0.125).time_grid()
     data = make_shear_data(grid, 1e-2, seed=7, band=1)
     seed = free_seed(grid, data)
-    forced = picard_map(grid, free_wave_state(grid, tg, data), seed)
+    forced, _ = picard_map(grid, free_wave_state(grid, tg, data), seed)
     placed = []
 
     def counting(grid, uh, pad):
@@ -335,12 +336,13 @@ def test_first_map_skips_zero_forcing_bitwise(monkeypatch, n, size):
     cfg = small_config(dimension=n, grid_n=size, t_end=0.25)
     data = make_shear_data(grid, 1e-2, seed=3)
     free, seed = free_wave_state(grid, cfg.time_grid(), data), free_seed(grid, data)
-    forced_free = PicardState(grid, free.tg, free.Yh, free.dYh.copy(), np.zeros_like(free.Yh))
-    want = picard_map(grid, forced_free, seed)
+    forced_free = PicardState(grid, free.tg, free.Yh.copy(), free.dYh.copy(),
+                              np.zeros_like(free.Yh))
+    want, _ = picard_map(grid, forced_free, seed)
     calls = []
     monkeypatch.setattr("hkel.picard.null_form", lambda *a: calls.append("null_form"))
     monkeypatch.setattr("hkel.picard._duhamel", lambda *a: calls.append("duhamel"))
-    got = picard_map(grid, free, seed)
+    got, _ = picard_map(grid, free, seed)
     assert calls == []
     for name in ("Yh", "dYh", "boxYh"):
         assert (getattr(got, name) + 0.0).tobytes() == (getattr(want, name) + 0.0).tobytes(), name
@@ -411,7 +413,7 @@ def test_displacement_map_matches_gradient_map(n, size):
     tg = cfg.time_grid()
     data = make_shear_data(grid, 1e-2, seed=7, band=1)
     seed = free_seed(grid, data)
-    state = picard_map(grid, picard_map(grid, free_wave_state(grid, tg, data), seed), seed)
+    state, _ = picard_map(grid, picard_map(grid, free_wave_state(grid, tg, data), seed)[0], seed)
     oracle_free = gradient_free_wave_state(grid, tg, data)
     oracle = gradient_picard_map(grid, tg, oracle_free, oracle_free)
     oracle = gradient_picard_map(grid, tg, oracle, oracle_free)
@@ -452,7 +454,7 @@ def test_spectral_map_matches_physical_map(n, size):
     oracle = physical_picard_map(grid, tg, physical_picard_map(grid, tg, phys_free, phys_free),
                                  phys_free)
     seed = free_seed(grid, data)
-    state = picard_map(grid, picard_map(grid, free, seed), seed)
+    state, _ = picard_map(grid, picard_map(grid, free, seed)[0], seed)
     # boxY measured 6.6e-12 (2D) and 2.2e-12 (3D): rounding amplified by the 1/dt^2 difference
     got = (state.Yh, state.dYh, state.boxYh)
     for uh, want, bound in zip(got, oracle, (1e-13, 1e-13, 2e-11)):
@@ -462,7 +464,8 @@ def test_spectral_map_matches_physical_map(n, size):
 def test_state_gradients_are_per_sample_jacobians(grid2):
     cfg = small_config(grid_n=32)
     data = make_shear_data(grid2, 1e-2, seed=7, band=1)
-    state = picard_map(grid2, free_wave_state(grid2, cfg.time_grid(), data), free_seed(grid2, data))
+    state, _ = picard_map(grid2, free_wave_state(grid2, cfg.time_grid(), data),
+                          free_seed(grid2, data))
     for uh, grad in ((state.Yh, state.G), (state.dYh, grid2.jacobian_of_spectrum(state.dYh))):
         assert grad.tobytes() == np.stack([grid2.jacobian_of_spectrum(u) for u in uh]).tobytes()
 
@@ -481,7 +484,7 @@ def test_picard_map_matches_whole_trajectory_assembly_bitwise(monkeypatch, n, si
     state = free
     for _ in range(2):  # the unforced first map, then a forced one
         # the map consumes its state's d_t Y and box Y, which the oracle (and free) keep
-        got = picard_map(grid, consumable(state), seed)
+        got, _ = picard_map(grid, consumable(state), seed)
         want = whole_trajectory_picard_map(grid, state, free)
         for name in ("Yh", "dYh", "boxYh"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -489,33 +492,66 @@ def test_picard_map_matches_whole_trajectory_assembly_bitwise(monkeypatch, n, si
 
 
 @pytest.mark.parametrize("n, size", [(2, 32), (3, 8)])
-def test_picard_map_writes_into_its_states_derivative_and_box(n, size):
-    # the new d_t Y and box Y land in the mapped state's buffers, and the new
-    # Y in ``out``; the old d_t Y is read by nothing, nor is ``out``: NaN
-    # there leaves every output's bytes alone
+def test_picard_map_writes_into_its_states_buffers(monkeypatch, n, size):
+    # the new Y, d_t Y and box Y land in the mapped state's own three buffers
+    # (a new box Y on the free wave, which stores none); the old d_t Y is read
+    # by nothing: NaN there leaves every output's bytes alone.  Beyond that
+    # box the map allocates chunk and row temporaries only, no other
+    # trajectory-sized array: with one sample per chunk they read 13 to 16
+    # rows of the first spectral axis, and a trajectory is 32 rows in 2D
+    # N=32 and 8 in 3D N=8
+    monkeypatch.setattr(Grid, "samples_per_chunk", lambda grid: 1)
     grid = Grid(n, size)
-    tg = small_config(dimension=n, grid_n=size).time_grid()
+    tg = small_config(dimension=n, grid_n=size, t_end=2.0).time_grid()
     data = make_shear_data(grid, 1e-2, seed=7, band=1)
     seed = free_seed(grid, data)
     for forced in (False, True):  # the free wave, then a state with a box
         state = free_wave_state(grid, tg, data)
         if forced:
-            state = picard_map(grid, state, seed)
-        want = picard_map(grid, consumable(state), seed)
-        assert not np.shares_memory(want.Yh, state.Yh)
+            state, _ = picard_map(grid, state, seed)
+        want, want_deltas = picard_map(grid, consumable(state), seed)
+        buffers = (state.Yh, state.dYh, state.boxYh)
         state.dYh[...] = np.nan
-        out = np.full_like(state.Yh, np.nan)
-        got = picard_map(grid, state, seed, out)
-        assert got.Yh is out and got.dYh is state.dYh
-        assert (got.boxYh is state.boxYh) == forced
+        tracemalloc.start()
+        try:
+            got, deltas = picard_map(grid, state, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.Yh is buffers[0] and got.dYh is buffers[1]
+        assert (got.boxYh is buffers[2]) == forced
+        row = state.Yh.nbytes // grid.spectral_shape[0]
+        assert peak < (not forced) * state.Yh.nbytes + 20 * row, peak / row
         for name in ("Yh", "dYh", "boxYh"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert deltas.tobytes() == want_deltas.tobytes()
 
 
-def test_picard_solve_holds_four_trajectories():
+@pytest.mark.parametrize("n, size", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("chunk", ["one", "default"])
+def test_picard_map_deltas_are_gradient_besov_norms_of_the_step_bitwise(monkeypatch, n, size,
+                                                                          chunk):
+    # the map sums each sample's band powers of new - old Y as its rows land;
+    # they are gradient_besov_norms' terms added in its order, so the norms keep its bits
+    if chunk == "one":
+        monkeypatch.setattr(Grid, "samples_per_chunk", lambda grid: 1)
+    grid = Grid(n, size)
+    tg = small_config(dimension=n, grid_n=size).time_grid()
+    data = make_shear_data(grid, 1e-2, seed=7, band=1)
+    seed = free_seed(grid, data)
+    state = free_wave_state(grid, tg, data)
+    for _ in range(2):  # the unforced first map, then a forced one
+        old = state.Yh.copy()
+        state, deltas = picard_map(grid, state, seed)
+        want = gradient_besov_norms(grid, state.Yh - old, grid.n / 2.0)
+        assert deltas.tobytes() == want.tobytes()
+
+
+def test_picard_solve_holds_three_trajectories():
     # tracemalloc peak in half-spectrum Y trajectories: the last state's Y,
-    # d_t Y and box Y and the new Y, with one chunk and one row of temporaries;
-    # holding both states' three spectra and the free wave's two read 8.21
+    # d_t Y and box Y, which the map consumes, with one chunk and one row of
+    # temporaries; with a spare Y for the delta it read 4.22, and holding both
+    # states' three spectra and the free wave's two, 8.21
     grid = Grid(2, 64)
     cfg = RunConfig(dimension=2, grid_n=64, epsilon=1e-2, t_end=3.0, dt=0.01)
     data = make_shear_data(grid, 1e-2, seed=0)
@@ -527,12 +563,12 @@ def test_picard_solve_holds_four_trajectories():
     finally:
         tracemalloc.stop()
     assert result.converged
-    assert peak < 4.5 * trajectory  # 4.22 here
+    assert peak < 3.5 * trajectory  # 3.22 here
 
 
 def test_picard_solve_deltas_independent_of_chunk_size_bitwise(monkeypatch):
-    # the stopping rule forms the difference of successive iterates one chunk
-    # at a time; each sample's norm is computed alone, so the deltas keep their bits
+    # the map sums the band powers of successive iterates' difference per
+    # sample, row by row after the chunk loop, so the deltas keep their bits
     grid = Grid(2, 16)
     cfg = small_config()
     data = make_shear_data(grid, 1e-2, seed=7, band=1)
