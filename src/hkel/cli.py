@@ -49,7 +49,10 @@ EXIT_NOT_CONVERGED = 2
 # sample, compatibility_residuals' peak of about four samples of G at pad 2.
 # Picard holds three trajectories and rows of temporaries, and reads 3.05-3.24
 # in 2D N=64 (100-500 steps), 3.69-3.96 in 3D N=16 (30-240) and 3.21 in 3D
-# N=32 (50-130), where its estimate is 1.08-1.41x its peak.
+# N=32 (50-130), where its estimate is 1.08-1.41x its peak.  In 3D N=16 at
+# T = 1.2, 2.4, 4.8 and 9.6 (dt 0.01) the peaks read 94.0, 143.6, 244.0 and
+# 438.5 MiB, slopes 3.92, 3.97 and 3.84, the estimate 1.05-1.11x the peak:
+# 4 holds up to 961 samples.
 # The leapfrog holds Y and box Y and reads 2.03-2.06 in 2D N=64 (256-1024
 # steps) over about 45.6 MiB, where its estimate is 1.27-1.38x its peak.
 TRAJECTORY_ARRAYS = {"picard": 4, "direct": 3}

@@ -17,7 +17,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 from .bandlimited import random_divergence_free, random_scalar
-from .spectral import fine_to_spectrum, pad_to_fine, spectrum_to_fine
+from .spectral import fine_to_spectrum, jacobian_on_fine, spectrum_to_fine
 
 
 @dataclass
@@ -78,11 +78,6 @@ def _accumulate_terms(stack, terms):
             term = np.multiply(term, stack[ix], out=prod)
         (np.add if sign > 0 else np.subtract)(acc, term, out=acc)
     return acc
-
-
-def minor_sum_total(grid, G):
-    """E_2(G) + ... + E_n(G) with one shared padded transform, on the pad-2 lattice."""
-    return grid.ifft(_minor_sum_spectrum(grid, pad_to_fine(grid, np.asarray(G), 2)))
 
 
 def _minor_sum_spectrum(grid, G_fine):
@@ -151,26 +146,18 @@ def det_pointwise(M):
     return sum(M[0, b] * _cofactor(M, 0, b) for b in range(len(M)))
 
 
-def cofactor_pointwise(M):
-    """Pointwise cofactor matrix of a matrix field."""
-    M = np.asarray(M)
-    return np.array([[_cofactor(M, a, b) for b in range(len(M))] for a in range(len(M))])
-
-
 INVERSE_DET_TOL = 0.5
 
 
-def inverse_pointwise(M, det=None):
+def inverse_pointwise(M, det):
     """Pointwise inverse by cofactors, returned with them and det: (M^-1, cof(M), det(M)).
 
-    ``det``, if the caller has it, is det_pointwise(M), whose expansion this
-    repeats otherwise.  Valid only near det = 1: raises if the determinant
-    strays from 1 by more than ``INVERSE_DET_TOL`` at any grid point (outside
-    the small-data regime).
+    ``det`` is det_pointwise(M), which the caller has formed.  Valid only
+    near det = 1: raises if the determinant strays from 1 by more than
+    ``INVERSE_DET_TOL`` at any grid point (outside the small-data regime).
     """
     M = np.asarray(M)
-    cof = cofactor_pointwise(M)
-    det = sum(M[0, b] * cof[0, b] for b in range(len(M))) if det is None else det
+    cof = np.array([[_cofactor(M, a, b) for b in range(len(M))] for a in range(len(M))])
     bad = np.abs(det - 1.0) > INVERSE_DET_TOL
     if np.any(bad):
         loc = np.unravel_index(int(np.argmax(np.abs(det - 1.0))), det.shape)
@@ -215,23 +202,19 @@ def compatibility_residuals(grid, data):
     lattice, where the dealiased products are exact point values.
     """
     n = grid.n
-    gradX = grid.jacobian(data.f)
-    for a in range(n):
-        gradX[a, a] += 1.0
-    # pad 2 in 2D too: the maxima are read at these fine lattice points. grad X
-    # and grad g share one buffer, and G there is freed before grad g is placed,
-    # so the check peaks at about four samples of G on that lattice
+    # pad 2 in 2D too: the maxima are read at these fine lattice points.  G
+    # and grad g share one buffer, each placed from its spectrum, and grad g
+    # is placed once r1 is read, so the check peaks at about four samples of
+    # G on that lattice
     stack = np.empty((2, n, n) + (2 * grid.size,) * n)
-    stack[0] = pad_to_fine(grid, gradX, 2)
-    del gradX
-    Gfine = stack[0].copy()
+    G = stack[0]
+    G[...] = jacobian_on_fine(grid, grid.fft(data.f)[None], 2)[:, :, 0]
+    trace = sum(G[a, a] for a in range(n))
+    r1 = float(np.abs(trace + _accumulate_terms(G, _minor_terms(n, range(2, n + 1)))).max())
+    del trace
     for a in range(n):
-        Gfine[a, a] -= 1.0
-    trace = sum(Gfine[a, a] for a in range(n))
-    minors = _accumulate_terms(Gfine, _minor_terms(n, range(2, n + 1)))
-    r1 = float(np.abs(trace + minors).max())
-    del Gfine, trace, minors
-    stack[1] = pad_to_fine(grid, grid.jacobian(data.g), 2)
+        G[a, a] += 1.0  # grad X
+    stack[1] = jacobian_on_fine(grid, grid.fft(data.g)[None], 2)[:, :, 0]
     r2 = float(np.abs(_accumulate_terms(stack, _cofactor_trace_terms(n))).max())
     return r1, r2
 
@@ -280,7 +263,7 @@ def recover_pressure(grid, Yh, boxYh):
     once; both norms are read by Parseval: a sample's result does not depend on its batch.
     """
     n, pad = grid.n, 1.5
-    acc = _flux(n, lambda l: (spectrum_to_fine(grid, Yh[:, l] * grid.idfreq[:, None], pad),
+    acc = _flux(n, lambda l: (jacobian_on_fine(grid, Yh[:, l:l + 1], pad)[0],
                               spectrum_to_fine(grid, boxYh[:, l], pad)))
     # the spectrum of the real field w: Parseval would also count the
     # non-Hermitian part of the Nyquist column that fine_to_spectrum reads,

@@ -26,8 +26,8 @@ from functools import cached_property
 import numpy as np
 
 from .diagnostics import _besov_of_bands, gradient_besov_sup
-from .elastic import (compatibility_residuals, curl_free_displacement, det_residual,
-                      minor_sum_total, null_form)
+from .elastic import (_minor_sum_spectrum, compatibility_residuals, curl_free_displacement,
+                      det_residual, null_form)
 from .spectral import Grid, jacobian_on_fine, spectrum_to_fine
 from .waves import (
     TimeGrid,
@@ -199,10 +199,16 @@ def picard_solve(grid, data, cfg, check_compatibility=True):
     return PicardResult(state, iterations, converged, ratios, deltas, reason)
 
 
-def trace_constraint_residual(grid, G):
-    """||trace G + sum_k E_k(G)||_L2 at one sample (the elliptic identity)."""
-    trace = sum(G[a, a] for a in range(grid.n))
-    return grid.l2(trace + minor_sum_total(grid, G))
+def trace_constraint_residual(grid, Yh):
+    """||div Y + sum_k E_k(grad Y)||_L2 of one sample's half spectrum (the elliptic identity).
+
+    ``Yh`` is (n,) + ``spectral_shape``.  The minors are summed where the map
+    sums them, on its product lattice, and the norm is read in physical space.
+    """
+    n = grid.n
+    div = sum(grid.idfreq[a] * Yh[a] for a in range(n))
+    s = _minor_sum_spectrum(grid, jacobian_on_fine(grid, Yh[None], (n + 1) / 2))[0]
+    return grid.l2(grid.ifft(div + s))
 
 
 __all__ = [

@@ -128,15 +128,6 @@ def time_derivative(tg, u):
     return du
 
 
-def second_time_derivative(tg, u):
-    """Second difference in time of a trajectory or its spectra (one-sided at the endpoints)."""
-    ddu = np.empty_like(u)
-    ddu[1:-1] = _second_difference(tg.dt, u[:-2], u[1:-1], u[2:])
-    ddu[0] = _end_second_difference(tg.dt, u[0], u[1], u[2], u[3])
-    ddu[-1] = _end_second_difference(tg.dt, u[-1], u[-2], u[-3], u[-4])
-    return ddu
-
-
 # The stencils per sample or slice of samples: the leapfrog forms each
 # sample's box with them as its steps land, and its velocity where it is read.
 
@@ -179,7 +170,11 @@ def box_trajectory(tg, uh, k2):
     """Half spectra of the finite-difference box of every sample: D_tt u_hat + k2 u_hat.
 
     ``k2`` is |xi|^2 at uh's modes: ``grid.k2``, or the block of it that uh holds.
+    The second difference is one-sided at the endpoints.
     """
-    ddu = second_time_derivative(tg, uh)
+    ddu = np.empty_like(uh)
+    ddu[1:-1] = _second_difference(tg.dt, uh[:-2], uh[1:-1], uh[2:])
+    ddu[0] = _end_second_difference(tg.dt, uh[0], uh[1], uh[2], uh[3])
+    ddu[-1] = _end_second_difference(tg.dt, uh[-1], uh[-2], uh[-3], uh[-4])
     ddu += k2 * uh
     return ddu

@@ -13,6 +13,7 @@ from hkel.diagnostics import (
 from hkel.direct import direct_step
 from hkel.elastic import (
     _accumulate_terms,
+    _cofactor,
     _minor_terms,
     curl_free_displacement,
     det_pointwise,
@@ -34,7 +35,6 @@ from hkel.waves import (
     _cumtrapz,
     box_trajectory,
     free_wave,
-    second_time_derivative,
     time_derivative,
 )
 
@@ -90,6 +90,20 @@ def principal_minor_sum(grid, A, k):
         raise ValueError(f"minor order must satisfy 2 <= k <= {n}, got {k}")
     fine = pad_to_fine(grid, np.asarray(A), 2)
     return truncate_from_fine(grid, _accumulate_terms(fine, _minor_terms(n, (k,))), 2)
+
+
+def cofactor_matrix(M):
+    """Pointwise cofactor matrix of a matrix field, one signed Leibniz minor per entry."""
+    return np.array([[_cofactor(M, a, b) for b in range(len(M))] for a in range(len(M))])
+
+
+def physical_box(grid, tg, u):
+    """The finite-difference box on physical samples: D_tt u - Laplacian u."""
+    ddu = np.empty_like(u)
+    ddu[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / tg.dt**2
+    ddu[0] = (2.0 * u[0] - 5.0 * u[1] + 4.0 * u[2] - u[3]) / tg.dt**2
+    ddu[-1] = (2.0 * u[-1] - 5.0 * u[-2] + 4.0 * u[-3] - u[-4]) / tg.dt**2
+    return ddu - grid.ifft(grid.fft(u) * (-grid.k2))
 
 
 def full_spectrum_to_fine(grid, uh, pad):
@@ -351,7 +365,7 @@ def physical_run_direct(grid, data, cfg):
             Y[m] = 2.0 * Y[m - 1] - Y[m - 2] + dt**2 * accel
     dY = time_derivative(tg, Y)
     dY[0] = data.g
-    return Y, dY, second_time_derivative(tg, Y) - grid.ifft(grid.fft(Y) * (-grid.k2))
+    return Y, dY, physical_box(grid, tg, Y)
 
 
 def physical_diagnostics(grid, tg, Y, dY, boxY, every=1):

@@ -320,8 +320,9 @@ LAUNCH = "import subprocess, sys; subprocess.run([sys.executable, *sys.argv[1:]]
 
 @pytest.mark.parametrize(
     "n, size, t_end, eps, solver",
-    [(2, 64, 0.5, 1e-2, "picard"), (3, 16, 0.3, 5e-3, "picard"), (2, 64, 1.5, 1e-2, "direct")],
-    ids=["2-64-0.5-0.01", "3-16-0.3-0.005", "direct-2-64-1.5-0.01"],
+    [(2, 64, 0.5, 1e-2, "picard"), (3, 16, 0.3, 5e-3, "picard"), (3, 16, 2.4, 5e-3, "picard"),
+     (2, 64, 1.5, 1e-2, "direct")],
+    ids=["2-64-0.5-0.01", "3-16-0.3-0.005", "3-16-2.4-0.005", "direct-2-64-1.5-0.01"],
 )
 def test_memory_estimate_bounds_measured_peak(tmp_path, n, size, t_end, eps, solver):
     # own-process peak RSS (ru_maxrss, KiB on Linux) of a fresh interpreter

@@ -102,7 +102,7 @@ def test_pressure_residual_by_parseval_matches_physical_norm(rng, n, size):
     # spectrum by Parseval; the physical-space route is the oracle
     grid = Grid(n, size)
     gradX, lapY, velocity = pressure_problem(grid, rng)
-    Minv = inverse_pointwise(gradX)[0]
+    Minv = inverse_pointwise(gradX, det_pointwise(gradX))[0]
     p = random_mean_free(grid, rng)
     W = _mat_mat(Minv, grid.jacobian(velocity))
     b = _trace_product(Minv, grid.jacobian(lapY)) - _trace_product(W, W)
@@ -117,7 +117,7 @@ def test_solve_pressure_returns_the_pressure_force_of_its_iterate_bitwise(rng, n
     # the leapfrog subtracts the returned (grad X)^-T grad p from lap Y
     grid = Grid(n, size)
     gradX, lapY, velocity = pressure_problem(grid, rng, band=2)
-    Minv = inverse_pointwise(gradX)[0]
+    Minv = inverse_pointwise(gradX, det_pointwise(gradX))[0]
     ph, force, iters = solve_pressure(grid, gradX, lapY, grid.jacobian(velocity), None, 1e-10, 100,
                                       det_pointwise(gradX))
     assert iters > 1
@@ -135,7 +135,7 @@ def test_divergence_form_residual_is_det_times_trace_form_residual(rng, monkeypa
     # band-limited, so there the identity holds to rounding
     grid = Grid(n, size)
     gradX, lapY, velocity = pressure_problem(grid, rng, band=2)
-    Minv, _, det = inverse_pointwise(gradX)
+    Minv, _, det = inverse_pointwise(gradX, det_pointwise(gradX))
     p = random_mean_free(grid, rng, band=1)
     W = _mat_mat(Minv, grid.jacobian(velocity))
     b = _trace_product(Minv, grid.jacobian(lapY)) - _trace_product(W, W)

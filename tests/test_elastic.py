@@ -5,13 +5,13 @@ import pytest
 
 from hkel.elastic import (
     InitialData,
+    _accumulate_terms,
+    _minor_terms,
     compatibility_residuals,
     curl_free_displacement,
-    cofactor_pointwise,
     det_pointwise,
     inverse_pointwise,
     make_shear_data,
-    minor_sum_total,
     null_form,
     recover_pressure,
 )
@@ -20,6 +20,7 @@ from hkel.spectral import Grid, dealiased_product, fine_sample_bytes, pad_to_fin
 from conftest import (
     ComplexGrid,
     batched_recover_pressure,
+    cofactor_matrix,
     curl_compatibility_residual,
     physical_recover_pressure,
     principal_minor_sum,
@@ -85,13 +86,12 @@ def test_minor_sum_rejects_bad_order(grid2):
         principal_minor_sum(grid2, A, 3)
 
 
-def test_determinant_expansion_random_matrices(grid2, grid3, rng):
-    for grid, n in ((grid2, 2), (grid3, 3)):
+def test_determinant_expansion_random_matrices(rng):
+    for n in (2, 3):
         for _ in range(30):
             A = rng.normal(size=(n, n))
-            field = constant_field(grid, A)
             expansion = 1.0 + np.trace(A) + float(
-                minor_sum_total(grid, field).reshape(-1)[0]
+                _accumulate_terms(A, _minor_terms(n, range(2, n + 1)))
             )
             det = cofactor_det(np.eye(n) + A)
             assert abs(det - expansion) <= 1e-12 * max(1.0, abs(det))
@@ -122,7 +122,7 @@ def test_curl_free_symmetry_and_trace(grid2, grid3, rng):
     for grid in (grid2, grid3):
         G = random_jacobian(grid, rng, scale=0.1)
         C = curl_free_gradient(grid, G)
-        s = minor_sum_total(grid, G)
+        s = sum(principal_minor_sum(grid, G, k) for k in range(2, grid.n + 1))
         s = s - s.mean()
         assert np.abs(C - np.swapaxes(C, 0, 1)).max() <= 1e-12 * max(np.abs(C).max(), 1e-30)
         trace = sum(C[a, a] for a in range(grid.n))
@@ -244,9 +244,10 @@ def test_velocity_residual_matches_pointwise_formula(n, size, rng):
 
 @pytest.mark.parametrize("n, size", [(2, 64), (3, 16)])
 def test_compatibility_residuals_peak_memory(n, size):
-    # grad X and grad g share one buffer on the pad-2 lattice, and G there is
-    # freed before grad g is placed: 4.29 (2D) and 3.97 (3D) samples of G here,
-    # 5.76 and 5.35 with G kept alive and grad X stacked a second time
+    # grad f (grad X in place) and grad g share one buffer on the pad-2 lattice,
+    # each placed from its spectrum, grad g once r1 is read: 4.17 (2D) and 3.89
+    # (3D) samples of G here, 5.76 and 5.35 with G kept alive and grad X
+    # stacked a second time
     grid = Grid(n, size)
     data = make_shear_data(grid, 5e-3, seed=0)
     tracemalloc.start()
@@ -388,7 +389,7 @@ def test_inverse_pointwise_identity_plus_small(grid2, rng):
     M = G.copy()
     for a in range(2):
         M[a, a] += 1.0
-    Minv = inverse_pointwise(M)[0]
+    Minv = inverse_pointwise(M, det_pointwise(M))[0]
     prod = np.einsum("ab...,bc...->ac...", M, Minv)
     eye = np.eye(2).reshape(2, 2, 1, 1)
     assert np.abs(prod - eye).max() <= 1e-12
@@ -400,7 +401,7 @@ def test_inverse_pointwise_rejects_degenerate(grid2):
     M[0, 0] = 1.0 + np.cos(x[0])  # det hits 0
     M[1, 1] = 1.0
     with pytest.raises(ValueError, match="grid point"):
-        inverse_pointwise(M)
+        inverse_pointwise(M, det_pointwise(M))
 
 
 def test_det_pointwise_matches_numpy(grid3, rng):
@@ -444,12 +445,12 @@ def test_det_and_cofactors_match_hand_expansions_bitwise(grid_name, request, rng
     grid = request.getfixturevalue(grid_name)
     M = rng.standard_normal((grid.n, grid.n) + grid.shape)
     assert det_pointwise(M).tobytes() == hand_det(M).tobytes()
-    assert cofactor_pointwise(M).tobytes() == hand_cofactors(M).tobytes()
+    assert cofactor_matrix(M).tobytes() == hand_cofactors(M).tobytes()
 
 
 def parent_inverse(M):
     """The inverse as it was built before: det and cofactors from separate calls."""
-    return np.swapaxes(cofactor_pointwise(M), 0, 1) / det_pointwise(M)
+    return np.swapaxes(cofactor_matrix(M), 0, 1) / det_pointwise(M)
 
 
 @pytest.mark.parametrize("grid_name", ["grid2", "grid3"])
@@ -457,7 +458,7 @@ def test_inverse_pointwise_bitwise_with_cofactors_built_once(grid_name, request,
     grid = request.getfixturevalue(grid_name)
     n = grid.n
     M = 0.05 * rng.standard_normal((n, n) + grid.shape) + np.eye(n).reshape((n, n) + (1,) * n)
-    Minv, cof, det = inverse_pointwise(M)
+    Minv, cof, det = inverse_pointwise(M, det_pointwise(M))
     assert Minv.tobytes() == parent_inverse(M).tobytes()
-    assert cof.tobytes() == cofactor_pointwise(M).tobytes()
+    assert cof.tobytes() == cofactor_matrix(M).tobytes()
     assert det.tobytes() == det_pointwise(M).tobytes()

@@ -104,10 +104,20 @@ def test_output_moves_names_each_moved_column_and_the_identical_files(tmp_path, 
     ]
     (b / "sweep.csv").write_text("epsilon,ratio\n1e-3,2.0\n3e-3,2.0\n")
     (a / "snapshot_000000.hkel").write_bytes(b"HKEM")
-    assert tool.main([str(a), str(b)]) == 0
+    assert tool.main([str(a), str(b)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert "snapshot_000000.hkel differs" in out
     assert "sweep.csv epsilon differs" in out and "sweep.csv ratio differs" in out
+
+
+def test_output_moves_exits_0_on_identical_trees(tmp_path, capsys):
+    tool = load_tool("output_moves")
+    a = write_run(tmp_path / "a", REPORT, CONFIG)
+    b = write_run(tmp_path / "b", [REPORT[0], "wall_clock_s = 9.9\n", REPORT[2]], CONFIG)
+    assert tool.main([str(a), str(b)]) == 0
+    assert all(line.endswith(" identical") for line in capsys.readouterr().out.splitlines())
+    (b / "diagnostics.csv").write_text("t,x\n0,1.5\n")
+    assert tool.main([str(a), str(b)]) == 1
 
 
 def test_output_moves_reads_snapshots_as_their_time_and_field(tmp_path):

@@ -15,7 +15,9 @@ for its ``time`` and one for its ``field``, every component's values
 together.  A report key that is not numeric prints ``differs`` when its
 values do, and so does a field whose shape does not match, a snapshot that
 does not read as one, and any other file.  A file or a column on one side
-only prints ``only in A`` or ``only in B``.
+only prints ``only in A`` or ``only in B``.  The exit status is 0 when every
+file is identical and 1 when any file moved, so a byte-identity check is one
+exit status.
 """
 
 import argparse
@@ -125,8 +127,9 @@ def main(argv=None):
     for root in (args.a, args.b):
         if not root.is_dir():
             ap.error(f"{root}: not a directory")
-    print("\n".join(tree_moves(args.a, args.b)))
-    return 0
+    lines = tree_moves(args.a, args.b)
+    print("\n".join(lines))
+    return 0 if all(line.endswith(" identical") for line in lines) else 1
 
 
 if __name__ == "__main__":
