@@ -45,14 +45,16 @@ EXIT_NOT_CONVERGED = 2
 # (the slope of own-process peak RSS against their size between two horizons,
 # rounded up), one fixed term (the interpreter, numpy, the data and the
 # solver's working set) and chunks of G on the product lattice: a map's
-# chunk temporaries (2.9 chunks, traced) and, in 3D, where a chunk is one
-# sample, compatibility_residuals' peak of about four samples of G at pad 2.
-# Picard holds three trajectories and rows of temporaries, and reads 3.05-3.24
-# in 2D N=64 (100-500 steps), 3.69-3.96 in 3D N=16 (30-240) and 3.21 in 3D
-# N=32 (50-130), where its estimate is 1.08-1.41x its peak.  In 3D N=16 at
-# T = 1.2, 2.4, 4.8 and 9.6 (dt 0.01) the peaks read 94.0, 143.6, 244.0 and
-# 438.5 MiB, slopes 3.92, 3.97 and 3.84, the estimate 1.05-1.11x the peak:
-# 4 holds up to 961 samples.
+# lattice buffers and block temporaries (1.9 chunks at most in 3D, traced; a
+# 2D row is not split, so there they grow with the horizon, to 3.1 chunks at
+# 500 steps in N=64) and, in 3D, where a chunk is one sample,
+# compatibility_residuals' peak of 3.4 samples of G at pad 2.  Picard
+# holds three trajectories, and its run peak reads 2.88-3.29 in 2D N=64
+# (100-500 steps), 3.00-3.31 in 3D N=16 (30-960) and 3.01-3.02 in 3D N=32
+# (50-130), where its estimate is 1.16-1.53x its peak.  In 3D N=16 at T =
+# 1.2, 2.4, 4.8 and 9.6 (dt 0.01) the peaks read 86.1, 127.9, 203.8 and
+# 356.3 MiB, the estimate 1.21-1.29x the peak; the solve's own slope is
+# 3.01-3.02 there, and the surrogate sets the last three peaks.
 # The leapfrog holds Y and box Y and reads 2.03-2.06 in 2D N=64 (256-1024
 # steps) over about 45.6 MiB, where its estimate is 1.27-1.38x its peak.
 TRAJECTORY_ARRAYS = {"picard": 4, "direct": 3}

@@ -99,33 +99,46 @@ def curl_free_displacement(grid, G_fine):
     return np.stack([sh * m for m in grid.idfreq_inv_k2])
 
 
-def _flux(n, row):
+def _flux(n, row, out=None, prod=None):
     """P_b = sum_l G[l, b] box Y^l on a product lattice, accumulated in the order of l.
 
     ``row(l)`` gives row l of G (b first) and box Y^l there; each row is
-    dropped once its product is added, so a caller may place one per call.
+    dropped once its products are added, so a caller may place one per call.
+    The products past l = 0 are formed one field P_b at a time, in ``prod``
+    when given; P is formed in ``out`` when given.
     """
-    acc = np.multiply(*row(0))
-    prod = np.empty_like(acc)
+    out = np.multiply(*row(0), out=out)
     for l in range(1, n):
-        acc += np.multiply(*row(l), out=prod)
-    return acc
+        G_l, box = row(l)
+        for b in range(n):
+            prod = np.multiply(G_l[b], box, out=prod)
+            out[b] += prod
+        del G_l, box  # before the next row is placed
+    return out
 
 
-def null_form(grid, G_fine, box_fine):
+def null_form(grid, G_fine, boxh, work=None):
     """Half spectrum of the displacement whose gradient is the null-form coupling.
 
     The bracket B[a, k] = sum_l (G[l, a] H[l, k] - G[l, k] H[l, a]), H = grad box Y,
     is the curl d_k P_a - d_a P_k of the flux P (``_flux``), so W_hat[a] =
     sum_k i xi_k |xi|^-2 (i xi_k P_hat[a] - i xi_a P_hat[k]), -leray(P) off the
     Nyquist planes, has grad W[a, b] = sum_k R_b R_k B[a, k] and div W = 0 up
-    to rounding.  ``G_fine`` (n, n) and ``box_fine`` (n,) are on the flux's
-    product lattice (its pad read from their shape), with any (time) axes
-    between the component and spatial axes; W_hat is (n,) + those + ``spectral_shape``.
+    to rounding.  ``G_fine`` (n, n) is on the flux's product lattice (its pad
+    read from its shape), with any (time) axes between the component and
+    spatial axes; ``boxh`` (n,) + those + ``spectral_shape`` is box Y's half
+    spectra, placed on the lattice one component at a time.  ``work``, (n + 2,)
+    + ``G_fine.shape[2:]`` and allocated when not given, holds P, the placed
+    component and one product field.  W_hat is (n,) + those + ``spectral_shape``.
     """
     n, iq, idf = grid.n, grid.idfreq_inv_k2, grid.idfreq
-    P = _flux(n, lambda l: (G_fine[l], box_fine[l]))
-    Ph = fine_to_spectrum(grid, P, G_fine.shape[-1] / grid.size)
+    pad = G_fine.shape[-1] / grid.size
+    if work is None:
+        work = np.empty((n + 2,) + G_fine.shape[2:])
+    box = work[n]
+    P = _flux(n, lambda l: (G_fine[l], spectrum_to_fine(grid, boxh[l], pad, out=box)),
+              work[:n], work[n + 1])
+    Ph = [fine_to_spectrum(grid, P_b, pad) for P_b in P]  # one component's rfft held at a time
     # sum_k iq_k (idf_k P_a - idf_a P_k), its two sums over k formed once
     div = sum(iq[k] * Ph[k] for k in range(n))
     lap = sum(iq[k] * idf[k] for k in range(n))
@@ -204,8 +217,10 @@ def compatibility_residuals(grid, data):
     n = grid.n
     # pad 2 in 2D too: the maxima are read at these fine lattice points.  G
     # and grad g share one buffer, each placed from its spectrum, and grad g
-    # is placed once r1 is read, so the check peaks at about four samples of
-    # G on that lattice
+    # is placed once r1 is read, so the check peaks at about 3.4 samples of G
+    # on that lattice in 3D.  Each is placed whole and copied in: placed into
+    # the buffer, it left the direct2d benchmark's peak RSS 0.5 MB higher
+    # (x86-64, glibc), whose dynamic mmap threshold a freed block of G raises
     stack = np.empty((2, n, n) + (2 * grid.size,) * n)
     G = stack[0]
     G[...] = jacobian_on_fine(grid, grid.fft(data.f)[None], 2)[:, :, 0]

@@ -14,9 +14,10 @@ there straight from i dfreq_b Y_hat_a, and box Y, and the flux G^T box Y
 and the minor sum come back as truncated spectra.  The stopping rule reads
 successive differences of G = grad Y in the sup-in-time dyadic n/2 norm from
 the spectra of Y.  The map consumes its state's three spectra and forms that
-difference's band sums as each row of the new Y lands over the old one, so
-the solve holds three trajectories.  It returns the spectra; nothing after
-it forms a physical trajectory.
+difference's band sums as each block of the new Y lands over the old one, so
+the solve holds three trajectories, one chunk of G on the product lattice
+and a bounded budget of block temporaries.  It returns the spectra; nothing
+after it forms a physical trajectory.
 """
 
 import math
@@ -28,7 +29,7 @@ import numpy as np
 from .diagnostics import _besov_of_bands, gradient_besov_sup
 from .elastic import (_minor_sum_spectrum, compatibility_residuals, curl_free_displacement,
                       det_residual, null_form)
-from .spectral import Grid, jacobian_on_fine, spectrum_to_fine
+from .spectral import Grid, jacobian_on_fine
 from .waves import (
     TimeGrid,
     _duhamel,
@@ -95,56 +96,68 @@ def free_seed(grid, data):
 def picard_map(grid, state, seed):
     """One application of the fixed-point map to a trajectory state, and its delta.
 
-    ``seed`` is ``free_seed``'s pair of spectra; each row of the free wave is
-    formed from it as the row is assembled.  The map consumes ``state``: its
-    Y_hat, d_t Y_hat and box Y_hat become the new ones, and the returned
+    ``seed`` is ``free_seed``'s pair of spectra; each block of the free wave
+    is formed from it as the block is assembled.  The map consumes ``state``:
+    its Y_hat, d_t Y_hat and box Y_hat become the new ones, and the returned
     state holds those three buffers, but a new box Y_hat when ``state`` is the
-    free wave (``boxYh`` None).  The chunks read the old Y_hat to form G,
-    write Z_hat into d_t Y_hat, which the map never reads, and W_hat into
-    box Y_hat once each chunk has placed its box Y.  Then each row of the
-    first spectral axis adds the free wave, the box of Z and Duhamel's
-    integral of W, and writes the new Y_hat row over the old one once the
-    row's band powers of their difference are summed.  ``deltas`` are those
-    sums read per sample as ``gradient_besov_norms`` of new minus old Y_hat
-    at n/2, with its bits: the powers are formed as it forms them and added
-    in its order.
+    free wave (``boxYh`` None).  The chunks read the old Y_hat to place G, a
+    row at a time, in one chunk-sized buffer that the map owns, write Z_hat
+    into d_t Y_hat, which the map never reads, and W_hat into box Y_hat once
+    the null form has placed each chunk's box Y.  Then each block of modes
+    (``waves._free_wave_rows``: a row of the first spectral axis, split in
+    3D when large) adds the free wave, the box of Z and Duhamel's integral of
+    W, and writes the new Y_hat block over the old one once the block's band
+    powers of their difference are summed.  So the map holds its state's three
+    trajectories and, beyond them, one chunk of G and the null form's fields,
+    then a bounded budget of block temporaries.  ``deltas`` are those sums
+    read per sample as ``gradient_besov_norms`` of new minus old Y_hat at
+    n/2, with its bits: the powers are formed as it forms them and added in
+    its order.
     """
-    tg = state.tg
+    tg, n = state.tg, grid.n
     # one lattice for the null form and the minors: products of degree n
     # (the top minor) are alias-free at pad (n + 1) / 2, the 3/2 rule in 2D
-    pad = (grid.n + 1) / 2
+    pad = (n + 1) / 2
     forced = state.boxYh is not None  # the free wave's box Y, so its forcing W, is 0
     Yh, dYh = state.Yh, state.dYh
     boxYh = state.boxYh if forced else np.empty_like(Yh)
+    # the map's lattice buffers, each placement written into them: one chunk
+    # of G and, forced, the null form's flux P, one box Y component and one
+    # product field; freed before the rows
+    chunk = (min(grid.samples_per_chunk(), tg.nsamples),) + (int(pad * grid.size),) * n
+    G = np.empty((n, n) + chunk)
+    work = np.empty((n + 2,) + chunk) if forced else None
     for c in grid.chunks(tg.nsamples):
-        Gf = jacobian_on_fine(grid, Yh[c], pad)
-        if forced:  # box Y on the lattice is a temporary, freed before the minors accumulate
+        m = c.stop - c.start
+        Gf = jacobian_on_fine(grid, Yh[c], pad, out=G[:, :, :m])
+        if forced:
             box = np.moveaxis(boxYh[c], 1, 0)
-            boxYh[c] = np.moveaxis(null_form(grid, Gf, spectrum_to_fine(grid, box, pad)), 0, 1)
+            boxYh[c] = np.moveaxis(null_form(grid, Gf, box, work[:, :m]), 0, 1)
         dYh[c] = np.moveaxis(curl_free_displacement(grid, Gf), 0, 1)
+    del G, Gf, work
 
     # the band sums of (new - old) Y_hat per sample, flat: sample m's band j
     # at m (nbands + 1) + j + 1, the zero mode's at m (nbands + 1)
     bins = grid.nbands + 1
     sums = np.zeros(tg.nsamples * bins)
-    offsets = bins * np.arange(tg.nsamples).reshape((-1,) + (1,) * (grid.n - 1))
-    for row, cosk, sink, (free_Yh, free_dYh) in _free_wave_rows(grid, tg.times, seed):
-        Zh = dYh[row]
-        box = box_trajectory(tg, Zh, grid.k2[row])
+    offsets = bins * np.arange(tg.nsamples).reshape((-1,) + (1,) * (n - 1))
+    for block, cosk, sink, (free_Yh, free_dYh) in _free_wave_rows(grid, tg.times, seed):
+        Zh = dYh[block]
+        box = box_trajectory(tg, Zh, grid.k2[block])
         new_dYh = time_derivative(tg, Zh) + free_dYh
         Zh += free_Yh
         if forced:
-            Wh = boxYh[row]
-            duh, dduh = _duhamel(tg, Wh, cosk, sink, grid.inv_absk[row])
+            Wh = boxYh[block]
+            duh, dduh = _duhamel(tg, Wh, cosk, sink, grid.inv_absk[block])
             Wh += box
             Zh += duh
             new_dYh += dduh
         else:
-            boxYh[row] = box
-        power = (np.abs(Zh - Yh[row]) ** 2).sum(axis=1) * grid.dk2[row] * grid.parseval_weight
-        np.add.at(sums, (offsets + (grid.band_of[row] + 1)).ravel(), power.ravel())
-        Yh[row] = Zh
-        dYh[row] = new_dYh
+            boxYh[block] = box
+        power = (np.abs(Zh - Yh[block]) ** 2).sum(axis=1) * grid.dk2[block] * grid.parseval_weight
+        np.add.at(sums, (offsets + (grid.band_of[block] + 1)).ravel(), power.ravel())
+        Yh[block] = Zh
+        dYh[block] = new_dYh
     s = grid.n / 2.0
     deltas = np.array([_besov_of_bands(grid, grid.band_l2_of_sums(m), s)
                        for m in sums.reshape(tg.nsamples, bins)])

@@ -295,7 +295,7 @@ def pad_to_fine(grid, u, pad):
     return spectrum_to_fine(grid, grid.fft(u), pad)
 
 
-def spectrum_to_fine(grid, uh, pad):
+def spectrum_to_fine(grid, uh, pad, out=None):
     """The real field on the pad-times finer lattice of a half spectrum on the grid.
 
     ``pad * N`` must be an even integer >= N (``ValueError`` otherwise); a
@@ -308,7 +308,8 @@ def spectrum_to_fine(grid, uh, pad):
     goes half to +N/2, with its leading Nyquist indices at +N/2; the half
     spectrum implies the conjugate half.  At ``pad * N == N`` the slots
     coincide.  Staged on the columns 0..N/2 only: ``ifft`` runs along axes
-    -n..-2 on the occupied lines, then ``irfft`` pads the last axis.
+    -n..-2 on the occupied lines, then ``irfft`` pads the last axis, into
+    ``out`` when given.
     """
     big = _fine_size(grid, pad)
     n, half = grid.n, grid.size // 2
@@ -323,13 +324,22 @@ def spectrum_to_fine(grid, uh, pad):
     for src, dst in _placements(n, grid.size, big, True):
         fine[(Ellipsis,) + dst + (half,)] = nyq[(Ellipsis,) + src]
     _leading_passes(grid, fine, big, np.fft.ifft, range(n - 1))
-    return np.fft.irfft(fine, n=big, axis=-1)
+    return np.fft.irfft(fine, n=big, axis=-1, out=out)
 
 
-def jacobian_on_fine(grid, Yh, pad):
-    """G[a, b] = d_b Y_a on the pad lattice, (n, n, time) + fine, from spectra (time, n) + half."""
+def jacobian_on_fine(grid, Yh, pad, out=None):
+    """G[a, b] = d_b Y_a on the pad lattice, (n, n, time) + fine, from spectra (time, n) + half.
+
+    Each row a is placed in turn, into ``out[a]`` when ``out`` is given, so
+    the staging holds n fields, not n^2.
+    """
+    n = grid.n
     Yh = np.moveaxis(Yh, 1, 0)
-    return spectrum_to_fine(grid, Yh[:, None] * grid.idfreq[:, None], pad)
+    if out is None:
+        out = np.empty(Yh.shape[:1] + (n,) + Yh.shape[1:-n] + (_fine_size(grid, pad),) * n)
+    for a, row in enumerate(out):
+        spectrum_to_fine(grid, Yh[a] * grid.idfreq[:, None], pad, out=row)
+    return out
 
 
 def truncate_from_fine(grid, u_fine, pad):

@@ -3,7 +3,7 @@
 Trajectories here are half spectra (``grid.spectral_shape`` last), sampled
 along a leading time axis: every operator is a Fourier multiplier, so none
 of them transforms.  The free propagator is exact per Fourier mode and
-is formed a row of modes at a time from its data's spectra.  The Duhamel
+is formed a block of modes at a time from its data's spectra.  The Duhamel
 integral is the composite trapezoidal sum over the time samples, evaluated
 at every sample in one O(M) sweep: the angle-addition formula splits the
 kernel sin((t-s)|k|) into cumulative integrals.  The box is a finite
@@ -13,6 +13,12 @@ difference in time plus |xi|^2.
 from dataclasses import dataclass
 
 import numpy as np
+
+from .spectral import CHUNK_BYTES
+
+# bytes of one block of modes' slab in the row loops, samples x components x
+# modes of complex: a 3D row of the first spectral axis is split when larger
+BLOCK_BYTES = CHUNK_BYTES // 8
 
 
 @dataclass(frozen=True)
@@ -46,31 +52,39 @@ def free_wave(grid, seed, times):
     spectrum is the exact time derivative -|k| sin(t|k|) f + cos(t|k|) g.
     The zero mode of f propagates as a constant and g's would grow
     linearly, which ``free_seed`` rules out: it takes mean-free data only.
-    Both outputs are filled a row of the first spectral axis at a time.
+    Both outputs are filled a block of modes at a time (``_free_wave_rows``).
     """
     Yh = np.empty(np.shape(times) + np.shape(seed[0]), complex)
     dYh = np.empty_like(Yh)
-    for row, _, _, rows in _free_wave_rows(grid, times, seed):
-        Yh[row], dYh[row] = rows
+    for block, _, _, blocks in _free_wave_rows(grid, times, seed):
+        Yh[block], dYh[block] = blocks
     return Yh, dYh
 
 
 def _free_wave_rows(grid, times, seed):
-    """Per row of the first spectral axis: its index, cos(t|k|), sin(t|k|) and the wave's rows.
+    """Per block of modes: its index, cos(t|k|), sin(t|k|) and the wave's blocks.
 
-    The index reads the row after any leading axes, and the rows are
-    ``free_wave(grid, seed, times)``'s; the tables broadcast against a row
-    of the seed, and no temporary larger than a row of the output is formed.
+    A block is a row of the first spectral axis.  In 3D a row whose slab of
+    the output (samples x components x modes, complex) is larger than
+    ``BLOCK_BYTES`` is split along the second axis into runs that fit; the
+    last axis, which a 2D row is, stays whole: split there, the loop works on
+    short strided runs (a 2D N=64 solve of 300 steps ran 6% slower).  The
+    index reads the block after any leading axes, and the blocks are
+    ``free_wave(grid, seed, times)``'s; the tables broadcast against a block
+    of the seed, and no temporary larger than a block of the output is formed.
     """
     fh, gh = seed
     times = np.reshape(times, np.shape(times) + (1,) * (np.ndim(fh) - 1))
-    for i in range(grid.spectral_shape[0]):
-        row = (Ellipsis, i) + (slice(None),) * (grid.n - 1)
-        absk = grid.absk[row]
-        cosk, sink = _trig_tables(times, absk)
-        sinc = np.where(absk > 0, sink * grid.inv_absk[row], times)
-        f, g = fh[row], gh[row]
-        yield row, cosk, sink, (cosk * f + sinc * g, -absk * sink * f + cosk * g)
+    rows, lines = grid.spectral_shape[0], grid.spectral_shape[1] if grid.n > 2 else 1
+    run = max(1, BLOCK_BYTES // (16 * times.size * fh.size // (rows * lines)))
+    for i in range(rows):
+        for j in range(0, lines, run):
+            block = (Ellipsis, i) + (slice(j, j + run),) * (grid.n - 2) + (slice(None),)
+            absk = grid.absk[block]
+            cosk, sink = _trig_tables(times, absk)
+            sinc = np.where(absk > 0, sink * grid.inv_absk[block], times)
+            f, g = fh[block], gh[block]
+            yield block, cosk, sink, (cosk * f + sinc * g, -absk * sink * f + cosk * g)
 
 
 def _trig_tables(times, absk):

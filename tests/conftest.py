@@ -459,8 +459,7 @@ def whole_trajectory_picard_map(grid, state, free):
     dYh = free.dYh + time_derivative(tg, Zh)
     boxYh = box_trajectory(tg, Zh, grid.k2)
     if state.boxYh is not None:
-        Bf = spectrum_to_fine(grid, np.moveaxis(state.boxYh, 1, 0), pad)
-        Wh = np.moveaxis(null_form(grid, Gf, Bf), 0, 1)
+        Wh = np.moveaxis(null_form(grid, Gf, np.moveaxis(state.boxYh, 1, 0)), 0, 1)
         boxYh += Wh
         for a in range(grid.n):
             duh, dduh = whole_trajectory_duhamel(grid, tg, Wh[:, a])

@@ -205,3 +205,7 @@ def test_phase_memory_marks_the_end_of_each_phase_of_one_run(monkeypatch, capsys
     assert (configs[-1].solver, configs[-1].dimension, configs[-1].t_end) == ("picard", 3, 0.5)
     estimate = capsys.readouterr().out.splitlines()[-2].split()
     assert estimate == ["estimate", f"{cli.memory_estimate(configs[-1]) / 2**20:.2f}"]
+    assert load_tool("phase_memory").main(["picard3d", "--t-end", "0.5", "--grid-n", "32"]) == 0
+    assert (configs[-1].dimension, configs[-1].grid_n, configs[-1].t_end) == (3, 32, 0.5)
+    estimate = capsys.readouterr().out.splitlines()[-2].split()
+    assert estimate == ["estimate", f"{cli.memory_estimate(configs[-1]) / 2**20:.2f}"]

@@ -20,8 +20,9 @@ from hkel.picard import (
     picard_solve,
     trace_constraint_residual,
 )
-from hkel.spectral import Grid, pad_to_fine, spectrum_to_fine, truncate_from_fine
-from hkel.waves import duhamel_trajectory, time_derivative
+from hkel.spectral import (Grid, fine_sample_bytes, pad_to_fine, spectrum_to_fine,
+                           truncate_from_fine)
+from hkel.waves import BLOCK_BYTES, _free_wave_rows, duhamel_trajectory, time_derivative
 
 from conftest import (
     field_free_wave,
@@ -280,13 +281,14 @@ def test_picard_map_product_lattice(monkeypatch, n, size, fine_shape):
     # 3/2 rule for the quadratic products in 2D; the cubic minor needs pad 2 in 3D
     shapes = []
 
-    def recording(grid, uh, pad):
-        fine = spectrum_to_fine(grid, uh, pad)
+    def recording(grid, uh, pad, out=None):
+        fine = spectrum_to_fine(grid, uh, pad, out=out)
         shapes.append(fine.shape[-n:])
         return fine
 
     monkeypatch.setattr("hkel.spectral.spectrum_to_fine", recording)
     monkeypatch.setattr("hkel.picard.spectrum_to_fine", recording, raising=False)
+    monkeypatch.setattr("hkel.elastic.spectrum_to_fine", recording)  # the null form's box Y
     grid = Grid(n, size)
     cfg = small_config(dimension=n, grid_n=size, t_end=0.125)
     data = make_shear_data(grid, 1e-2, seed=7, band=1)
@@ -307,13 +309,14 @@ def test_forced_map_places_g_and_box_y_only(monkeypatch, n, size):
     forced, _ = picard_map(grid, free_wave_state(grid, tg, data), seed)
     placed = []
 
-    def counting(grid, uh, pad):
-        fine = spectrum_to_fine(grid, uh, pad)
+    def counting(grid, uh, pad, out=None):
+        fine = spectrum_to_fine(grid, uh, pad, out=out)
         placed.append(fine[(Ellipsis,) + (0,) * n].size)  # fields times samples
         return fine
 
     monkeypatch.setattr("hkel.spectral.spectrum_to_fine", counting)
     monkeypatch.setattr("hkel.picard.spectrum_to_fine", counting, raising=False)
+    monkeypatch.setattr("hkel.elastic.spectrum_to_fine", counting)  # the null form's box Y
     picard_map(grid, forced, seed)
     assert sum(placed) == (n * n + n) * tg.nsamples
 
@@ -556,6 +559,62 @@ def test_picard_solve_holds_three_trajectories():
         tracemalloc.stop()
     assert result.converged
     assert peak < 3.5 * trajectory  # 3.22 here
+
+
+@pytest.mark.parametrize("t_end, forced", [(0.3, True), (1.2, False)])
+def test_picard_map_holds_one_chunk_of_g_beyond_its_trajectories(t_end, forced):
+    # beyond the state's three trajectories (a new box Y on the free wave) a
+    # map holds one chunk of G and the null form's flux, box Y component and
+    # product field, all owned by the map, then blocks of modes of bounded
+    # size.  In 3D N=16 a chunk is one sample of G at pad 2; holding the
+    # previous chunk's G while placing the next, box Y whole on the lattice
+    # and rows that grow with the horizon, it read 2.85 forced at 31 samples
+    # and 3.96 unforced at 121, where a row is split into blocks; 1.88 and
+    # 1.33 here
+    grid = Grid(3, 16)
+    tg = RunConfig(dimension=3, grid_n=16, epsilon=5e-3, t_end=t_end, dt=0.01).time_grid()
+    data = make_shear_data(grid, 5e-3, seed=0)
+    seed = free_seed(grid, data)
+    state = free_wave_state(grid, tg, data)
+    if forced:
+        state, _ = picard_map(grid, state, seed)
+    new_box = 0 if forced else state.Yh.nbytes
+    tracemalloc.start()
+    try:
+        picard_map(grid, state, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - new_box <= 2 * fine_sample_bytes(3, 16), (peak - new_box) / fine_sample_bytes(3, 16)
+    if not forced:
+        assert len(list(_free_wave_rows(grid, tg.times, seed))) > grid.spectral_shape[0]
+
+
+@pytest.mark.parametrize("size", [8, 16])
+def test_picard_map_in_blocks_of_modes_bitwise(monkeypatch, size):
+    # every operation of the row loop is elementwise per mode, the zero mode
+    # opens the first block and each sample's band sums still add in
+    # row-major order, so 3D rows split along the second spectral axis keep
+    # every output's bits
+    grid = Grid(3, size)
+    tg = small_config(dimension=3, grid_n=size).time_grid()
+    data = make_shear_data(grid, 1e-2, seed=7, band=1)
+    seed = free_seed(grid, data)
+    line = 16 * tg.nsamples * 3 * grid.spectral_shape[-1]  # samples x n x modes, complex
+    runs = []
+    for block_bytes in (BLOCK_BYTES, 3 * line):  # whole rows, then runs of 3 lines
+        monkeypatch.setattr("hkel.waves.BLOCK_BYTES", block_bytes)
+        blocks = len(list(_free_wave_rows(grid, tg.times, seed)))
+        state = free_wave_state(grid, tg, data)
+        outputs = [state.Yh.tobytes(), state.dYh.tobytes()]
+        for _ in range(2):  # the unforced first map, then a forced one
+            state, deltas = picard_map(grid, state, seed)
+            outputs += [state.Yh.tobytes(), state.dYh.tobytes(), state.boxYh.tobytes(),
+                        deltas.tobytes()]
+        runs.append((blocks, outputs))
+    (whole, want), (split, got) = runs
+    assert whole == grid.spectral_shape[0] < split
+    assert got == want
 
 
 def test_picard_solve_deltas_independent_of_chunk_size_bitwise(monkeypatch):

@@ -2,12 +2,12 @@
 
 Run from anywhere in a checkout, once per measurement:
 
-    python3 tools/phase_memory.py WORKLOAD [--seed 0] [--t-end T]
+    python3 tools/phase_memory.py WORKLOAD [--seed 0] [--t-end T] [--grid-n N]
 
 WORKLOAD is a workload of perfbench/spec.py (picard2d, picard3d or
 direct2d).  The tool runs cli.run_one on that workload's configuration and
-data seed, with its horizon replaced by T if given, in a temporary
-directory, and prints one line per phase as the phase ends:
+data seed, with its horizon replaced by T and its grid size by N if given,
+in a temporary directory, and prints one line per phase as the phase ends:
 
     phase ru_maxrss_mib ru_minflt minflt_delta cpu_s
 
@@ -83,6 +83,7 @@ def main(argv=None):
     ap.add_argument("workload", choices=sorted(spec.WORKLOADS))
     ap.add_argument("--seed", type=int, default=0, help="data seed (default 0)")
     ap.add_argument("--t-end", type=float, help="horizon in place of the workload's")
+    ap.add_argument("--grid-n", type=int, help="grid size N in place of the workload's")
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "src"))
@@ -93,6 +94,8 @@ def main(argv=None):
     config = dict(spec.COMMON, **spec.WORKLOADS[args.workload]["config"])
     if args.t_end is not None:
         config["t_end"] = args.t_end
+    if args.grid_n is not None:
+        config["grid_n"] = args.grid_n
     with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as patches:
         for phase, name, when in PHASES:
             wrapped = marking(getattr(cli, name), phase, when, marks)
