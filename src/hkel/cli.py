@@ -48,7 +48,7 @@ EXIT_NOT_CONVERGED = 2
 # lattice buffers and block temporaries (1.9 chunks at most in 3D, traced; a
 # 2D row is not split, so there they grow with the horizon, to 3.1 chunks at
 # 500 steps in N=64) and, in 3D, where a chunk is one sample,
-# compatibility_residuals' peak of 3.4 samples of G at pad 2.  Picard
+# compatibility_residuals' peak of 2.4 samples of G at pad 2.  Picard
 # holds three trajectories, and its run peak reads 2.88-3.29 in 2D N=64
 # (100-500 steps), 3.00-3.31 in 3D N=16 (30-960) and 3.01-3.02 in 3D N=32
 # (50-130), where its estimate is 1.16-1.53x its peak.  In 3D N=16 at T =

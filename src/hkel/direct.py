@@ -8,7 +8,8 @@ pressure enforces the second time derivative of log det(grad X) to vanish:
 
 The Piola identity sum_a d_a cof(grad X)[b, a] = 0 puts the pressure
 equation, times det(grad X), in divergence form div(K grad p) with the
-symmetric K = det Minv Minv^T, formed once per step.  Richardson iteration
+symmetric K = det Minv Minv^T, formed once per step from the cofactors
+whose first row also gives det.  Richardson iteration
 preconditioned with the constant-coefficient inverse Laplacian solves it,
 contracting geometrically while the deformation stays small, from the
 polynomial through the last solves' half spectra of p, one step ahead; an
@@ -17,6 +18,8 @@ comes from the Jacobians of Y: the leapfrog's velocity is a difference of Y,
 Y_1 = Y_0 + dt g + dt^2 a_0 / 2 and later dt^2 a_m-1 = Y_m - 2 Y_m-1 + Y_m-2.
 So the run stores no velocity: it hands over the spectra of Y and box Y, and
 ``DirectRun.velocity`` differences Y's spectra where a reader asks for them.
+Each sample's drift is ``det_residual(G)``, the constraint's residual that
+the Picard diagnostics read too.
 Products here are plain collocation products: the coefficients are
 rational in grad Y, so exact dealiasing does not apply, and the oracle's
 error budget is O(dt^2) plus spectral tails either way.
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .elastic import det_pointwise, inverse_pointwise
+from .elastic import det_residual, inverse_pointwise
 from .picard import picard_solve
 from .waves import (TimeGrid, _central_velocity, _end_second_difference, _gather,
                     _last_velocity, _second_difference)
@@ -50,7 +53,7 @@ class DirectRun:
     boxYh: np.ndarray  # of the finite-difference box of Y, same shape
     gh: np.ndarray  # of the initial velocity g, (n,) + grid.spectral_shape
     pressure_iterations: list  # the pressure solve's iterations, step by step
-    drifts: np.ndarray  # max |det(grad X) - 1| per sample
+    drifts: np.ndarray  # det_residual(G) per sample
     det_drift: float  # max over the samples
 
     def velocity(self, samples, modes=None):
@@ -110,7 +113,7 @@ def _extrapolate(spectra):
     return sum((-1) ** j * math.comb(k, j + 1) * s for j, s in enumerate(spectra)) if k else None
 
 
-def solve_pressure(grid, gradX, lapY, gradv, p0h, tol, max_iter, det):
+def solve_pressure(grid, gradX, lapY, gradv, p0h, tol, max_iter):
     """Mean-zero pressure from the constraint's second time derivative.
 
     The constraint tr(Minv grad a) = tr(W^2), W = Minv grad v, times det is
@@ -120,13 +123,13 @@ def solve_pressure(grid, gradX, lapY, gradv, p0h, tol, max_iter, det):
     that of det b - div(K grad p) on the mean-free physical frequency window
     (unpaired Nyquist-plane content is collocation noise outside the
     operator's range), its norm by Parseval.  ``gradX`` is grad X, ``lapY``
-    the Laplacian of the displacement, ``gradv`` the velocity's Jacobian,
-    ``p0h`` the warm start's half spectrum (or None) and ``det`` det(grad X).
-    Returns (p_hat, Minv^T grad p, iterations); raises on stagnation
-    with the observed contraction factor.
+    the Laplacian of the displacement, ``gradv`` the velocity's Jacobian and
+    ``p0h`` the warm start's half spectrum (or None).  Returns (p_hat,
+    Minv^T grad p, iterations); raises on stagnation with the observed
+    contraction factor.
     """
     n = grid.n
-    Minv, cof, det = inverse_pointwise(gradX, det)
+    Minv, cof, det = inverse_pointwise(gradX)
     W = _mat_mat(Minv, gradv)
     div = grid.idfreq * grid.phys_mask  # i d_a on the physical window
     Fh = grid.fft(np.concatenate([_matT_vec(cof, lapY), (det * _trace_product(W, W))[None]]))
@@ -162,7 +165,7 @@ def solve_pressure(grid, gradX, lapY, gradv, p0h, tol, max_iter, det):
     )
 
 
-def direct_step(grid, lapY, gradX, det, gradv, pressures, tol, max_iter):
+def direct_step(grid, lapY, gradX, gradv, pressures, tol, max_iter):
     """The leapfrog's acceleration lap(Y) - (grad X)^-T grad p at one sample.
 
     ``pressures`` are the last solves' half spectra, newest first, through
@@ -170,15 +173,15 @@ def direct_step(grid, lapY, gradX, det, gradv, pressures, tol, max_iter):
     with this solve's in front, iterations).
     """
     ph, MinvT_grad_p, iters = solve_pressure(grid, gradX, lapY, gradv, _extrapolate(pressures),
-                                             tol, max_iter, det)
+                                             tol, max_iter)
     return lapY - MinvT_grad_p, ((ph,) + pressures)[:PRESSURE_HISTORY], iters
 
 
 def run_direct(grid, data, cfg):
     """Integrate to t_end; returns the half spectra of Y and box Y and the det drifts.
 
-    Each sample's spectrum, Jacobian G, Laplacian, grad X = I + G and
-    det(grad X) are formed once; the drift and the next step read them.
+    Each sample's spectrum, Jacobian G, Laplacian and grad X = I + G are
+    formed once; the drift, ``det_residual(G)``, and the next step read them.
     The box is differenced on the physical samples before it is transformed,
     whose rounding its 1/dt^2 would amplify.  It streams: as each step
     lands, the sample before it gets its second difference from the last few
@@ -203,7 +206,7 @@ def run_direct(grid, data, cfg):
                 gradv = 2.0 * (G[-1] - G[-2]) / dt - grad_g
             else:
                 gradv = (1.5 * G[-1] - 2.0 * G[-2] + 0.5 * G[-3]) / dt
-            accel, pressures, it = direct_step(grid, lapY[-1], gradX, det, gradv, pressures,
+            accel, pressures, it = direct_step(grid, lapY[-1], gradX, gradv, pressures,
                                                cfg.pressure_tol, cfg.pressure_max_iter)
             iters.append(it)
             Y = Y[-3:] + [Y[-1] + dt * data.g + 0.5 * dt**2 * accel if m == 1
@@ -212,8 +215,7 @@ def run_direct(grid, data, cfg):
         G = G[-2:] + [grid.jacobian_of_spectrum(Yh[m])]
         lapY = lapY[-3:] + [grid.ifft(Yh[m] * (-grid.k2))]
         gradX = G[-1] + eye
-        det = det_pointwise(gradX)
-        drifts.append(float(np.abs(det - 1.0).max()))
+        drifts.append(det_residual(G[-1]))
         if m >= 2:
             boxYh[m - 1] = grid.fft(_second_difference(dt, Y[-3], Y[-2], Y[-1]) - lapY[-2])
         if m == 3:

@@ -2,8 +2,10 @@
 
 A Jacobian field G stores G[a, b] = d_b Y_a (component first, derivative
 second).  The incompressibility constraint det(I + G) = 1 expands into
-trace(G) plus the principal-minor sums E_k(G), and those minors drive both
-the curl-free reconstruction and the compatibility checks.
+trace(G) plus the principal-minor sums E_k(G).  Those minors drive the
+curl-free reconstruction, and their sum with the trace is the one pointwise
+constraint residual, ``det_residual``, that the compatibility check and
+both solvers' diagnostics read.
 
 Minors of true Jacobian fields are null Lagrangians, so their means vanish
 in exact arithmetic; the Riesz multipliers below vanish at the zero mode,
@@ -162,15 +164,17 @@ def det_pointwise(M):
 INVERSE_DET_TOL = 0.5
 
 
-def inverse_pointwise(M, det):
+def inverse_pointwise(M):
     """Pointwise inverse by cofactors, returned with them and det: (M^-1, cof(M), det(M)).
 
-    ``det`` is det_pointwise(M), which the caller has formed.  Valid only
-    near det = 1: raises if the determinant strays from 1 by more than
-    ``INVERSE_DET_TOL`` at any grid point (outside the small-data regime).
+    det is expanded along the first row over the cofactors built here, as in
+    ``det_pointwise``.  Valid only near det = 1: raises if the determinant
+    strays from 1 by more than ``INVERSE_DET_TOL`` at any grid point (outside
+    the small-data regime).
     """
     M = np.asarray(M)
     cof = np.array([[_cofactor(M, a, b) for b in range(len(M))] for a in range(len(M))])
+    det = sum(M[0, b] * cof[0, b] for b in range(len(M)))
     bad = np.abs(det - 1.0) > INVERSE_DET_TOL
     if np.any(bad):
         loc = np.unravel_index(int(np.argmax(np.abs(det - 1.0))), det.shape)
@@ -182,56 +186,37 @@ def inverse_pointwise(M, det):
 
 
 def det_residual(G):
-    """max |det(I + G) - 1| over the grid, from pointwise determinants."""
-    n = G.shape[0]
-    eye = np.eye(n).reshape((n, n) + (1,) * (G.ndim - 2))
-    return float(np.abs(det_pointwise(eye + G) - 1.0).max())
+    """max |det(I + G) - 1| over the grid, read as max |tr G + E_2(G) + ... + E_n(G)|.
+
+    The expansion forms the constraint's residual itself, so it is not lost
+    to the cancellation of det(I + G) against 1.
+    """
+    n = len(G)
+    trace = sum(G[a, a] for a in range(n))
+    return float(np.abs(trace + _accumulate_terms(G, _minor_terms(n, range(2, n + 1)))).max())
 
 
 # -- compatibility -----------------------------------------------------------
 
 
-@cache
-def _cofactor_trace_terms(n):
-    """Leibniz terms of sum_{a,b} cof(M)[a, b] * A[a, b] over the stack (M, A).
-
-    The last factor of each term is A[a, b].
-    """
-    return [
-        (sign, [(0, r, c) for r, c in entries] + [(1, a, b)])
-        for a in range(n)
-        for b in range(n)
-        for sign, entries in _cofactor_terms(n, a, b)
-    ]
-
-
 def compatibility_residuals(grid, data):
     """Max-norm residuals of the volume and velocity compatibility conditions.
 
-    Returns (r1, r2) with r1 = max|det(I + grad f) - 1| and r2 the max of
+    Returns (r1, r2) with r1 = ``det_residual(grad f)`` and r2 the max of
     the exact time derivative of det(grad X) at t = 0, written as
     sum_{a,b} cof(grad X)[a, b] d_b g_a = det(grad X) tr((grad X)^-1 grad g)
     without inverting.  Both maxima are taken on the product-resolving fine
     lattice, where the dealiased products are exact point values.
     """
     n = grid.n
-    # pad 2 in 2D too: the maxima are read at these fine lattice points.  G
-    # and grad g share one buffer, each placed from its spectrum, and grad g
-    # is placed once r1 is read, so the check peaks at about 3.4 samples of G
-    # on that lattice in 3D.  Each is placed whole and copied in: placed into
-    # the buffer, it left the direct2d benchmark's peak RSS 0.5 MB higher
-    # (x86-64, glibc), whose dynamic mmap threshold a freed block of G raises
-    stack = np.empty((2, n, n) + (2 * grid.size,) * n)
-    G = stack[0]
-    G[...] = jacobian_on_fine(grid, grid.fft(data.f)[None], 2)[:, :, 0]
-    trace = sum(G[a, a] for a in range(n))
-    r1 = float(np.abs(trace + _accumulate_terms(G, _minor_terms(n, range(2, n + 1)))).max())
-    del trace
+    # pad 2 in 2D too: the maxima are read at these fine lattice points
+    G = jacobian_on_fine(grid, grid.fft(data.f)[None], 2)[:, :, 0]
+    r1 = det_residual(G)
     for a in range(n):
         G[a, a] += 1.0  # grad X
-    stack[1] = jacobian_on_fine(grid, grid.fft(data.g)[None], 2)[:, :, 0]
-    r2 = float(np.abs(_accumulate_terms(stack, _cofactor_trace_terms(n))).max())
-    return r1, r2
+    grad_g = jacobian_on_fine(grid, grid.fft(data.g)[None], 2)[:, :, 0]
+    r2 = sum(_cofactor(G, a, b) * grad_g[a, b] for a in range(n) for b in range(n))
+    return r1, float(np.abs(r2).max())
 
 
 # -- volume-preserving data generators ----------------------------------------

@@ -16,7 +16,6 @@ from hkel.elastic import (
     _cofactor,
     _minor_terms,
     curl_free_displacement,
-    det_pointwise,
     det_residual,
     null_form,
 )
@@ -336,8 +335,8 @@ def batched_recover_pressure(grid, Yh, boxYh):
 def physical_run_direct(grid, data, cfg):
     """The leapfrog's physical Y, central-difference velocity and box trajectories.
 
-    Each step forms its sample's spectrum, Jacobian, Laplacian, grad X and
-    det(grad X) afresh from the physical trajectory and hands them to
+    Each step forms its sample's spectrum, Jacobian, Laplacian and grad X
+    afresh from the physical trajectory and hands them to
     ``direct_step``, with grad v the difference of the Jacobians that the
     leapfrog's velocity implies.
     """
@@ -356,9 +355,8 @@ def physical_run_direct(grid, data, cfg):
             gradv = 2.0 * (G[-1] - G[-2]) / dt - grad_g
         else:
             gradv = (1.5 * G[-1] - 2.0 * G[-2] + 0.5 * G[-3]) / dt
-        accel, pressures, _ = direct_step(grid, grid.ifft(Yh * (-grid.k2)), gradX,
-                                          det_pointwise(gradX), gradv, pressures,
-                                          cfg.pressure_tol, cfg.pressure_max_iter)
+        accel, pressures, _ = direct_step(grid, grid.ifft(Yh * (-grid.k2)), gradX, gradv,
+                                          pressures, cfg.pressure_tol, cfg.pressure_max_iter)
         if m == 1:
             Y[1] = Y[0] + dt * data.g + 0.5 * dt**2 * accel
         else:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hkel import direct
+from hkel import direct, elastic
 from hkel.config import RunConfig
 from hkel.diagnostics import energy
 from hkel.direct import (
@@ -20,7 +20,6 @@ from hkel.direct import (
 )
 from hkel.elastic import (
     InitialData,
-    det_pointwise,
     det_residual,
     inverse_pointwise,
     make_shear_data,
@@ -71,10 +70,9 @@ def test_pressure_zero_state_single_mode(grid2):
     Y = np.zeros((2,) + grid2.shape)
     lapY, gradv = grid2.ifft(grid2.fft(Y) * (-grid2.k2)), grid2.jacobian(g)
     gradX = identity_field(grid2)
-    det = det_pointwise(gradX)
-    ph, _, iters = solve_pressure(grid2, gradX, lapY, gradv, None, 1e-11, 50, det)
+    ph, _, iters = solve_pressure(grid2, gradX, lapY, gradv, None, 1e-11, 50)
     assert np.abs(grid2.ifft(ph)).max() <= 1e-11
-    accel, pressures, _ = direct_step(grid2, lapY, gradX, det, gradv, (), 1e-11, 400)
+    accel, pressures, _ = direct_step(grid2, lapY, gradX, gradv, (), 1e-11, 400)
     assert np.abs(accel).max() <= 1e-10 and len(pressures) == 1
 
 
@@ -89,7 +87,7 @@ def test_pressure_manufactured_solution(grid2, grid3, rng):
         velocity = np.zeros((grid.n,) + grid.shape)
         gradX = identity_field(grid)
         ph, force, iters = solve_pressure(grid, gradX, grid.jacobian(q), grid.jacobian(velocity),
-                                          None, 1e-11, 50, det_pointwise(gradX))
+                                          None, 1e-11, 50)
         assert iters == 2  # the preconditioner inverts the Laplacian on the window
         assert np.abs(grid.ifft(ph) - p_true).max() <= 1e-11 * np.abs(p_true).max()
         grad_p = grid.jacobian(p_true)
@@ -102,7 +100,7 @@ def test_pressure_residual_by_parseval_matches_physical_norm(rng, n, size):
     # spectrum by Parseval; the physical-space route is the oracle
     grid = Grid(n, size)
     gradX, lapY, velocity = pressure_problem(grid, rng)
-    Minv = inverse_pointwise(gradX, det_pointwise(gradX))[0]
+    Minv = inverse_pointwise(gradX)[0]
     p = random_mean_free(grid, rng)
     W = _mat_mat(Minv, grid.jacobian(velocity))
     b = _trace_product(Minv, grid.jacobian(lapY)) - _trace_product(W, W)
@@ -117,9 +115,8 @@ def test_solve_pressure_returns_the_pressure_force_of_its_iterate_bitwise(rng, n
     # the leapfrog subtracts the returned (grad X)^-T grad p from lap Y
     grid = Grid(n, size)
     gradX, lapY, velocity = pressure_problem(grid, rng, band=2)
-    Minv = inverse_pointwise(gradX, det_pointwise(gradX))[0]
-    ph, force, iters = solve_pressure(grid, gradX, lapY, grid.jacobian(velocity), None, 1e-10, 100,
-                                      det_pointwise(gradX))
+    Minv = inverse_pointwise(gradX)[0]
+    ph, force, iters = solve_pressure(grid, gradX, lapY, grid.jacobian(velocity), None, 1e-10, 100)
     assert iters > 1
     assert force.tobytes() == _matT_vec(Minv, grid.ifft(ph * grid.idfreq)).tobytes()
 
@@ -135,14 +132,14 @@ def test_divergence_form_residual_is_det_times_trace_form_residual(rng, monkeypa
     # band-limited, so there the identity holds to rounding
     grid = Grid(n, size)
     gradX, lapY, velocity = pressure_problem(grid, rng, band=2)
-    Minv, _, det = inverse_pointwise(gradX, det_pointwise(gradX))
+    Minv, _, det = inverse_pointwise(gradX)
     p = random_mean_free(grid, rng, band=1)
     W = _mat_mat(Minv, grid.jacobian(velocity))
     b = _trace_product(Minv, grid.jacobian(lapY)) - _trace_product(W, W)
     Ap = _trace_product(Minv, grid.jacobian(_matT_vec(Minv, grid.jacobian(p))))
     seen, l2 = [], grid.spectral_l2  # the solve reads the norm of det b, then of the residual
     monkeypatch.setattr(grid, "spectral_l2", lambda uh: seen.append(uh.copy()) or l2(uh))
-    solve_pressure(grid, gradX, lapY, grid.jacobian(velocity), grid.fft(p), np.inf, 1, det)
+    solve_pressure(grid, gradX, lapY, grid.jacobian(velocity), grid.fft(p), np.inf, 1)
     bh, rh = seen
     want = physical_spectrum(grid, det * b)
     assert l2(bh - want) <= 1e-13 * l2(want)
@@ -166,9 +163,9 @@ def test_solve_pressure_transforms_n_fields_each_way_per_iteration(rng, monkeypa
         monkeypatch.setattr(Grid, name, counting(name, getattr(Grid, name)))
     grid = Grid(n, size)
     gradX, lapY, velocity = pressure_problem(grid, rng, band=2)
-    gradv, det = grid.jacobian(velocity), det_pointwise(gradX)
+    gradv = grid.jacobian(velocity)
     calls.clear()
-    _, _, iters = solve_pressure(grid, gradX, lapY, gradv, None, 1e-10, 100, det)
+    _, _, iters = solve_pressure(grid, gradX, lapY, gradv, None, 1e-10, 100)
     assert iters > 1
     assert calls == [("fft", (n + 1,))] + [("ifft", (n,)), ("fft", (n,))] * iters
 
@@ -380,26 +377,19 @@ def test_run_direct_transforms_each_sample_once(monkeypatch):
 
 
 def test_run_direct_forms_each_determinant_once(monkeypatch):
-    # the det drift and the next step's inverse read one grad X and one
-    # determinant per sample; the drift is still max |det(I + G) - 1|
-    dets, given = [], []
-    det_pointwise, inverse_pointwise = direct.det_pointwise, direct.inverse_pointwise
-
-    def counting(M):
-        dets.append(det_pointwise(M))
-        return dets[-1]
-
-    def handed(M, det=None):
-        given.append(any(det is d for d in dets))
-        return inverse_pointwise(M, det)
-
-    monkeypatch.setattr(direct, "det_pointwise", counting)
-    monkeypatch.setattr(direct, "inverse_pointwise", handed)
+    # a step's only determinant is the one its inverse forms from its
+    # cofactors; the drift is det_residual(G), which forms none
+    inverses, dets = [], []
+    inverse_pointwise = direct.inverse_pointwise
+    monkeypatch.setattr(direct, "inverse_pointwise",
+                        lambda M: inverses.append(1) or inverse_pointwise(M))
+    monkeypatch.setattr(elastic, "det_pointwise", lambda M: dets.append(1))
     grid = Grid(2, 16)
     data = make_shear_data(grid, 1e-2, seed=10, band=1)
     run = run_direct(grid, data, small_config(t_end=0.25))
-    assert len(dets) == len(run.Yh) and given == [True] * (len(run.Yh) - 1)
-    assert run.det_drift == max(det_residual(grid.jacobian_of_spectrum(Yh)) for Yh in run.Yh)
+    assert len(inverses) == len(run.Yh) - 1 and dets == []
+    residuals = [det_residual(grid.jacobian_of_spectrum(Yh)) for Yh in run.Yh]
+    assert run.drifts.tolist() == residuals and run.det_drift == max(residuals)
 
 
 def test_direct_energy_drift_second_order():

@@ -151,11 +151,14 @@ def test_keep_writes_each_run_to_its_own_directory_and_refuses_a_used_one(tmp_pa
 
     monkeypatch.setattr(cli, "run_one", lambda cfg: (write(cfg), None))
     monkeypatch.setattr(cli, "cmd_sweep", write)
+    monkeypatch.setattr(cli, "run_selftest", lambda out: out("check: PASS (1)") or True)
     tool, kept = load_tool(), tmp_path / "kept"
     assert tool.main(["--keep", str(kept), "--seed", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == tool.platform_line()
-    names = [line.split()[0] for line in lines[1:]]
+    # the self-test writes no files: its line digests the lines it prints
+    assert lines[-1] == "selftest 0 " + hashlib.sha256(b"check: PASS (1)\n").hexdigest()
+    names = [line.split()[0] for line in lines[1:-1]]
     assert sorted(p.name for p in kept.iterdir()) == sorted(names) and len(names) == 5
     assert all((kept / name / "report.txt").read_text() == "seed = 3\n" for name in names)
     with pytest.raises(SystemExit):  # a second run would mix its files into the first's

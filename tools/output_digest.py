@@ -19,8 +19,10 @@ and sweep_direct, cover ``hkel sweep`` (cli.cmd_sweep) with each solver on
 digest covers every output file in sorted order, with the two lines that
 differ between identical runs left out: ``wall_clock_s`` in report.txt and
 ``output_dir`` in config.txt.  ``--files`` adds one ``name sha256`` line
-per file.  Two checkouts whose lines agree wrote the same bytes;
-tools/output_moves.py names what moved between two kept trees.
+per file.  A last line ``selftest exit_code sha256`` covers the lines that
+``hkel selftest`` (selftest.run_selftest) prints, which no file records.
+Two checkouts whose lines agree wrote the same bytes and printed the same
+self-test; tools/output_moves.py names what moved between two kept trees.
 """
 
 import argparse
@@ -133,6 +135,9 @@ def main(argv=None):
         if args.files:
             for fname, digest in digests:
                 print(f"  {fname} {digest}")
+    selftest = hashlib.sha256()
+    passed = cli.run_selftest(lambda line: selftest.update(f"{line}\n".encode()))
+    print(f"selftest {cli.EXIT_OK if passed else cli.EXIT_ERROR} {selftest.hexdigest()}", flush=True)
     return 0
 
 
